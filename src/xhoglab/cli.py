@@ -165,6 +165,8 @@ def _verify_uprep(args, checks):
 def _verify_simplex(args, checks):
     from .xhog import max_xeb_mc
 
+    if args.big_n < 1 or args.trials < 2:
+        raise ValueError("simplex needs -N >= 1 and --trials >= 2 (for a standard error)")
     mean, se = max_xeb_mc(args.big_n, args.trials, args.seed)
     target = float(expected_max_simplex(args.big_n))
     _check(checks, f"expected_max_N{args.big_n}", abs(mean - target), 3 * se)
@@ -200,7 +202,11 @@ def cmd_verify(args) -> int:
         return 0
     t0 = time.perf_counter()
     checks = []
-    suites[args.suite](args, checks)
+    try:
+        suites[args.suite](args, checks)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     ok = all(c["ok"] for c in checks)
     report = {
         "schema_version": SCHEMA_VERSION,

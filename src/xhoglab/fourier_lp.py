@@ -32,6 +32,10 @@ class CertificateError(ValueError):
     """A dual constraint has a nonzero residual; the message names it."""
 
 
+class CrossCheckError(ArithmeticError):
+    """Two independent exact computations of the same value disagree."""
+
+
 def _all_sign_tables(n):
     """Matrix of all 2^N sign tables, one row per function, entries +-1."""
     n_dim = 2**n
@@ -65,7 +69,8 @@ def naive_fourier_value(n: int) -> Fraction:
     fourth = 16 * Fraction(n_dim, 4) * (1 + Fraction(3 * n_dim - 6, 4))
     # b = N * sum_z E[f-hat(z)^4] = N * N * E[S^4] / N^4 with S the signed sum
     by_moment = n_dim * n_dim * Fraction(fourth, n_dim**4)
-    assert by_enum == by_moment, (by_enum, by_moment)
+    if by_enum != by_moment:
+        raise CrossCheckError(f"naive value: enumeration {by_enum} != moment form {by_moment}")
     return by_enum
 
 
@@ -201,7 +206,8 @@ def objective_coefficients(n: int, t: int = 1) -> dict:
                 for x in s:
                     prod *= tables[:, x]
                 val = Fraction(n_dim * int(np.dot(sq, prod)), 2**n_dim * n_dim**2)
-                assert val == out.get(frozenset(s), Fraction(0)), s
+                if val != out.get(frozenset(s), Fraction(0)):
+                    raise CrossCheckError(f"objective weight k_{sorted(s)}: enumeration gives {val}")
     return out
 
 

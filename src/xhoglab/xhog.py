@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .linalg import PureState, born_sample, haar_state_amps, trial_rng
+from .linalg import MAX_QUBITS, PureState, born_sample, haar_state_amps, trial_rng
 from .oracles import (
     OracleHandle,
     SignFunction,
@@ -193,13 +193,13 @@ def _hidden_instance(family, n, rng):
     """Fresh hidden state, oracle handle, and scoring probabilities for one trial."""
     if family == "fourier":
         f = SignFunction.random(n, rng)
-        return fourier_phase_oracle(f), fourier_coefficients_float(f) ** 2, None
+        return fourier_phase_oracle(f, sealed=True), fourier_coefficients_float(f) ** 2, None
     psi_amps = haar_state_amps(2**n, rng)
     psi = PureState(psi_amps)
     if family == "canonical":
-        return canonical_oracle(psi), np.abs(psi_amps) ** 2, psi
+        return canonical_oracle(psi, sealed=True), np.abs(psi_amps) ** 2, psi
     if family == "random_prep":
-        return random_prep_oracle(psi, rng), np.abs(psi_amps) ** 2, psi
+        return random_prep_oracle(psi, rng, sealed=True), np.abs(psi_amps) ** 2, psi
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -241,6 +241,8 @@ def run_experiment(
         raise ValueError(f"unknown strategy {strategy!r}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
     params = strategy_params or {}
     t0 = time.perf_counter()
 

@@ -1,5 +1,6 @@
 import csv
 import json
+import tracemalloc
 from importlib import resources
 
 import pytest
@@ -90,6 +91,28 @@ def test_xhog_unwritable_out_is_io_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_xhog_qubit_count_out_of_range_is_usage_error(capsys):
+    for n in ("0", "15"):
+        rc = main(["xhog", "--strategy", "naive", "--family", "canonical", "-n", n,
+                   "--trials", "5", "--seed", "1"])
+        assert rc == 2
+        assert "error:" in capsys.readouterr().err
+
+
+def test_xhog_random_prep_at_the_qubit_cap_stays_small(capsys):
+    # a dense Haar complement at n = 14 would need gigabytes
+    tracemalloc.start()
+    try:
+        rc = main(["xhog", "--strategy", "naive", "--family", "random_prep", "-n", "14",
+                   "--trials", "5", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 64 * 2**20
+    assert capsys.readouterr().out.startswith("b=")
+
+
 def test_emit_config(capsys):
     rc = main(["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2",
                "--seed", "9", "--emit-config"])
@@ -132,6 +155,20 @@ def test_verify_unknown_suite(capsys):
     assert main(["verify", "nope", "--seed", "1"]) == 2
     assert main(["verify", "oracles"]) == 2
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("argv", [
+    ["uprep", "-n", "11"],
+    ["uprep", "-n", "0"],  # a 1-dim helper state is always degenerate: draw_plan never returns
+    ["uprep", "--trials", "0"],
+    ["simplex", "-N", "0"],
+    ["simplex", "--trials", "1"],
+])
+def test_verify_bad_size_is_usage_error(argv, capsys):
+    rc = main(["verify", *argv, "--seed", "1"])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_lp_certify(tmp_path, capsys):

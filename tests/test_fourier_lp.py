@@ -5,8 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from xhoglab import fourier_lp
 from xhoglab.fourier_lp import (
     CertificateError,
+    CrossCheckError,
     DualCertificate,
     MonomialPoly,
     build_primal,
@@ -153,6 +155,16 @@ def test_objective_coefficients_closed_form_and_enum():
     # size-4 coefficients vanish at n = 2
     assert enumerate_objective_coefficient(2, (0, 1, 2, 3)) == 0
     assert enumerate_objective_coefficient(2, (0,)) == 0
+
+
+def test_cross_checks_raise_on_mismatch(monkeypatch):
+    # the independent computations must raise, not assert (asserts vanish under -O)
+    real = fourier_lp._all_sign_tables
+    monkeypatch.setattr(fourier_lp, "_all_sign_tables", lambda n: np.ones_like(real(n)))
+    with pytest.raises(CrossCheckError):
+        naive_fourier_value(2)
+    with pytest.raises(CrossCheckError):
+        objective_coefficients(2)
 
 
 def test_build_primal_shapes():

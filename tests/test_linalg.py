@@ -8,6 +8,7 @@ from xhoglab import linalg
 from xhoglab.linalg import (
     DensityMatrix,
     DimensionError,
+    LazyHaarComplement,
     PureState,
     UnitaryOp,
     basis_state,
@@ -71,6 +72,65 @@ def test_haar_unitary_entry_moment():
         acc += abs(linalg.haar_unitary_mat(4, rng)[0, 0]) ** 2
     se = math.sqrt(3 / 80 / trials)
     assert abs(acc / trials - 0.25) < 3 * se
+
+
+def _gaussian(dim, rng):
+    return rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+
+
+def _assert_unitary_fixing_zero(w):
+    dim = len(w)
+    assert np.max(np.abs(w.conj().T @ w - np.eye(dim))) < 1e-10
+    assert np.max(np.abs(w[:, 0] - np.eye(dim)[0])) < 1e-12
+    assert np.max(np.abs(w[0, :] - np.eye(dim)[0])) < 1e-12
+
+
+def test_lazy_haar_queries_are_consistent():
+    rng = trial_rng(61, 0)
+    w = LazyHaarComplement(16, rng)
+    xs = [_gaussian(16, rng) for _ in range(3)]
+    ys = [w.apply(x) for x in xs]
+    assert w.rank == 3
+    for x, y in zip(xs, ys):
+        assert np.max(np.abs(w.apply_adjoint(y) - x)) < 1e-10
+        assert np.max(np.abs(w.apply(x) - y)) < 1e-10
+    assert w.rank == 3
+    # an adjoint query on a fresh vector extends the frames from the output side
+    z = _gaussian(16, rng)
+    assert np.max(np.abs(w.apply(w.apply_adjoint(z)) - z)) < 1e-10
+    assert w.rank == 4
+    dense = w.materialize()
+    _assert_unitary_fixing_zero(dense)
+    for x, y in zip(xs, ys):
+        assert np.max(np.abs(dense @ x - y)) < 1e-10
+    x = _gaussian(16, rng)
+    assert np.max(np.abs(w.apply(x) - dense @ x)) < 1e-10
+
+
+def test_lazy_haar_single_qubit_and_full_frame():
+    rng = trial_rng(71, 0)
+    for dim in (1, 2, 9):  # materialized before any query
+        _assert_unitary_fixing_zero(LazyHaarComplement(dim, rng).materialize())
+    w = LazyHaarComplement(2, rng)  # n = 1: W is a phase on |1>
+    y = w.apply(np.array([0.6, 0.8j]))
+    assert abs(y[0] - 0.6) < 1e-12 and abs(abs(y[1]) - 0.8) < 1e-12
+    w = LazyHaarComplement(8, rng)
+    for _ in range(9):
+        w.apply(_gaussian(8, rng))
+    assert w.rank == 7  # the full frame: N - 1 columns, and no more
+    dense = w.materialize()
+    _assert_unitary_fixing_zero(dense)
+    x = _gaussian(8, rng)
+    assert np.max(np.abs(w.apply(x) - dense @ x)) < 1e-10
+
+
+def test_lazy_haar_entry_moments():
+    # w = <1|W|1> for a Haar W on the 3-dim complement: |w|^2 is Beta(1, 2)
+    # (mean 1/3, var 1/18, E|w|^4 = 1/6) and the phase of w is uniform, so E[w^2] = 0
+    trials = 20000
+    w = np.array([LazyHaarComplement(4, trial_rng(73, i)).apply(np.eye(4)[1])[1] for i in range(trials)])
+    assert abs(np.mean(np.abs(w) ** 2) - 1 / 3) < 3 * math.sqrt(1 / 18 / trials)
+    assert abs(np.mean(w**2)) < 3 * math.sqrt(1 / 6 / trials)
 
 
 def test_measure_computational_point_mass():

@@ -107,6 +107,19 @@ def test_random_prep_first_column():
     assert np.max(np.abs(o.unitary.mat[:, 0] - psi.amps)) < 1e-10
 
 
+def test_random_prep_queries_match_dense():
+    psi = haar_state(3, 14)
+    o = random_prep_oracle(psi, 18)
+    rng = trial_rng(18, 0)
+    xs = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(3)]
+    before = [o.apply(xs[0]), o.apply_adjoint(xs[1])]
+    u = o.unitary.mat
+    assert np.max(np.abs(u.conj().T @ u - np.eye(8))) < 1e-10
+    assert np.max(np.abs(u @ xs[0] - before[0])) < 1e-10
+    assert np.max(np.abs(u.conj().T @ xs[1] - before[1])) < 1e-10
+    assert np.max(np.abs(u @ xs[2] - o.apply(xs[2]))) < 1e-10
+
+
 def test_random_prep_n1_phase():
     o = random_prep_oracle(basis_state(2, 0), 19)
     m = o.unitary.mat

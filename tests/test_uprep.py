@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from xhoglab.linalg import (
+    LazyHaarComplement,
     PureState,
     UnitaryOp,
     basis_state,
@@ -20,7 +21,6 @@ from xhoglab.uprep import (
     simulate_U_psi,
     swap_via_canonical,
     t_composed_diamond,
-    _complement_haar,
     _simulated_query_matrix,
 )
 
@@ -154,16 +154,39 @@ def test_simulate_ideal_complement_first_moment():
 
 
 def test_t_composed_fast_path_matches_dense():
+    # the lazy path queries W first; the dense composition uses the same W, materialized
     for i in range(5):
         rng = trial_rng(29, i)
         psi = PureState(haar_state_amps(16, rng))
         plan = draw_plan(psi, rng)
-        w = _complement_haar(16, rng)
+        sampler = LazyHaarComplement(16, rng)
+        lazy = {t: t_composed_diamond(plan, sampler, t) for t in (1, 2, 3)}
+        w = sampler.materialize()
         for t in (1, 2, 3):
             mi = np.linalg.matrix_power(_simulated_query_matrix(plan, w, "ideal"), t)
             ma = np.linalg.matrix_power(_simulated_query_matrix(plan, w, "approximate"), t)
             dense = unitary_channel_diamond_distance(UnitaryOp(mi), UnitaryOp(ma))
-            assert abs(t_composed_diamond(plan, w, t) - dense) < 1e-8
+            assert abs(lazy[t] - dense) < 1e-8
+
+
+def _mean_t_composed(n, t, draws, seed, dense):
+    dists = np.empty(draws)
+    for i in range(draws):
+        rng = trial_rng(seed, i)
+        psi = PureState(haar_state_amps(2**n, rng))
+        plan = draw_plan(psi, rng)
+        w = LazyHaarComplement(2**n, rng)
+        if dense:
+            w.materialize()  # one dense Haar draw of W before any query
+        dists[i] = t_composed_diamond(plan, w, t)
+    return dists.mean(), dists.std(ddof=1) / math.sqrt(draws)
+
+
+def test_lazy_and_dense_haar_give_same_mean_distance():
+    for t in (2, 3):
+        lazy, se_lazy = _mean_t_composed(6, t, 2000, 41, dense=False)
+        dense, se_dense = _mean_t_composed(6, t, 2000, 43, dense=True)
+        assert abs(lazy - dense) < 5 * math.hypot(se_lazy, se_dense)
 
 
 def test_bound_report():

@@ -6,7 +6,13 @@ import pytest
 
 from xhoglab import xhog
 from xhoglab.linalg import PureState, basis_state, haar_state_amps, trial_rng
-from xhoglab.oracles import canonical_oracle, fourier_phase_oracle, random_prep_oracle, SignFunction
+from xhoglab.oracles import (
+    OracleSealedError,
+    SignFunction,
+    canonical_oracle,
+    fourier_phase_oracle,
+    random_prep_oracle,
+)
 from xhoglab.xhog import (
     collision_rate_mc,
     chernoff_mass_rate,
@@ -62,6 +68,16 @@ def test_strategy_naive_all_families():
     for family in ("canonical", "random_prep", "fourier"):
         est = run_experiment("naive", family, 2, 300, 5)
         assert est.total_queries == 300
+
+
+def test_run_experiment_seals_oracles(monkeypatch):
+    def peeking(oracle, rng):
+        oracle.peek_metadata()
+
+    monkeypatch.setattr(xhog, "strategy_naive_sample", peeking)
+    for family in xhog.FAMILIES:
+        with pytest.raises(OracleSealedError):
+            run_experiment("naive", family, 2, 1, 5)
 
 
 def test_k_copy_mode_tie_break_smallest():
