@@ -15,7 +15,7 @@ import time
 
 import numpy as np
 
-from . import __version__
+from . import SCHEMA_VERSION, __version__
 from .linalg import (
     PureState,
     bot_state,
@@ -25,7 +25,7 @@ from .linalg import (
     unitary_channel_diamond_distance,
 )
 
-SCHEMA_VERSION = 1
+SIMPLEX_MIN_TRIALS = 100
 
 
 def _emit(report, path):
@@ -50,6 +50,7 @@ def _finish(report, config, out_path, quiet_summary=None):
 
 
 def cmd_xhog(args) -> int:
+    from .fourier_lp import CrossCheckError
     from .xhog import FAMILIES, STRATEGIES, run_experiment
 
     if args.strategy not in STRATEGIES or args.family not in FAMILIES:
@@ -86,6 +87,9 @@ def cmd_xhog(args) -> int:
             exact=args.exact,
             keep_trials=bool(args.csv),
         )
+    except CrossCheckError as exc:
+        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -165,8 +169,11 @@ def _verify_uprep(args, checks):
 def _verify_simplex(args, checks):
     from .xhog import max_xeb_mc
 
-    if args.big_n < 1 or args.trials < 2:
-        raise ValueError("simplex needs -N >= 1 and --trials >= 2 (for a standard error)")
+    if args.big_n < 1 or args.trials < SIMPLEX_MIN_TRIALS:
+        raise ValueError(
+            f"simplex needs -N >= 1 and --trials >= {SIMPLEX_MIN_TRIALS}: with fewer trials"
+            " the standard error is too noisy for the 3-SE gate, which then fails correct code"
+        )
     mean, se = max_xeb_mc(args.big_n, args.trials, args.seed)
     target = float(expected_max_simplex(args.big_n))
     _check(checks, f"expected_max_N{args.big_n}", abs(mean - target), 3 * se)
@@ -228,6 +235,7 @@ def cmd_verify(args) -> int:
 def cmd_lp(args) -> int:
     from .fourier_lp import (
         CertificateError,
+        CrossCheckError,
         build_primal,
         dual_certificate,
         naive_fourier_value,
@@ -268,6 +276,9 @@ def cmd_lp(args) -> int:
             return 2
     except CertificateError as exc:
         print(f"certificate invalid: {exc}", file=sys.stderr)
+        return 1
+    except CrossCheckError as exc:
+        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
         return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

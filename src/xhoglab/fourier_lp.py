@@ -21,7 +21,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-from scipy.linalg import hadamard
 
 from .oracles import SignFunction
 
@@ -46,10 +45,22 @@ def _all_sign_tables(n):
     return np.column_stack(cols).astype(np.int64)
 
 
+def _character(a, b):
+    """The Walsh character (-1)^(a.b) of two bit strings."""
+    return (-1) ** bin(a & b).count("1")
+
+
+def _xor_of(s):
+    out = 0
+    for x in s:
+        out ^= x
+    return out
+
+
 def fourier_coefficient(f: SignFunction, z: int) -> Fraction:
     """Exact f-hat(z) = 2^(-n) sum_x f(x) (-1)^(x.z)."""
     n_dim = 2**f.n
-    signs = np.array([(-1) ** bin(x & z).count("1") for x in range(n_dim)])
+    signs = np.array([_character(x, z) for x in range(n_dim)])
     return Fraction(int(np.dot(f.table, signs)), n_dim)
 
 
@@ -60,6 +71,10 @@ def naive_fourier_value(n: int) -> Fraction:
     of sum_z f-hat(z)^4 over every sign table, and the closed form via the
     fourth central moment of a Binomial(N, 1/2) count of -1 entries.
     """
+    # lazy: `xhoglab xhog` imports this module only for CrossCheckError, and
+    # scipy.linalg takes ~0.3 s to load
+    from scipy.linalg import hadamard
+
     n_dim = 2**n
     tables = _all_sign_tables(n)
     s = tables @ hadamard(n_dim, dtype=np.int64)
@@ -110,8 +125,7 @@ def naive_family(n: int) -> dict:
     for z in range(n_dim):
         coeffs = {frozenset(): Fraction(1, n_dim)}
         for x, y in itertools.combinations(range(n_dim), 2):
-            sign = (-1) ** bin((x ^ y) & z).count("1")
-            coeffs[frozenset((x, y))] = Fraction(2 * sign, n_dim**2)
+            coeffs[frozenset((x, y))] = Fraction(2 * _character(x ^ y, z), n_dim**2)
         family[z] = MonomialPoly(n, 2, coeffs)
     return family
 
@@ -130,10 +144,7 @@ def symmetrize_family(family: dict) -> MonomialPoly:
     out = {}
     for y, p in family.items():
         for s, c in p.coeffs.items():
-            xor = 0
-            for x in s:
-                xor ^= x
-            sign = (-1) ** bin(xor & y).count("1")
+            sign = _character(_xor_of(s), y)
             out[s] = out.get(s, Fraction(0)) + Fraction(sign, n_dim) * c
     return MonomialPoly(n, deg_cap, out)
 
@@ -164,12 +175,9 @@ def reduce_equality_constraints(p: MonomialPoly) -> dict:
     for s, c in p.coeffs.items():
         if not s:
             continue
-        xor = 0
-        for x in s:
-            xor ^= x
         if len(s) % 2 == 1 and c != 0:
             violations.append(("odd_size", s))
-        elif xor == 0 and c != 0:
+        elif _xor_of(s) == 0 and c != 0:
             violations.append(("zero_xor", s))
     free = [
         frozenset(s)
@@ -180,14 +188,7 @@ def reduce_equality_constraints(p: MonomialPoly) -> dict:
     return {"feasible": not violations, "violations": violations, "free_set": free}
 
 
-def _xor_of(s):
-    out = 0
-    for x in s:
-        out ^= x
-    return out
-
-
-def objective_coefficients(n: int, t: int = 1) -> dict:
+def objective_coefficients(n: int) -> dict:
     """The objective weights k_S: 1 at S = empty, 2/N at |S| = 2, else 0.
 
     Cross-checked against the defining enumeration
@@ -198,14 +199,9 @@ def objective_coefficients(n: int, t: int = 1) -> dict:
     for s in itertools.combinations(range(n_dim), 2):
         out[frozenset(s)] = Fraction(2, n_dim)
     if n <= 3:
-        tables = _all_sign_tables(n)
-        sq = tables.sum(axis=1).astype(np.int64) ** 2
-        for size in range(0, 2 * t + 1):
+        for size in range(3):
             for s in itertools.combinations(range(n_dim), size):
-                prod = np.ones(len(tables), dtype=np.int64)
-                for x in s:
-                    prod *= tables[:, x]
-                val = Fraction(n_dim * int(np.dot(sq, prod)), 2**n_dim * n_dim**2)
+                val = enumerate_objective_coefficient(n, s)
                 if val != out.get(frozenset(s), Fraction(0)):
                     raise CrossCheckError(f"objective weight k_{sorted(s)}: enumeration gives {val}")
     return out
@@ -224,45 +220,31 @@ def enumerate_objective_coefficient(n: int, s) -> Fraction:
 
 def lp_objective(p: MonomialPoly) -> Fraction:
     """Objective value sum_S k_S c_S of a symmetrized polynomial (equals b/N)."""
-    ks = objective_coefficients(p.n) if p.n <= 3 else _closed_form_ks(p.n)
+    ks = objective_coefficients(p.n)
     return sum((ks.get(s, Fraction(0)) * c for s, c in p.coeffs.items()), Fraction(0))
-
-
-def _closed_form_ks(n):
-    n_dim = 2**n
-    out = {frozenset(): Fraction(1)}
-    for s in itertools.combinations(range(n_dim), 2):
-        out[frozenset(s)] = Fraction(2, n_dim)
-    return out
 
 
 @dataclass
 class LpInstance:
     n: int
-    t: int
     variables: list  # frozensets S, |S| = 2
     constraint_matrix: np.ndarray  # one row per sign table, entries prod_(x in S) f(x)
     objective: list  # Fraction per variable
 
 
-def build_primal(n: int, t: int = 1) -> LpInstance:
-    """The symmetrized primal LP: nonnegativity of p on every sign table.
+def build_primal(n: int) -> LpInstance:
+    """The symmetrized 1-query primal LP: nonnegativity of p on every sign table.
 
-    Only t = 1 is supported: the degree-2 variable set is the 2-element
-    subsets (their XOR is automatically nonzero), c_empty is fixed at 1/N.
+    The degree-2 variable set is the 2-element subsets (their XOR is
+    automatically nonzero); c_empty is fixed at 1/N.
     """
-    if t != 1:
-        raise ValueError("only t = 1 is supported")
     n_dim = 2**n
-    variables = [frozenset(s) for s in itertools.combinations(range(n_dim), 2)]
+    pairs = list(itertools.combinations(range(n_dim), 2))
     tables = _all_sign_tables(n)
-    cols = []
-    for s in variables:
-        x, y = sorted(s)
-        cols.append(tables[:, x] * tables[:, y])
+    cols = [tables[:, x] * tables[:, y] for x, y in pairs]
     a = np.column_stack(cols) if cols else np.zeros((len(tables), 0), dtype=np.int64)
-    objective = [Fraction(2, n_dim)] * len(variables)
-    return LpInstance(n, t, variables, a, objective)
+    objective = [Fraction(2, n_dim)] * len(pairs)
+    return LpInstance(n, [frozenset(s) for s in pairs], a, objective)
 
 
 def naive_primal_point(n: int) -> dict:
@@ -294,13 +276,19 @@ def halfN_fourier_coefficient(n_dim: int, j: int) -> Fraction:
     )
 
 
-def halfN_fourier_enumeration(n_dim: int, s) -> Fraction:
-    """The same weight by summing (-1)^|A cap S| over all balanced tables."""
-    total = 0
-    s = set(s)
-    for a in itertools.combinations(range(n_dim), n_dim // 2):
-        total += -1 if len(s.intersection(a)) % 2 else 1
-    return Fraction(total, 2**n_dim)
+def halfN_fourier_enumeration(n: int, subsets) -> list:
+    """The same weights, one per subset S, by summing (-1)^|A cap S| over all
+    balanced tables A (the sign tables with N/2 entries -1)."""
+    n_dim = 2**n
+    tables = _all_sign_tables(n)
+    cols = np.ascontiguousarray(tables[tables.sum(axis=1) == 0].T)
+    out = []
+    for s in subsets:
+        prod = np.ones(cols.shape[1], dtype=np.int64)
+        for x in s:
+            prod *= cols[x]
+        out.append(Fraction(int(prod.sum()), 2**n_dim))
+    return out
 
 
 @dataclass(frozen=True)
@@ -318,25 +306,7 @@ def dual_certificate(n: int) -> DualCertificate:
     return DualCertificate(n, kappa, Fraction(3 * n_dim - 2, n_dim))
 
 
-def _pair_coefficients(n_dim, mode):
-    """Half_N Fourier weight for every 2-element subset, by the requested route."""
-    pairs = list(itertools.combinations(range(n_dim), 2))
-    if mode == "formula":
-        val = halfN_fourier_coefficient(n_dim, 1)
-        return pairs, [val] * len(pairs)
-    if mode != "enumeration":
-        raise ValueError(f"unknown mode {mode!r}")
-    members = np.zeros((math.comb(n_dim, n_dim // 2), n_dim), dtype=np.int64)
-    for i, a in enumerate(itertools.combinations(range(n_dim), n_dim // 2)):
-        members[i, list(a)] = 1
-    vals = []
-    for x, y in pairs:
-        parity = (members[:, x] + members[:, y]) % 2
-        vals.append(Fraction(int(np.sum(1 - 2 * parity)), 2**n_dim))
-    return pairs, vals
-
-
-def verify_dual_feasibility(cert: DualCertificate, t: int = 1, mode=None) -> str:
+def verify_dual_feasibility(cert: DualCertificate, mode=None) -> str:
     """Exact check of every dual constraint; returns the proof transcript.
 
     Verifies nonnegativity of the dual weights, the equality constraint fixing
@@ -344,16 +314,20 @@ def verify_dual_feasibility(cert: DualCertificate, t: int = 1, mode=None) -> str
     nonzero rational residual raises CertificateError naming the constraint.
     The transcript is deterministic and identical across computation modes.
     """
-    if t != 1:
-        raise ValueError("only t = 1 is supported")
     n = cert.n
     n_dim = 2**n
     if mode is None:
-        mode = "enumeration" if n <= 4 else "formula"
-    if mode == "enumeration" and n > 4:
-        raise ValueError("enumeration mode capped at n = 4")
+        mode = "enumeration" if n <= ENUM_CAP else "formula"
     if n > 8:
         raise ValueError("certificate verification capped at n = 8")
+    pairs = list(itertools.combinations(range(n_dim), 2))
+    if mode == "enumeration":
+        empty_hat, *vals = halfN_fourier_enumeration(n, [(), *pairs])
+    elif mode == "formula":
+        empty_hat = halfN_fourier_coefficient(n_dim, 0)
+        vals = [halfN_fourier_coefficient(n_dim, 1)] * len(pairs)
+    else:
+        raise ValueError(f"unknown mode {mode!r}")
 
     violations = []
     lines = [f"dual certificate n={n} N={n_dim}"]
@@ -362,16 +336,11 @@ def verify_dual_feasibility(cert: DualCertificate, t: int = 1, mode=None) -> str
         violations.append("nonnegativity: kappa < 0")
     lines.append("nonnegativity: psi_f = kappa * Half_N(f) >= 0 OK")
 
-    if mode == "enumeration":
-        empty_hat = halfN_fourier_enumeration(n_dim, ())
-    else:
-        empty_hat = halfN_fourier_coefficient(n_dim, 0)
     res_empty = cert.b - 2**n_dim * cert.kappa * empty_hat - 1
     lines.append(f"constraint empty: b - 2^N*psihat(empty) - 1 residual = {res_empty}")
     if res_empty != 0:
         violations.append(f"empty constraint residual {res_empty}")
 
-    pairs, vals = _pair_coefficients(n_dim, mode)
     max_res = Fraction(0)
     for (x, y), v in zip(pairs, vals):
         res = 2**n_dim * cert.kappa * v + Fraction(2, n_dim)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .linalg import DensityMatrix, DimensionError, PureState, _as_rng, born_sample
 
-DENSE_CAP_BITS = 24
+# (N+1)^k cap: one dense (N+1)^k x (N+1)^k complex matrix is at most 256 MiB
+DENSE_CAP_DIM = 4096
 
 
 @dataclass(frozen=True)
@@ -53,10 +54,8 @@ class ResourceSpec:
 
 
 def _check_cap(n_dim, k):
-    # mixed-radix digits need ceil(log2(N+1)) bits each
-    bits = k * max(1, int(np.ceil(np.log2(n_dim + 1))))
-    if bits > DENSE_CAP_BITS:
-        raise DimensionError(f"(N+1)^k needs {bits} bits > cap {DENSE_CAP_BITS}")
+    if (n_dim + 1) ** k > DENSE_CAP_DIM:
+        raise DimensionError(f"(N+1)^k = {n_dim + 1}^{k} exceeds the dense cap {DENSE_CAP_DIM}")
 
 
 def digits_of(index, base, k):

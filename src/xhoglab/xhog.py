@@ -17,6 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from . import SCHEMA_VERSION
 from .linalg import MAX_QUBITS, PureState, born_sample, haar_state_amps, trial_rng
 from .oracles import (
     OracleHandle,
@@ -27,8 +28,6 @@ from .oracles import (
     random_prep_oracle,
     sample_oracle_output,
 )
-
-SCHEMA_VERSION = 1
 
 STRATEGIES = ("uniform", "naive", "k_copy_mode", "collision_amplify", "argmax")
 FAMILIES = ("canonical", "random_prep", "fourier")
@@ -291,6 +290,20 @@ def _sample_rows(probs, rng):
     return (cum < u[:, None]).sum(axis=1)
 
 
+def _exponential_chunks(n_dim, trials, rng, chunk):
+    """Raw i.i.d. Exp(1) rows, at most ``chunk`` per block, ``trials`` in all.
+
+    A row divided by its sum is a uniform point of the probability simplex,
+    i.e. the output distribution of a Haar-random state.  Callers normalize in
+    place, so no second chunk-sized array is allocated.
+    """
+    done = 0
+    while done < trials:
+        m = min(chunk, trials - done)
+        yield rng.exponential(size=(m, n_dim))
+        done += m
+
+
 def collision_rate_mc(n, trials, seed, chunk=100_000):
     """Empirical per-string collision rate of two measurements of a Haar state.
 
@@ -301,15 +314,9 @@ def collision_rate_mc(n, trials, seed, chunk=100_000):
     rng = trial_rng(seed, 0)
     n_dim = 2**n
     hits = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        e = rng.exponential(size=(m, n_dim))
-        probs = e / e.sum(axis=1, keepdims=True)
-        z1 = _sample_rows(probs, rng)
-        z2 = _sample_rows(probs, rng)
-        hits += int(np.sum(z1 == z2))
-        done += m
+    for probs in _exponential_chunks(n_dim, trials, rng, chunk):
+        probs /= probs.sum(axis=1, keepdims=True)
+        hits += int(np.sum(_sample_rows(probs, rng) == _sample_rows(probs, rng)))
     rate = hits / trials
     se = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
     return rate / n_dim, se / n_dim
@@ -322,18 +329,13 @@ def posterior_mc(n, k, m, trials, seed, chunk=100_000):
     posterior expectation (1+m)/(2^n+k).
     """
     rng = trial_rng(seed, 0)
-    n_dim = 2**n
     vals = []
-    done = 0
-    while done < trials:
-        mm = min(chunk, trials - done)
-        e = rng.exponential(size=(mm, n_dim))
-        probs = e / e.sum(axis=1, keepdims=True)
-        counts = np.zeros(mm, dtype=np.int64)
+    for probs in _exponential_chunks(2**n, trials, rng, chunk):
+        probs /= probs.sum(axis=1, keepdims=True)
+        counts = np.zeros(len(probs), dtype=np.int64)
         for _ in range(k):
             counts += _sample_rows(probs, rng) == 0
         vals.append(probs[counts == m, 0])
-        done += mm
     vals = np.concatenate(vals)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals)
 
@@ -341,30 +343,21 @@ def posterior_mc(n, k, m, trials, seed, chunk=100_000):
 def chernoff_mass_rate(n, k, trials, seed, chunk=50_000):
     """Empirical rate of the measured-mass event sum_i p_(z_i) >= k/2^(n+2)."""
     rng = trial_rng(seed, 0)
-    n_dim = 2**n
     threshold = k / 2 ** (n + 2)
     hits = 0
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        e = rng.exponential(size=(m, n_dim))
-        probs = e / e.sum(axis=1, keepdims=True)
-        mass = np.zeros(m)
+    for probs in _exponential_chunks(2**n, trials, rng, chunk):
+        probs /= probs.sum(axis=1, keepdims=True)
+        mass = np.zeros(len(probs))
         for _ in range(k):
             mass += np.take_along_axis(probs, _sample_rows(probs, rng)[:, None], 1)[:, 0]
         hits += int(np.sum(mass >= threshold))
-        done += m
     return hits / trials
 
 
 def max_xeb_mc(n_dim, trials, seed, chunk=100_000):
     """Monte Carlo (mean, std_err) of max_z p_z over Haar states; exact is H_N/N."""
     rng = trial_rng(seed, 0)
-    maxima = np.empty(trials)
-    done = 0
-    while done < trials:
-        m = min(chunk, trials - done)
-        e = rng.exponential(size=(m, n_dim))
-        maxima[done : done + m] = e.max(axis=1) / e.sum(axis=1)
-        done += m
+    maxima = np.concatenate([
+        e.max(axis=1) / e.sum(axis=1) for e in _exponential_chunks(n_dim, trials, rng, chunk)
+    ])
     return float(maxima.mean()), float(maxima.std(ddof=1) / math.sqrt(trials))

@@ -3,6 +3,7 @@ import json
 import tracemalloc
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from xhoglab.cli import main
@@ -163,12 +164,42 @@ def test_verify_unknown_suite(capsys):
     ["uprep", "--trials", "0"],
     ["simplex", "-N", "0"],
     ["simplex", "--trials", "1"],
+    ["simplex", "--trials", "2"],  # a 2-trial SE fails the 3-SE gate on ~1 in 5 seeds
+    ["simplex", "--trials", "99"],
 ])
 def test_verify_bad_size_is_usage_error(argv, capsys):
     rc = main(["verify", *argv, "--seed", "1"])
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("k_arg", [["-n", "3", "-k", "5"], ["-n", "2", "-k", "8"]])
+def test_verify_symmetrize_over_the_dense_cap_is_rejected_before_allocating(k_arg, capsys):
+    # 9^5 and 5^8 rows: the dense matrices would need 52 GiB and 2.2 TiB
+    tracemalloc.start()
+    try:
+        rc = main(["verify", "symmetrize", *k_arg, "--cases", "1", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lp", "naive-value", "-n", "2"],
+    ["xhog", "--strategy", "naive", "--family", "fourier", "-n", "2", "--exact"],
+])
+def test_failed_cross_check_is_exit_1_not_a_traceback(argv, monkeypatch, capsys):
+    from xhoglab import fourier_lp
+
+    real = fourier_lp._all_sign_tables
+    monkeypatch.setattr(fourier_lp, "_all_sign_tables", lambda n: np.ones_like(real(n)))
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: internal cross-check failed:")
 
 
 def test_lp_certify(tmp_path, capsys):

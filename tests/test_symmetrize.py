@@ -127,3 +127,7 @@ def test_dimension_cap():
     psi = PureState(haar_state_amps(2**4, trial_rng(7, 0)))
     with pytest.raises(DimensionError):
         build_R(psi, ResourceSpec.random(6, trial_rng(7, 1)))
+    # the cap is on (N+1)^k, the side of the dense matrices, not on index bits
+    assert build_R(psi, ResourceSpec.random(2, trial_rng(7, 2))).dim == 17**2
+    with pytest.raises(DimensionError):
+        build_R(psi, ResourceSpec.random(3, trial_rng(7, 3)))  # 17^3 = 4913 > 4096

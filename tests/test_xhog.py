@@ -158,6 +158,13 @@ def test_chernoff_mass_event_rate():
     assert chernoff_mass_rate(9, 8, 2000, 14) >= 0.99
 
 
+def test_max_xeb_mc_does_not_depend_on_chunk():
+    # nothing is drawn between chunks, so 7000-row chunks (the last one partial)
+    # consume the stream exactly like a single chunk
+    for seed in (0, 3):
+        assert xhog.max_xeb_mc(256, 30_000, seed, chunk=7_000) == xhog.max_xeb_mc(256, 30_000, seed)
+
+
 def test_strategy_argmax():
     out = strategy_argmax(basis_state(8, 3))
     assert out.z == 3
