@@ -250,17 +250,18 @@ def build_primal(n: int) -> LpInstance:
 def naive_primal_point(n: int) -> dict:
     """The feasible point from the naive strategy: c_S = 2/N^2 on every pair."""
     n_dim = 2**n
-    return {
-        frozenset(s): Fraction(2, n_dim**2)
-        for s in itertools.combinations(range(n_dim), 2)
-    }
+    return dict.fromkeys(
+        map(frozenset, itertools.combinations(range(n_dim), 2)), Fraction(2, n_dim**2)
+    )
 
 
 def primal_objective(n: int, point: dict) -> Fraction:
+    """1/N + (2/N) sum_S c_S, summed exactly over the coefficients' common denominator."""
     n_dim = 2**n
-    return Fraction(1, n_dim) + sum(
-        (Fraction(2, n_dim) * c for c in point.values()), Fraction(0)
-    )
+    cs = point.values()
+    den = math.lcm(*{c.denominator for c in cs})
+    num = sum(c.numerator * (den // c.denominator) for c in cs)
+    return Fraction(1, n_dim) + Fraction(2 * num, n_dim * den)
 
 
 def halfN_fourier_coefficient(n_dim: int, j: int) -> Fraction:
@@ -336,17 +337,22 @@ def verify_dual_feasibility(cert: DualCertificate, mode=None) -> str:
         violations.append("nonnegativity: kappa < 0")
     lines.append("nonnegativity: psi_f = kappa * Half_N(f) >= 0 OK")
 
-    res_empty = cert.b - 2**n_dim * cert.kappa * empty_hat - 1
+    scaled = 2**n_dim * cert.kappa
+    res_empty = cert.b - scaled * empty_hat - 1
     lines.append(f"constraint empty: b - 2^N*psihat(empty) - 1 residual = {res_empty}")
     if res_empty != 0:
         violations.append(f"empty constraint residual {res_empty}")
 
+    # with 2^N kappa = a/b and v = p/q, the residual a p/(b q) + 2/N is zero
+    # iff a p N + 2 b q = 0; a Fraction is built only for a nonzero residual
+    a, b = scaled.numerator, scaled.denominator
     max_res = Fraction(0)
     for (x, y), v in zip(pairs, vals):
-        res = 2**n_dim * cert.kappa * v + Fraction(2, n_dim)
-        if res != 0:
+        p, q = v.numerator, v.denominator
+        if a * p * n_dim + 2 * b * q != 0:
+            res = scaled * v + Fraction(2, n_dim)
             violations.append(f"pair constraint S={{{x},{y}}} residual {res}")
-        max_res = max(max_res, abs(res))
+            max_res = max(max_res, abs(res))
     lines.append(f"constraint pairs |S|=2 count={len(pairs)}: max residual = {max_res}")
 
     if violations:

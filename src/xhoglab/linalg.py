@@ -273,9 +273,15 @@ class LazyHaarComplement:
 
 
 def born_sample(probs: np.ndarray, rng, size=None):
-    """Sample basis indices from a probability vector (renormalized exactly)."""
+    """Sample basis indices from a probability vector (renormalized exactly).
+
+    The inverse-CDF draw ``Generator.choice(len(p), size, p=p)`` makes, from
+    the same uniforms, without its argument validation.
+    """
     p = np.asarray(probs, dtype=float)
-    return rng.choice(len(p), size=size, p=p / p.sum())
+    cdf = np.cumsum(p / p.sum())
+    cdf /= cdf[-1]
+    return cdf.searchsorted(rng.random(size), side="right")
 
 
 def measure_computational(state: PureState, seed) -> int:
@@ -330,11 +336,6 @@ def sample_uniform_simplex(n_bins: int, seed) -> SimplexSample:
     rng = _as_rng(seed)
     e = rng.exponential(size=n_bins)
     return SimplexSample(e / e.sum())
-
-
-def sample_uniform_simplex_batch(n_bins: int, trials: int, rng) -> np.ndarray:
-    e = rng.exponential(size=(trials, n_bins))
-    return e / e.sum(axis=1, keepdims=True)
 
 
 def harmonic_number(n: int) -> Fraction:

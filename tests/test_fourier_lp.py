@@ -184,6 +184,17 @@ def test_naive_primal_point_feasible_and_value():
         slack = 1.0 / 2**n + lp.constraint_matrix.astype(float) @ x
         assert slack.min() >= -1e-12
         assert primal_objective(n, point) == Fraction(3 * 2**n - 2, 4**n)
+    assert primal_objective(8, naive_primal_point(8)) == Fraction(3 * 256 - 2, 256**2)
+
+
+def test_primal_objective_mixed_denominators():
+    # the common-denominator sum against the plain Fraction sum
+    n = 2
+    pairs = list(itertools.combinations(range(4), 2))
+    values = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 12), Fraction(0), Fraction(7), Fraction(-3, 8)]
+    point = {frozenset(s): c for s, c in zip(pairs, values)}
+    want = Fraction(1, 4) + sum(Fraction(2, 4) * c for c in values)
+    assert primal_objective(n, point) == want
 
 
 def test_halfN_formula_matches_enumeration():
@@ -213,31 +224,36 @@ def test_verify_dual_transcript_and_modes():
         b = dual_certificate(n).b
         assert t.rstrip().endswith(f"OPTIMAL b = {b.numerator}/{b.denominator}")
         assert "weak duality gap = 0" in t
-    t_enum = verify_dual_feasibility(dual_certificate(3), mode="enumeration")
-    t_form = verify_dual_feasibility(dual_certificate(3), mode="formula")
-    assert t_enum == t_form
+    for n in (1, 2, 3, 4):
+        t_enum = verify_dual_feasibility(dual_certificate(n), mode="enumeration")
+        t_form = verify_dual_feasibility(dual_certificate(n), mode="formula")
+        assert t_enum == t_form
 
 
 def test_verify_dual_golden_transcripts():
-    for n in (1, 2, 3, 4):
+    # n = 8 runs the formula mode over all 32640 pair constraints
+    for n in (1, 2, 3, 4, 8):
         want = (GOLDEN / f"lp_certify_n{n}.txt").read_text()
         assert verify_dual_feasibility(dual_certificate(n)) == want
 
 
 def test_verify_dual_rejects_perturbed_kappa():
-    good = dual_certificate(2)
-    bad = DualCertificate(2, good.kappa + Fraction(1, 1000), good.b)
-    with pytest.raises(CertificateError) as err:
-        verify_dual_feasibility(bad)
-    assert "pair constraint" in str(err.value)
+    # n = 6 checks the pairs in formula mode
+    for n in (2, 6):
+        good = dual_certificate(n)
+        bad = DualCertificate(n, good.kappa + Fraction(1, 1000), good.b)
+        with pytest.raises(CertificateError) as err:
+            verify_dual_feasibility(bad)
+        assert "pair constraint S={0,1} residual" in str(err.value)
 
 
 def test_verify_dual_rejects_wrong_b():
-    good = dual_certificate(2)
-    bad = DualCertificate(2, good.kappa, good.b + 1)
-    with pytest.raises(CertificateError) as err:
-        verify_dual_feasibility(bad)
-    assert "empty constraint" in str(err.value)
+    for n in (2, 6):
+        good = dual_certificate(n)
+        bad = DualCertificate(n, good.kappa, good.b + 1)
+        with pytest.raises(CertificateError) as err:
+            verify_dual_feasibility(bad)
+        assert str(err.value) == "empty constraint residual 1"
 
 
 def test_numeric_lp_matches_certificate():

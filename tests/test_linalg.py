@@ -22,6 +22,7 @@ from xhoglab.linalg import (
     trial_rng,
     unitary_channel_diamond_distance,
 )
+from xhoglab.xhog import _exponential_chunks
 
 
 def test_haar_state_norm_and_determinism():
@@ -137,6 +138,17 @@ def test_measure_computational_point_mass():
     assert measure_computational(basis_state(8, 5), 0) == 5
 
 
+def test_born_sample_is_generator_choice():
+    # the same inverse-CDF draw from the same uniforms, so seeded runs match
+    for n in (1, 5, 256):
+        probs = np.abs(trial_rng(3, n).normal(size=n)) ** 2
+        for size in (None, 7):
+            mine, ref = trial_rng(4, n), trial_rng(4, n)
+            want = ref.choice(n, size=size, p=probs / probs.sum())
+            assert np.array_equal(linalg.born_sample(probs, mine, size=size), want)
+            assert mine.random() == ref.random()
+
+
 def test_measure_computational_born_rule():
     state = PureState(np.array([math.sqrt(0.09), math.sqrt(0.91)]))
     rng = trial_rng(13, 0)
@@ -198,7 +210,8 @@ def test_expected_max_values():
 def test_simplex_max_monte_carlo():
     for n_bins in (2, 4, 8, 16):
         rng = trial_rng(17, n_bins)
-        samples = linalg.sample_uniform_simplex_batch(n_bins, 20000, rng).max(axis=1)
+        (e,) = _exponential_chunks(n_bins, 20000, rng, 20000)
+        samples = (e / e.sum(axis=1, keepdims=True)).max(axis=1)
         target = float(expected_max_simplex(n_bins))
         se = samples.std(ddof=1) / math.sqrt(len(samples))
         assert abs(samples.mean() - target) < 3 * se

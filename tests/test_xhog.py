@@ -159,10 +159,26 @@ def test_chernoff_mass_event_rate():
 
 
 def test_max_xeb_mc_does_not_depend_on_chunk():
-    # nothing is drawn between chunks, so 7000-row chunks (the last one partial)
-    # consume the stream exactly like a single chunk
+    # nothing is drawn between chunks, so 7000-row chunks and the default
+    # chunks (the last one partial in both) consume the stream exactly like a
+    # single 30000-row chunk
     for seed in (0, 3):
-        assert xhog.max_xeb_mc(256, 30_000, seed, chunk=7_000) == xhog.max_xeb_mc(256, 30_000, seed)
+        one = xhog.max_xeb_mc(256, 30_000, seed, chunk=30_000)
+        assert xhog.max_xeb_mc(256, 30_000, seed, chunk=7_000) == one
+        assert xhog.max_xeb_mc(256, 30_000, seed) == one
+
+
+def test_mc_helpers_pinned_outputs():
+    # seeded outputs recorded when every chunk was a fresh rng.exponential
+    # array; 3000-row chunks end in a partial chunk of 1000 rows
+    assert xhog.max_xeb_mc(256, 30_000, 1, chunk=7_000) == (0.023940338519521764, 2.7905978307813284e-05)
+    assert xhog.max_xeb_mc(16, 5_000, 2) == (0.21160174376541355, 0.0007952146091914986)
+    assert collision_rate_mc(4, 10_000, 5, chunk=3_000) == (0.00715625, 0.0001990109823445681)
+    assert collision_rate_mc(4, 10_000, 5) == (0.00726875, 0.00020036520367506432)
+    assert posterior_mc(3, 4, 1, 10_000, 5, chunk=3_000) == (0.1673269073188455, 0.002039663405082417, 2608)
+    assert posterior_mc(3, 4, 1, 10_000, 5) == (0.1662223578986673, 0.0020560313031347337, 2551)
+    assert chernoff_mass_rate(3, 1, 10_000, 5, chunk=3_000) == 0.9755
+    assert chernoff_mass_rate(3, 1, 10_000, 5) == 0.9767
 
 
 def test_strategy_argmax():
