@@ -17,12 +17,13 @@ import numpy as np
 
 from . import SCHEMA_VERSION, __version__
 from .linalg import (
+    MAX_DIM,
     PureState,
     bot_state,
     expected_max_simplex,
     haar_state_amps,
+    rank2_identity_distance,
     trial_rng,
-    unitary_channel_diamond_distance,
 )
 
 SIMPLEX_MIN_TRIALS = 100
@@ -158,22 +159,25 @@ def _verify_uprep(args, checks):
         psi = PureState(haar_state_amps(2**args.n, rng))
         phi = PureState(haar_state_amps(2**args.n, rng))
         plan = decompose_phi(psi, phi)
-        r = rotation_R(plan)
-        from .linalg import UnitaryOp
-
-        ident = UnitaryOp(np.eye(r.dim))
-        dev = abs(unitary_channel_diamond_distance(r, ident) - 2 * abs(plan.beta))
+        # R is I off span{psi, psi_perp}; the residual certifies that rank-2 subspace
+        dist, residual = rank2_identity_distance(rotation_R(plan).mat)
+        dev = max(abs(dist - 2 * abs(plan.beta)), residual)
         _check(checks, f"case_{i}_rotation_distance_equality", dev, 1e-8)
 
 
 def _verify_simplex(args, checks):
+    if not 1 <= args.big_n <= MAX_DIM:
+        raise ValueError(
+            f"simplex needs 1 <= -N <= {MAX_DIM}: above that, max_xeb_mc's 2048-row chunk"
+            " would pass 256 MiB"
+        )
+    if args.trials < SIMPLEX_MIN_TRIALS:
+        raise ValueError(
+            f"simplex needs --trials >= {SIMPLEX_MIN_TRIALS}: with fewer trials the standard"
+            " error is too noisy for the 3-SE gate, which then fails correct code"
+        )
     from .xhog import max_xeb_mc
 
-    if args.big_n < 1 or args.trials < SIMPLEX_MIN_TRIALS:
-        raise ValueError(
-            f"simplex needs -N >= 1 and --trials >= {SIMPLEX_MIN_TRIALS}: with fewer trials"
-            " the standard error is too noisy for the 3-SE gate, which then fails correct code"
-        )
     mean, se = max_xeb_mc(args.big_n, args.trials, args.seed)
     target = float(expected_max_simplex(args.big_n))
     _check(checks, f"expected_max_N{args.big_n}", abs(mean - target), 3 * se)

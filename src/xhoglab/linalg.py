@@ -329,6 +329,48 @@ def unitary_eigs_to_diamond(eigs: np.ndarray) -> float:
     return 2 * math.sqrt(max(0.0, 1.0 - d * d))
 
 
+def orth_basis(cols, tol=1e-12):
+    """Orthonormal basis of the column span, dropping directions below tol (relative)."""
+    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
+    return u[:, sv > tol * max(1.0, sv[0])]
+
+
+def subspace_diamond_distance(q, uq) -> float:
+    """Diamond distance from the identity channel of a unitary U that maps span(q)
+    onto itself and fixes its orthogonal complement.
+
+    q is an orthonormal basis (dim x r) and uq = U q; only the r x r block
+    q^dagger U q is diagonalized, plus one eigenvalue 1 for the complement.
+    """
+    eigs = np.linalg.eigvals(q.conj().T @ uq)
+    if q.shape[0] > q.shape[1]:
+        eigs = np.append(eigs, 1.0)
+    return unitary_eigs_to_diamond(eigs)
+
+
+def rank2_identity_distance(mat):
+    """Diamond distance from the identity channel of a dense unitary that differs
+    from I on at most two dimensions, with the residual that certifies it.
+
+    Q is built from K = mat - I by column-pivoted Gram-Schmidt, at most two
+    columns.  The residual max(||K - QQ^dagger K||_F, ||K - KQQ^dagger||_F) is
+    ~0 exactly when mat is the identity off span(Q) and maps span(Q) onto
+    itself, so a unitary that differs from I on more dimensions shows a large
+    residual instead of a wrong distance.  O(dim^2), no dense eigensolve.
+    Returns (distance, residual).
+    """
+    k = mat - np.eye(len(mat))
+    col2 = np.linalg.norm(k, axis=0) ** 2
+    q = np.zeros((len(mat), 0), dtype=complex)
+    for _ in range(2):
+        # pivot: the column farthest from span(q), by Pythagoras (used only to choose)
+        j = np.argmax(col2 - np.linalg.norm(q.conj().T @ k, axis=0) ** 2)
+        q = orth_basis(np.column_stack([q, k[:, j]]))
+    kq = k @ q
+    residual = max(np.linalg.norm(k - q @ (q.conj().T @ k)), np.linalg.norm(k - kq @ q.conj().T))
+    return subspace_diamond_distance(q, q + kq), float(residual)
+
+
 def sample_uniform_simplex(n_bins: int, seed) -> SimplexSample:
     """Uniform sample from the probability simplex via normalized exponentials."""
     if n_bins < 1:

@@ -24,9 +24,10 @@ from .linalg import (
     PureState,
     UnitaryOp,
     _as_rng,
-    distance_to_eigenvalue_hull,
     haar_state_amps,
     haar_unitary_mat,  # noqa: F401  unused here; xbench/test_xbench.py checks its tracer wraps this binding
+    orth_basis,
+    subspace_diamond_distance,
     trial_rng,
 )
 from .oracles import householder_vector
@@ -136,11 +137,6 @@ def _simulated_query_matrix(plan: RotationPlan, w, mode):
     return _swap(plan, v @ w)
 
 
-def _orth_basis(cols, tol=1e-12):
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, sv > tol * max(1.0, sv[0])]
-
-
 def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> float:
     """Exact diamond distance between the t-fold ideal and approximate unitaries.
 
@@ -152,7 +148,6 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
     """
     if t == 0:
         return 0.0
-    dim = plan.psi.dim
     block = np.array([[plan.alpha, np.conj(plan.beta)], [-plan.beta, plan.alpha]])
     e = block - np.eye(2)
     s_b = np.column_stack([plan.psi.amps, plan.psi_perp.amps])  # = swap @ (psi_perp, psi)
@@ -168,15 +163,11 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
     cs = [s_b]
     for _ in range(t - 1):
         cs.append(np.column_stack([approximate_query(c) for c in cs[-1].T]))
-    q = _orth_basis(np.hstack(cs))
+    q = orth_basis(np.hstack(cs))
     y = q
     for cj in reversed(cs):
         y = y + cj @ (e @ (cj.conj().T @ y))
-    eigs = np.linalg.eigvals(q.conj().T @ y)
-    if dim > q.shape[1]:
-        eigs = np.append(eigs, 1.0)
-    d = distance_to_eigenvalue_hull(eigs)
-    return 2.0 * math.sqrt(max(0.0, 1.0 - d * d))
+    return subspace_diamond_distance(q, y)
 
 
 def channel_distance_bound_report(n, t, trials, seed) -> dict:

@@ -1,12 +1,16 @@
 import csv
+import dataclasses
 import json
+import math
 import tracemalloc
 from importlib import resources
 
 import numpy as np
 import pytest
 
+from xhoglab import uprep, xhog  # loaded here, so no tracemalloc peak below counts an import
 from xhoglab.cli import main
+from xhoglab.linalg import MAX_DIM, UnitaryOp
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -152,6 +156,62 @@ def test_verify_rerun_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_verify_uprep_report_and_rerun(tmp_path, capsys):
+    out = tmp_path / "u.json"
+    texts = []
+    for _ in range(2):
+        rc, cap, report = _run(
+            ["verify", "uprep", "-n", "8", "-T", "2", "--trials", "2", "--seed", "3",
+             "--out", str(out)],
+            out, capsys,
+        )
+        assert rc == 0
+        jsonschema.validate(report, _schema("verify_transcript"))
+        assert report["ok"] is True
+        assert len(report["checks"]) == 9 and all(c["ok"] for c in report["checks"])
+        assert cap.out.count(" OK") == 9
+        texts.append([ln for ln in out.read_text().splitlines() if "wall_seconds" not in ln])
+    assert texts[0] == texts[1]
+
+
+@pytest.mark.parametrize("n, seeds", [(1, range(1, 51)), (2, range(1, 51)), (8, range(1, 51)),
+                                      (10, range(1, 6))], ids=["n1", "n2", "n8", "n10"])
+def test_verify_uprep_passes_on_correct_code(n, seeds, capsys):
+    for seed in seeds:
+        assert main(["verify", "uprep", "-n", str(n), "--trials", "1", "--seed", str(seed)]) == 0
+    assert "FAIL" not in capsys.readouterr().out
+
+
+def _with_third_direction(rotation_R):
+    def rotated(plan):
+        # a phase of 1e-5 on a direction orthogonal to psi and psi_perp: the dense distance
+        # is unchanged and the rank-2 one moves by < 1e-8, so only the residual (~1e-5) sees it
+        v = np.eye(plan.psi.dim)[-1]
+        for b in (plan.psi.amps, plan.psi_perp.amps):
+            v = v - b * np.vdot(b, v)
+        v /= np.linalg.norm(v)
+        extra = np.eye(len(v)) + (np.exp(1e-5j) - 1) * np.outer(v, v.conj())
+        return rotation_R(plan) @ UnitaryOp(extra)
+    return rotated
+
+
+def _with_half_angle(rotation_R):
+    def rotated(plan):
+        theta = plan.theta / 2
+        beta = plan.beta / abs(plan.beta) * math.sin(theta)
+        return rotation_R(dataclasses.replace(plan, alpha=math.cos(theta), beta=beta, theta=theta))
+    return rotated
+
+
+@pytest.mark.parametrize("wrong", [_with_third_direction, _with_half_angle])
+def test_verify_uprep_fails_a_wrong_rotation(wrong, monkeypatch, capsys):
+    monkeypatch.setattr(uprep, "rotation_R", wrong(uprep.rotation_R))
+    assert main(["verify", "uprep", "-n", "3", "--trials", "1", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0].startswith("mean_distance_T1:") and lines[0].endswith(" OK")
+    assert len(lines) == 9 and all(ln.endswith(" FAIL") for ln in lines[1:])
+
+
 def test_verify_unknown_suite(capsys):
     assert main(["verify", "nope", "--seed", "1"]) == 2
     assert main(["verify", "oracles"]) == 2
@@ -166,12 +226,33 @@ def test_verify_unknown_suite(capsys):
     ["simplex", "--trials", "1"],
     ["simplex", "--trials", "2"],  # a 2-trial SE fails the 3-SE gate on ~1 in 5 seeds
     ["simplex", "--trials", "99"],
+    ["simplex", "-N", "16385"],  # over linalg.MAX_DIM: max_xeb_mc's chunk would pass 256 MiB
+    ["simplex", "-N", "1000000000"],  # a 745 GiB chunk
 ])
 def test_verify_bad_size_is_usage_error(argv, capsys):
-    rc = main(["verify", *argv, "--seed", "1"])
+    tracemalloc.start()
+    try:
+        rc = main(["verify", *argv, "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     assert rc == 2
+    assert peak < 2**20
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_simplex_accepts_the_dimension_cap(monkeypatch, capsys):
+    sizes = []
+
+    def fake_mc(n_bins, trials, seed):
+        sizes.append(n_bins)
+        return 0.0, 1.0  # within 3 SE of H_N/N
+
+    monkeypatch.setattr(xhog, "max_xeb_mc", fake_mc)
+    assert main(["verify", "simplex", "-N", str(MAX_DIM), "--trials", "100", "--seed", "1"]) == 0
+    assert sizes == [MAX_DIM]
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize("k_arg", [["-n", "3", "-k", "5"], ["-n", "2", "-k", "8"]])

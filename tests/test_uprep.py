@@ -9,6 +9,7 @@ from xhoglab.linalg import (
     UnitaryOp,
     basis_state,
     haar_state_amps,
+    rank2_identity_distance,
     trial_rng,
     unitary_channel_diamond_distance,
 )
@@ -104,6 +105,42 @@ def test_rotation_channel_distance_equality():
         plan = decompose_phi(psi, phi)
         d = unitary_channel_diamond_distance(rotation_R(plan), UnitaryOp(np.eye(4)))
         assert abs(d - 2 * abs(plan.beta)) < 1e-8
+
+
+def test_rank2_rotation_distance_matches_dense():
+    for n in range(1, 9):
+        for i in range(3):
+            rng = trial_rng(37, 100 * n + i)
+            plan = decompose_phi(PureState(haar_state_amps(2**n, rng)),
+                                 PureState(haar_state_amps(2**n, rng)))
+            r = rotation_R(plan)
+            d, residual = rank2_identity_distance(r.mat)
+            dense = unitary_channel_diamond_distance(r, UnitaryOp(np.eye(2**n)))
+            assert abs(d - dense) < 1e-12
+            assert residual < 1e-12
+    # basis-state instance: R = I, an empty subspace, distance 0
+    r = rotation_R(decompose_phi(basis_state(4, 0), basis_state(4, 3)))
+    assert rank2_identity_distance(r.mat) == (0.0, 0.0)
+    assert unitary_channel_diamond_distance(r, UnitaryOp(np.eye(4))) == 0.0
+
+
+def test_rank2_residual_exposes_a_third_direction():
+    psi, phi, _ = _pair(8, 47)
+    plan = decompose_phi(psi, phi)
+    v = np.eye(8)[7]
+    for b in (psi.amps, plan.psi_perp.amps):
+        v = v - b * np.vdot(b, v)
+    v /= np.linalg.norm(v)
+    # a phase inside the rotation's arc leaves the eigenvalue hull, hence the distance, unchanged
+    extra = UnitaryOp(np.eye(8) + (np.exp(0.5j * plan.theta) - 1) * np.outer(v, v.conj()))
+    u = rotation_R(plan) @ extra
+    dense = unitary_channel_diamond_distance(u, UnitaryOp(np.eye(8)))
+    assert abs(dense - 2 * abs(plan.beta)) < 1e-12
+    assert rank2_identity_distance(u.mat)[1] > 0.1
+    # K = |0><2| has its columns in span(|0>) but acts on |2>: only the row residual sees it
+    shear = np.eye(4)
+    shear[0, 2] = 1.0
+    assert rank2_identity_distance(shear)[1] > 0.5
 
 
 def test_swap_via_canonical():
