@@ -174,9 +174,17 @@ def haar_state(n: int, seed) -> PureState:
 
 
 def haar_state_amps(dim: int, rng) -> np.ndarray:
-    """Bare amplitude vector of a Haar-random state (hot path, no wrapper)."""
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return z / np.linalg.norm(z)
+    """Bare amplitude vector of a Haar-random state (hot path, no wrapper).
+
+    One ``standard_normal(2 dim)`` call, split into real and imaginary parts:
+    the same draws as two ``standard_normal(dim)`` calls.
+    """
+    g = rng.standard_normal(2 * dim)
+    z = np.empty(dim, dtype=complex)
+    z.real = g[:dim]
+    z.imag = g[dim:]
+    z /= np.linalg.norm(z)
+    return z
 
 
 def haar_unitary(dim: int, seed) -> UnitaryOp:
@@ -282,11 +290,6 @@ def born_sample(probs: np.ndarray, rng, size=None):
     cdf = np.cumsum(p / p.sum())
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(size), side="right")
-
-
-def measure_computational(state: PureState, seed) -> int:
-    """Measure in the computational basis; returns the observed index."""
-    return int(born_sample(state.probabilities(), _as_rng(seed)))
 
 
 def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:

@@ -16,6 +16,7 @@ is the verified isomorphism between them.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -227,19 +228,36 @@ def fourier_phase_oracle(f: SignFunction, sealed=False) -> OracleHandle:
     return OracleHandle("fourier_phase", 2**f.n, f, diag=f.table.astype(complex), sealed=sealed)
 
 
+@functools.lru_cache(maxsize=None)
+def _hadamard(m: int, pairs: bool = False) -> np.ndarray:
+    """Sylvester Hadamard matrix of order 2^m, read-only because it is cached; with
+    ``pairs``, H (x) I_2, which acts on the float view of a complex vector."""
+    h = np.ones((1, 1))
+    for _ in range(m):
+        h = np.block([[h, h], [h, -h]])
+    if pairs:
+        h = np.kron(h, np.eye(2))
+    h.flags.writeable = False
+    return h
+
+
 def fwht(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized fast Walsh-Hadamard transform (in place on a copy)."""
-    a = np.array(vec)
-    h = 1
-    n = len(a)
-    while h < n:
-        a = a.reshape(-1, 2 * h)
-        x = a[:, :h].copy()
-        a[:, :h] = x + a[:, h:]
-        a[:, h:] = x - a[:, h:]
-        a = a.reshape(n)
-        h *= 2
-    return a
+    """Unnormalized Walsh-Hadamard transform H_n v of a length-2^n vector.
+
+    H_n = H_a (x) H_b with a = ceil(n/2), so with v reshaped to a 2^a x 2^b
+    matrix V the transform is H_a V H_b: two matrix products with cached
+    factors of order at most 2^7 (at n = 14).  Sums of +-1 entries are exact
+    in any order, so the transform of a sign table is exact.
+    """
+    v = np.asarray(vec)
+    n = len(v).bit_length() - 1
+    if len(v) != 2**n:
+        raise ValueError(f"length {len(v)} is not a power of two")
+    a = (n + 1) // 2
+    if v.dtype.kind == "c":
+        x = np.ascontiguousarray(v, dtype=complex).view(float).reshape(2**a, -1)
+        return (_hadamard(a) @ x @ _hadamard(n - a, pairs=True)).reshape(-1).view(complex)
+    return (_hadamard(a) @ v.reshape(2**a, -1) @ _hadamard(n - a)).reshape(-1)
 
 
 def fourier_coefficients_float(f: SignFunction) -> np.ndarray:
@@ -348,26 +366,39 @@ def canonical_prep_target(prep: UnitaryOp) -> np.ndarray:
     return _canonical_prep_circuit(prep)[:, 0]
 
 
-def sample_oracle_output(oracle: OracleHandle, rng) -> int:
-    """Prepare one copy of the hidden state via a single query and measure it.
+def preparation_input(oracle: OracleHandle) -> np.ndarray:
+    """The vector one query maps to a copy of the hidden state.
 
-    For the canonical family the start state is the flag; for random prep it
-    is |0^n>; for the Fourier family the query sits between Hadamard layers.
+    For the canonical family it is the flag; for random prep it is |0^n>; for
+    the Fourier family it is the all-ones vector, sqrt(N) H^(x)n |0^n>, so the
+    query returns the sign table itself.
     """
-    if oracle.kind == "canonical":
-        start = np.zeros(oracle.dim, dtype=complex)
-        start[-1] = 1.0
-        out = oracle.apply(start)
-        probs = np.abs(out[:-1]) ** 2
-    elif oracle.kind == "random_prep":
-        start = np.zeros(oracle.dim, dtype=complex)
-        start[0] = 1.0
-        out = oracle.apply(start)
-        probs = np.abs(out) ** 2
-    elif oracle.kind == "fourier_phase":
-        start = np.full(oracle.dim, 1.0 / math.sqrt(oracle.dim), dtype=complex)
-        out = fwht(oracle.apply(start)) / math.sqrt(oracle.dim)
-        probs = np.abs(out) ** 2
-    else:
+    if oracle.kind == "fourier_phase":
+        return np.ones(oracle.dim, dtype=complex)
+    if oracle.kind not in ("canonical", "random_prep"):
         raise ValueError(f"oracle kind {oracle.kind!r} cannot prepare the hidden state")
-    return int(born_sample(probs, rng))
+    start = np.zeros(oracle.dim, dtype=complex)
+    start[-1 if oracle.kind == "canonical" else 0] = 1.0
+    return start
+
+
+def sample_oracle_output(oracle: OracleHandle, rng, copies=None):
+    """Prepare copies of the hidden state, one query each, and measure them.
+
+    For the Fourier family the query sits between Hadamard layers; its exact
+    transform over N gives the amplitudes f-hat(z).  Every copy is the same
+    state, so one Born CDF serves all of them, and the indices are those of
+    ``copies`` single-copy calls on the same rng.  Returns an int when
+    ``copies`` is None (one copy), else an array of ``copies`` indices.
+    """
+    if copies is not None and copies < 1:
+        raise ValueError("copies must be >= 1")
+    start = preparation_input(oracle)
+    for _ in range(copies or 1):
+        out = oracle.apply(start)
+    if oracle.kind == "canonical":
+        out = out[:-1]
+    elif oracle.kind == "fourier_phase":
+        out = fwht(out) / oracle.dim
+    z = born_sample(np.abs(out) ** 2, rng, copies)
+    return int(z) if copies is None else z

@@ -18,19 +18,24 @@ from fractions import Fraction
 import numpy as np
 
 from . import SCHEMA_VERSION
-from .linalg import MAX_QUBITS, PureState, born_sample, haar_state_amps, trial_rng
+from .linalg import MAX_DIM, MAX_QUBITS, PureState, born_sample, haar_state_amps, trial_rng
 from .oracles import (
     OracleHandle,
     SignFunction,
     canonical_oracle,
     fourier_coefficients_float,
     fourier_phase_oracle,
+    preparation_input,
     random_prep_oracle,
     sample_oracle_output,
 )
 
 STRATEGIES = ("uniform", "naive", "k_copy_mode", "collision_amplify", "argmax")
 FAMILIES = ("canonical", "random_prep", "fourier")
+
+# checked before run_experiment allocates: 2^25 trials keep the per-trial
+# scores array at 256 MiB (k is capped at linalg.MAX_DIM copies)
+MAX_TRIALS = 2**25
 
 
 @dataclass(frozen=True)
@@ -105,8 +110,7 @@ def strategy_k_copy_mode(oracle: OracleHandle, k: int, rng) -> StrategyOutcome:
     if k < 1:
         raise ValueError("k must be >= 1")
     before = oracle.calls
-    zs = [sample_oracle_output(oracle, rng) for _ in range(k)]
-    counts = np.bincount(zs)
+    counts = np.bincount(sample_oracle_output(oracle, rng, k))
     z = int(np.argmax(counts))
     return StrategyOutcome(z, oracle.calls - before, {"counts_max": int(counts.max())})
 
@@ -136,24 +140,16 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
     if oracle.kind not in ("canonical", "random_prep"):
         raise ValueError(f"oracle kind {oracle.kind!r} lacks a state reflection")
     before = oracle.calls
-    zs = [sample_oracle_output(oracle, rng) for _ in range(k)]
     seen = set()
-    for z in zs:
+    for z in sample_oracle_output(oracle, rng, k).tolist():
         if z in seen:
             return StrategyOutcome(z, oracle.calls - before, {"collision": True})
         seen.add(z)
 
     good = np.fromiter(sorted(seen), dtype=np.intp)
-    if oracle.kind == "canonical":
-        n_dim = oracle.dim - 1
-        start = np.zeros(oracle.dim, dtype=complex)
-        start[-1] = 1.0
-        flip_index = oracle.dim - 1  # reflection about the known flag state is free
-    else:
-        n_dim = oracle.dim
-        start = np.zeros(n_dim, dtype=complex)
-        start[0] = 1.0
-        flip_index = 0
+    start = preparation_input(oracle)  # the flag or |0^n>: reflecting about it is free
+    flip_index = oracle.dim - 1 if oracle.kind == "canonical" else 0
+    n_dim = oracle.dim - 1 if oracle.kind == "canonical" else oracle.dim
     n = n_dim.bit_length() - 1
     state = oracle.apply(start)
 
@@ -243,6 +239,9 @@ def run_experiment(
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
     params = strategy_params or {}
+    k = params.get("k", 2)
+    if strategy in ("k_copy_mode", "collision_amplify") and k > MAX_DIM:
+        raise ValueError(f"k = {k} is over the cap of {MAX_DIM} copies")
     t0 = time.perf_counter()
 
     if exact:
@@ -257,8 +256,8 @@ def run_experiment(
             time.perf_counter() - t0, exact_value=b,
         )
 
-    if trials < 1:
-        raise ValueError("trials must be >= 1")
+    if not 1 <= trials <= MAX_TRIALS:
+        raise ValueError(f"trials = {trials} outside [1, {MAX_TRIALS}] (2^25, a 256 MiB score array)")
     scores = np.empty(trials)
     total_queries = 0
     rows = [] if keep_trials else None

@@ -8,7 +8,8 @@ from importlib import resources
 import numpy as np
 import pytest
 
-from xhoglab import uprep, xhog  # loaded here, so no tracemalloc peak below counts an import
+# loaded here, so no tracemalloc peak below counts an import
+from xhoglab import fourier_lp, uprep, xhog  # noqa: F401
 from xhoglab.cli import main
 from xhoglab.linalg import MAX_DIM, UnitaryOp
 
@@ -102,6 +103,25 @@ def test_xhog_qubit_count_out_of_range_is_usage_error(capsys):
                    "--trials", "5", "--seed", "1"])
         assert rc == 2
         assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--strategy", "naive", "--trials", "1000000000000"],  # a 7.3 TiB score array
+    ["--strategy", "naive", "--trials", str(xhog.MAX_TRIALS + 1)],
+    ["--strategy", "k_copy_mode", "-k", "100000000", "--trials", "1"],
+    ["--strategy", "collision_amplify", "-k", str(MAX_DIM + 1), "--trials", "1"],
+])
+def test_xhog_oversized_run_is_usage_error(extra, capsys):
+    tracemalloc.start()
+    try:
+        rc = main(["xhog", "--family", "canonical", "-n", "1", "--seed", "1", *extra])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_xhog_random_prep_at_the_qubit_cap_stays_small(capsys):

@@ -4,7 +4,16 @@ import numpy as np
 import pytest
 
 from xhoglab import oracles
-from xhoglab.linalg import PureState, UnitaryOp, basis_state, bot_state, haar_state, haar_unitary, trial_rng
+from xhoglab.linalg import (
+    PureState,
+    UnitaryOp,
+    basis_state,
+    born_sample,
+    bot_state,
+    haar_state,
+    haar_unitary,
+    trial_rng,
+)
 from xhoglab.oracles import (
     OracleSealedError,
     SignFunction,
@@ -234,3 +243,56 @@ def test_fourier_sampling_matches_dense_circuit():
     f = SignFunction.random(3, rng)
     dense = hn @ np.diag(f.table.astype(complex)) @ hn @ np.eye(8)[0]
     assert np.max(np.abs(dense - fourier_sampling_state(f).amps)) < 1e-12
+
+
+def test_fwht_matches_the_hadamard_matrix():
+    from scipy.linalg import hadamard
+
+    rng = trial_rng(61, 0)
+    for n in range(11):
+        h = hadamard(2**n)
+        signs = 1 - 2 * rng.integers(0, 2, size=2**n)
+        assert np.array_equal(oracles.fwht(signs), h @ signs)  # exact on +-1 vectors
+        assert np.array_equal(oracles.fwht(signs.astype(complex)), h @ signs)
+        v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+        assert np.allclose(oracles.fwht(v), h @ v)
+    with pytest.raises(ValueError):
+        oracles.fwht(np.ones(6))
+
+
+def test_fwht_squares_to_n_times_identity():
+    n = 14
+    rng = trial_rng(67, 0)
+    signs = (1 - 2 * rng.integers(0, 2, size=2**n)).astype(float)
+    assert np.array_equal(oracles.fwht(oracles.fwht(signs)), 2**n * signs)
+    v = rng.standard_normal(2**n) + 1j * rng.standard_normal(2**n)
+    assert np.allclose(oracles.fwht(oracles.fwht(v)), 2**n * v)
+
+
+def _sampling_oracles(n, rng):
+    psi = haar_state(n, rng)
+    return (canonical_oracle(psi), random_prep_oracle(psi, rng),
+            fourier_phase_oracle(SignFunction.random(n, rng)))
+
+
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_sampled_copies_match_single_copies(k):
+    for n in (1, 3, 6):
+        batch_side, single_side = _sampling_oracles(n, trial_rng(71, n)), _sampling_oracles(n, trial_rng(71, n))
+        for batch, single in zip(batch_side, single_side):
+            mine, twin = trial_rng(73, n), trial_rng(73, n)
+            zs = oracles.sample_oracle_output(batch, mine, k)
+            assert batch.calls == k  # one query per copy
+            assert zs.tolist() == [oracles.sample_oracle_output(single, twin) for _ in range(k)]
+            assert single.calls == k
+            assert mine.random() == twin.random()
+    with pytest.raises(ValueError):
+        oracles.sample_oracle_output(canonical_oracle(haar_state(1, 0)), trial_rng(73, 0), 0)
+
+
+def test_fourier_sampler_draws_from_the_squared_coefficients():
+    for n in (3, 5, 9):
+        f = SignFunction.random(n, trial_rng(79, n))
+        zs = oracles.sample_oracle_output(fourier_phase_oracle(f), trial_rng(83, n), 50)
+        want = born_sample(oracles.fourier_coefficients_float(f) ** 2, trial_rng(83, n), 50)
+        assert np.array_equal(zs, want)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from xhoglab import xhog
-from xhoglab.linalg import PureState, basis_state, haar_state_amps, trial_rng
+from xhoglab.linalg import MAX_DIM, PureState, basis_state, haar_state_amps, trial_rng
 from xhoglab.oracles import (
     OracleSealedError,
     SignFunction,
@@ -243,3 +243,27 @@ def test_k_copy_upper_bound_chain():
     n_dim = 2**n
     bound = 2 + 2 * math.comb(k, 2) * 2 / (n_dim + 1)
     assert est.b_mean <= bound + 5 * est.std_err
+
+
+def test_run_experiment_pinned_outputs():
+    # seeded (b_mean, std_err, total_queries) recorded when every copy drew its own
+    # Born CDF and fwht was a butterfly; the first four are the benchmark's kinds
+    pinned = [
+        ("naive", "canonical", 8, 40, {}, (1.689618308926773, 0.22001799686527498, 40)),
+        ("naive", "fourier", 8, 40, {}, (2.6171875, 0.36700588798397205, 40)),
+        ("k_copy_mode", "canonical", 6, 40, {"k": 4}, (1.930025566990676, 0.14020167213959756, 160)),
+        ("collision_amplify", "canonical", 9, 20, {"k": 8}, (1.7694850191808746, 0.20909919802661103, 700)),
+        ("k_copy_mode", "random_prep", 5, 40, {"k": 3}, (1.9497285528986232, 0.1952062647144959, 120)),
+        ("collision_amplify", "random_prep", 5, 40, {"k": 3}, (1.7415014818187, 0.1461262515354837, 562)),
+        ("naive", "fourier", 3, 200, {}, (3.0675, 0.15746410215454404, 200)),
+        ("naive", "fourier", 5, 200, {}, (3.4375, 0.193675520617429, 200)),
+    ]
+    for strategy, family, n, trials, params, want in pinned:
+        est = run_experiment(strategy, family, n, trials, 1, strategy_params=params)
+        assert (est.b_mean, est.std_err, est.total_queries) == want, (strategy, family, n)
+
+
+def test_run_experiment_accepts_k_at_the_cap():
+    # the caps above it are exit-2 cases in test_cli.py
+    est = run_experiment("k_copy_mode", "canonical", 1, 2, 1, strategy_params={"k": MAX_DIM})
+    assert est.total_queries == 2 * MAX_DIM
