@@ -17,7 +17,9 @@ import numpy as np
 
 from . import SCHEMA_VERSION, __version__
 from .linalg import (
+    DENSE_MAX_QUBITS,
     MAX_DIM,
+    MAX_QUBITS,
     PureState,
     bot_state,
     expected_max_simplex,
@@ -116,8 +118,11 @@ def _check(checks, name, value, bound):
 
 
 def _verify_symmetrize(args, checks):
-    from .symmetrize import ResourceSpec, verify_symmetrization
+    from .symmetrize import ResourceSpec, check_dense_cap, verify_symmetrization
 
+    if not (1 <= args.n <= MAX_QUBITS and args.k >= 1 and args.cases >= 1):
+        raise ValueError(f"symmetrize needs 1 <= -n <= {MAX_QUBITS}, -k >= 1 and --cases >= 1")
+    check_dense_cap(2**args.n, args.k)
     for i in range(args.cases):
         rng = trial_rng(args.seed, i)
         psi = PureState(haar_state_amps(2**args.n, rng))
@@ -129,6 +134,11 @@ def _verify_symmetrize(args, checks):
 def _verify_oracles(args, checks):
     from .oracles import canonical_from_prep, canonical_oracle, refl_from_prep
 
+    if not (1 <= args.n <= DENSE_MAX_QUBITS and args.cases >= 1):
+        raise ValueError(
+            f"oracles needs 1 <= -n <= {DENSE_MAX_QUBITS} and --cases >= 1: its Haar prep"
+            " and 2N x 2N reflections are dense"
+        )
     for i in range(args.cases):
         rng = trial_rng(args.seed, i)
         psi = PureState(haar_state_amps(2**args.n, rng))

@@ -17,6 +17,8 @@ ATOL = 1e-10
 
 MAX_QUBITS = 14
 MAX_DIM = 2**MAX_QUBITS
+# verifiers that build dense N x N or 2N x 2N operators stop here
+DENSE_MAX_QUBITS = 10
 
 
 class DimensionError(ValueError):
@@ -73,9 +75,6 @@ class PureState:
             return self
         return PureState(np.append(self.amps, 0.0), has_bot=True)
 
-    def overlap(self, other: "PureState") -> complex:
-        return complex(np.vdot(self.amps, other.amps))
-
 
 def basis_state(dim, index, has_bot=False) -> PureState:
     v = np.zeros(dim, dtype=complex)
@@ -108,9 +107,6 @@ class UnitaryOp:
     def dim(self) -> int:
         return self.mat.shape[0]
 
-    def adjoint(self) -> "UnitaryOp":
-        return UnitaryOp(self.mat.conj().T, dict(self.query_ledger))
-
     def __matmul__(self, other: "UnitaryOp") -> "UnitaryOp":
         if self.dim != other.dim:
             raise DimensionError("dimension mismatch in composition")
@@ -123,6 +119,11 @@ class UnitaryOp:
         return PureState(self.mat @ state.amps, has_bot=state.has_bot)
 
 
+def check_unit_trace(tr):
+    if abs(tr - 1.0) > ATOL:
+        raise ValueError(f"trace {tr} is not 1")
+
+
 @dataclass
 class DensityMatrix:
     mat: np.ndarray
@@ -131,36 +132,13 @@ class DensityMatrix:
         self.mat = np.asarray(self.mat, dtype=complex)
         if np.max(np.abs(self.mat - self.mat.conj().T)) > ATOL:
             raise ValueError("density matrix is not Hermitian")
-        tr = np.trace(self.mat).real
-        if abs(tr - 1.0) > ATOL:
-            raise ValueError(f"trace {tr} is not 1")
+        check_unit_trace(np.trace(self.mat).real)
         if np.min(np.linalg.eigvalsh(self.mat)) < -ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-
-def pure_density(state: PureState) -> DensityMatrix:
-    return DensityMatrix(np.outer(state.amps, state.amps.conj()))
-
-
-@dataclass(frozen=True)
-class SimplexSample:
-    probs: np.ndarray
-
-    def __post_init__(self):
-        probs = np.asarray(self.probs, dtype=float)
-        object.__setattr__(self, "probs", probs)
-        if np.any(probs < 0):
-            raise ValueError("negative simplex coordinate")
-        if abs(probs.sum() - 1.0) > 1e-12:
-            raise ValueError("simplex coordinates do not sum to 1")
-
-    @property
-    def n_bins(self) -> int:
-        return len(self.probs)
 
 
 def haar_state(n: int, seed) -> PureState:
@@ -372,15 +350,6 @@ def rank2_identity_distance(mat):
     kq = k @ q
     residual = max(np.linalg.norm(k - q @ (q.conj().T @ k)), np.linalg.norm(k - kq @ q.conj().T))
     return subspace_diamond_distance(q, q + kq), float(residual)
-
-
-def sample_uniform_simplex(n_bins: int, seed) -> SimplexSample:
-    """Uniform sample from the probability simplex via normalized exponentials."""
-    if n_bins < 1:
-        raise DimensionError("n_bins must be >= 1")
-    rng = _as_rng(seed)
-    e = rng.exponential(size=n_bins)
-    return SimplexSample(e / e.sum())
 
 
 def harmonic_number(n: int) -> Fraction:

@@ -269,7 +269,7 @@ def fourier_sampling_state(f: SignFunction) -> PureState:
     return PureState(fourier_coefficients_float(f).astype(complex))
 
 
-def refl_from_prep(prep: UnitaryOp, t: int, n_system=None, garbage=None) -> UnitaryOp:
+def refl_from_prep(prep: UnitaryOp, t: int, n_system=None) -> UnitaryOp:
     """Simulate the reflection about psi from a prep unitary with garbage.
 
     Given prep |0...0> = |psi>|phi>, the operator prep (I - 2|0..0><0..0|)
@@ -311,59 +311,34 @@ def project_ancilla_to_extended(amps_anc: np.ndarray) -> np.ndarray:
     return out
 
 
-def _canonical_prep_circuit(prep: UnitaryOp) -> np.ndarray:
-    """The two-query circuit preparing (|psi>|1> - |0^n>|0>)/sqrt(2) from zeros.
+def canonical_prep_target(prep: UnitaryOp) -> np.ndarray:
+    """The state the two-query circuit prepares from |0^n>|0>:
+    (|psi>|1> - |0^n>|0>)/sqrt(2) for psi = prep|0^n>.
 
     Registers: n-qubit system (index x) tensor one ancilla (index a), basis
-    index 2x+a.  Stages: ancilla X, ancilla H, controlled flag prep (identity
-    here, since the flag's system part is |0^n>), controlled prep^dagger,
-    ancilla X, final prep on the system register.
+    index 2x+a, simulated as the N x 2 array s[x, a].  Stages: ancilla X,
+    ancilla H, controlled flag prep (identity here, since the flag's system
+    part is |0^n>), controlled prep^dagger, ancilla X, final prep on the
+    system register.
     """
-    n_dim = prep.dim
-    dim = 2 * n_dim
-    mat = np.zeros((dim, dim), dtype=complex)
-
-    def on_anc(g, m):
-        m = m.reshape(n_dim, 2, dim)
-        return np.einsum("ab,xbj->xaj", g, m).reshape(dim, dim)
-
-    def on_top(g, m, control=None):
-        m = m.reshape(n_dim, 2, dim)
-        if control is None:
-            return np.einsum("yx,xaj->yaj", g, m).reshape(dim, dim)
-        out = m.copy()
-        out[:, control, :] = np.einsum("yx,xj->yj", g, m[:, control, :])
-        return out.reshape(dim, dim)
-
-    x_gate = np.array([[0, 1], [1, 0]], dtype=complex)
-    h_gate = np.array([[1, 1], [1, -1]], dtype=complex) * HALF_SQRT2
-    m = np.eye(dim, dtype=complex)
-    m = on_anc(x_gate, m)
-    m = on_anc(h_gate, m)
-    # controlled flag prep: identity (flag system part is |0^n>), zero queries
-    m = on_top(prep.mat.conj().T, m, control=1)
-    m = on_anc(x_gate, m)
-    m = on_top(prep.mat, m)
-    return m
+    s = np.zeros((prep.dim, 2), dtype=complex)
+    s[0, 0] = 1.0
+    s = s[:, ::-1] @ (np.array([[1, 1], [1, -1]]) * HALF_SQRT2)  # ancilla X, ancilla H
+    s[:, 1] = (s[:, 1].conj() @ prep.mat).conj()  # controlled prep^dagger
+    return (prep.mat @ s[:, ::-1]).reshape(-1)  # ancilla X, prep on the system
 
 
 def canonical_from_prep(prep: UnitaryOp, t: int) -> UnitaryOp:
     """Simulate the canonical oracle for psi = prep|0^n> in the ancilla encoding.
 
     Returns the reflection about (|psi>|1> - |0^n>|0>)/sqrt(2), built as
-    P (I - 2|0><0|) P^dagger for the two-query prep circuit P.  The ledger
-    records 4t+2 prep queries for t simulated oracle queries.
+    P (I - 2|0><0|) P^dagger for the two-query prep circuit P, whose first
+    column is ``canonical_prep_target``.  The ledger records 4t+2 prep
+    queries for t simulated oracle queries.
     """
-    p = _canonical_prep_circuit(prep)
-    target = p[:, 0]
-    dim = p.shape[0]
-    mat = np.eye(dim, dtype=complex) - 2.0 * np.outer(target, target.conj())
+    target = canonical_prep_target(prep)
+    mat = np.eye(len(target), dtype=complex) - 2.0 * np.outer(target, target.conj())
     return UnitaryOp(mat, {"prep": 4 * t + 2})
-
-
-def canonical_prep_target(prep: UnitaryOp) -> np.ndarray:
-    """The state the two-query circuit prepares from |0^n>|0> (for verification)."""
-    return _canonical_prep_circuit(prep)[:, 0]
 
 
 def preparation_input(oracle: OracleHandle) -> np.ndarray:

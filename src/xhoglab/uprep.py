@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
+    DENSE_MAX_QUBITS,
     DimensionError,
     LazyHaarComplement,
     PureState,
@@ -177,8 +178,8 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
     distance by convexity; the report states the margin against
     (10t+4)/2^(n/2).
     """
-    if not (1 <= n <= 10 and 0 <= t <= 4 and trials >= 1):
-        raise DimensionError("caps: 1 <= n <= 10, 0 <= t <= 4, trials >= 1")
+    if not (1 <= n <= DENSE_MAX_QUBITS and 0 <= t <= 4 and trials >= 1):
+        raise DimensionError(f"caps: 1 <= n <= {DENSE_MAX_QUBITS}, 0 <= t <= 4, trials >= 1")
     dim = 2**n
     dists = np.empty(trials)
     for i in range(trials):

@@ -34,7 +34,8 @@ STRATEGIES = ("uniform", "naive", "k_copy_mode", "collision_amplify", "argmax")
 FAMILIES = ("canonical", "random_prep", "fourier")
 
 # checked before run_experiment allocates: 2^25 trials keep the per-trial
-# scores array at 256 MiB (k is capped at linalg.MAX_DIM copies)
+# scores array at 256 MiB, and xhog --csv (keep_trials) adds two int32 arrays, z and
+# queries, of 128 MiB each (k is capped at linalg.MAX_DIM copies, so both fit int32)
 MAX_TRIALS = 2**25
 
 
@@ -57,7 +58,10 @@ class XebEstimate:
     total_queries: int
     wall_seconds: float = 0.0
     exact_value: Fraction | None = None
-    rows: list | None = None
+    # per-trial arrays, kept only with keep_trials
+    scores: np.ndarray | None = None
+    z: np.ndarray | None = None
+    queries: np.ndarray | None = None
 
     def to_json_dict(self) -> dict:
         out = {
@@ -77,12 +81,12 @@ class XebEstimate:
         return out
 
     def write_csv(self, path):
-        if self.rows is None:
+        if self.z is None:
             raise ValueError("per-trial rows were not kept")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["trial", "z", "score", "queries"])
-            w.writerows(self.rows)
+            w.writerows(zip(range(self.trials), self.z, self.scores, self.queries))
 
 
 def xeb_score_exact(z_dist, psi: PureState) -> float:
@@ -164,15 +168,12 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
         raise ValueError(f"unknown schedule {schedule!r}")
 
     for _ in range(t_iter):
+        # O (I - 2|start><start|) O^dagger = I - 2|psi><psi|; the canonical oracle is a
+        # reflection, so its adjoint query is the same query
         state[good] *= -1.0
-        if oracle.kind == "canonical":
-            state = oracle.apply(state)
-            state[flip_index] *= -1.0
-            state = oracle.apply(state)
-        else:
-            state = oracle.apply_adjoint(state)
-            state[flip_index] *= -1.0
-            state = oracle.apply(state)
+        state = oracle.apply_adjoint(state)
+        state[flip_index] *= -1.0
+        state = oracle.apply(state)
     z = int(born_sample(np.abs(state[:n_dim]) ** 2, rng))
     aux = {"collision": False, "grover_iterations": t_iter, "amplified_hit": z in seen}
     return StrategyOutcome(z, oracle.calls - before, aux)
@@ -260,7 +261,8 @@ def run_experiment(
         raise ValueError(f"trials = {trials} outside [1, {MAX_TRIALS}] (2^25, a 256 MiB score array)")
     scores = np.empty(trials)
     total_queries = 0
-    rows = [] if keep_trials else None
+    zs = np.empty(trials, dtype=np.int32) if keep_trials else None
+    queries = np.empty(trials, dtype=np.int32) if keep_trials else None
     n_dim = 2**n
     for i in range(trials):
         rng = trial_rng(master_seed, i)
@@ -268,12 +270,13 @@ def run_experiment(
         outcome = _run_strategy(strategy, params, oracle, probs, psi, n, rng)
         scores[i] = n_dim * probs[outcome.z]
         total_queries += outcome.queries_used
-        if rows is not None:
-            rows.append((i, outcome.z, scores[i], outcome.queries_used))
+        if keep_trials:
+            zs[i], queries[i] = outcome.z, outcome.queries_used
     std_err = float(scores.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return XebEstimate(
         strategy, family, n, trials, master_seed, float(scores.mean()), std_err,
-        total_queries, time.perf_counter() - t0, rows=rows,
+        total_queries, time.perf_counter() - t0,
+        scores=scores if keep_trials else None, z=zs, queries=queries,
     )
 
 

@@ -248,6 +248,16 @@ def test_verify_unknown_suite(capsys):
     ["simplex", "--trials", "99"],
     ["simplex", "-N", "16385"],  # over linalg.MAX_DIM: max_xeb_mc's chunk would pass 256 MiB
     ["simplex", "-N", "1000000000"],  # a 745 GiB chunk
+    ["symmetrize", "-n", "-1"],
+    ["symmetrize", "-n", "0"],
+    ["symmetrize", "-k", "0"],  # an empty resource state would pass trivially
+    ["symmetrize", "-k", "-1"],
+    ["symmetrize", "--cases", "0"],
+    ["oracles", "-n", "-1"],
+    ["oracles", "-n", "0"],
+    ["oracles", "-n", "11"],  # dense Haar prep and 2N x 2N reflections, as in uprep
+    ["oracles", "-n", "14"],
+    ["oracles", "--cases", "0"],
 ])
 def test_verify_bad_size_is_usage_error(argv, capsys):
     tracemalloc.start()
@@ -288,6 +298,35 @@ def test_verify_symmetrize_over_the_dense_cap_is_rejected_before_allocating(k_ar
     assert peak < 2**20
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_symmetrize_runs_block_wise(capsys):
+    # (N+1)^k = 3125: the two dense matrices alone would take 312 MB
+    tracemalloc.start()
+    try:
+        rc = main(["verify", "symmetrize", "-n", "2", "-k", "5", "--cases", "1", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 8 * 2**20
+    assert capsys.readouterr().out.rstrip().endswith(" OK")
+
+
+def test_verify_symmetrize_fails_a_wrong_protocol_weight(monkeypatch, capsys):
+    from xhoglab import symmetrize
+
+    real = symmetrize._zeta_group
+
+    def dephased(*args):
+        # superposition weights without their phases: each block keeps its trace p_G
+        amps, prob = real(*args)
+        return np.abs(amps), prob
+
+    monkeypatch.setattr(symmetrize, "_zeta_group", dephased)
+    assert main(["verify", "symmetrize", "-n", "1", "-k", "3", "--cases", "3", "--seed", "1"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 3 and all(ln.endswith(" FAIL") for ln in lines)
 
 
 @pytest.mark.parametrize("argv", [

@@ -15,8 +15,6 @@ from xhoglab.linalg import (
     expected_max_simplex,
     haar_state,
     haar_unitary,
-    pure_density,
-    sample_uniform_simplex,
     trace_distance,
     trial_rng,
     unitary_channel_diamond_distance,
@@ -157,9 +155,10 @@ def test_measure_computational_born_rule():
 
 
 def test_trace_distance_examples():
-    rho0 = pure_density(basis_state(2, 0))
-    rho1 = pure_density(basis_state(2, 1))
-    plus = pure_density(PureState(np.array([1, 1]) / math.sqrt(2)))
+    rho0, rho1, plus = (
+        DensityMatrix(np.outer(v, v.conj()))
+        for v in (np.eye(2)[0], np.eye(2)[1], np.array([1, 1]) / math.sqrt(2))
+    )
     assert trace_distance(rho0, rho0) == 0
     assert abs(trace_distance(rho0, rho1) - 1.0) < 1e-12
     assert abs(trace_distance(rho0, plus) - 1 / math.sqrt(2)) < 1e-12
@@ -193,11 +192,12 @@ def test_density_matrix_validation():
 
 
 def test_simplex_sample_basics():
-    s = sample_uniform_simplex(1, 0)
-    assert s.probs[0] == 1.0
-    s = sample_uniform_simplex(4, 5)
-    assert abs(s.probs.sum() - 1.0) < 1e-12
-    assert np.all(s.probs >= 0)
+    (e,) = _exponential_chunks(1, 1, trial_rng(0, 0), 1)
+    assert (e / e.sum(axis=1, keepdims=True))[0, 0] == 1.0
+    (e,) = _exponential_chunks(4, 3, trial_rng(5, 0), 3)
+    probs = e / e.sum(axis=1, keepdims=True)
+    assert np.all(np.abs(probs.sum(axis=1) - 1.0) < 1e-12)
+    assert np.all(probs >= 0)
 
 
 def test_expected_max_values():

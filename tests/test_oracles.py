@@ -203,6 +203,15 @@ def test_canonical_from_prep_identity_prep():
     assert abs(abs(np.vdot(want, target)) - 1.0) < 1e-10
 
 
+def test_canonical_prep_target_on_haar_preps():
+    for n in range(1, 7):
+        prep = haar_unitary(2**n, trial_rng(53, n))
+        want = np.zeros(2 ** (n + 1), dtype=complex)
+        want[1::2] = prep.mat[:, 0] / math.sqrt(2)  # |psi>|1>
+        want[0] -= 1 / math.sqrt(2)  # -|0^n>|0>
+        assert np.max(np.abs(oracles.canonical_prep_target(prep) - want)) < 1e-12
+
+
 def test_canonical_from_prep_matches_canonical_oracle():
     prep = haar_unitary(4, 43)
     psi = PureState(prep.mat[:, 0])

@@ -9,6 +9,7 @@ from xhoglab.symmetrize import (
     build_R,
     digits_of,
     index_of,
+    multiset_groups,
     rho_R_protocol_exact,
     rho_R_sample,
     sigma_R_exact,
@@ -121,6 +122,41 @@ def test_verify_symmetrization_randomized():
                 psi = PureState(haar_state_amps(2**n, rng))
                 spec = ResourceSpec.random(k, rng)
                 assert verify_symmetrization(psi, spec) <= 1e-10
+
+
+def test_verify_symmetrization_equals_dense_references():
+    # every (n, k) whose dense (N+1)^k-square references stay at most 729 rows
+    for n in range(1, 10):
+        for k in range(1, 7):
+            if (2**n + 1) ** k > 729:
+                break
+            rng = trial_rng(200 + n, k)
+            psi = PureState(haar_state_amps(2**n, rng))
+            spec = ResourceSpec.random(k, rng)
+            dense = np.max(np.abs(sigma_R_exact(psi, spec).mat - rho_R_protocol_exact(psi, spec).mat))
+            assert verify_symmetrization(psi, spec) == dense
+
+
+def test_verify_symmetrization_checks_the_protocol_trace(monkeypatch):
+    from xhoglab import symmetrize
+
+    real = symmetrize._zeta_group
+    monkeypatch.setattr(symmetrize, "_zeta_group", lambda *a: (real(*a)[0], real(*a)[1] / 2))
+    rng = trial_rng(9, 0)
+    psi = PureState(haar_state_amps(4, rng))
+    with pytest.raises(ValueError, match="trace"):
+        verify_symmetrization(psi, ResourceSpec.random(2, rng))
+
+
+def test_multiset_groups_partition_the_index_space():
+    for base, k in ((3, 1), (3, 3), (5, 2)):
+        groups = list(multiset_groups(base, k))
+        assert len(groups) == math.comb(base + k - 1, k)
+        assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(base**k))
+        for g in groups:
+            assert np.all(np.diff(g) > 0)
+            keys = {tuple(sorted(digits_of(int(i), base, k))) for i in g}
+            assert len(keys) == 1
 
 
 def test_dimension_cap():

@@ -231,9 +231,10 @@ def test_run_experiment_rejects_bad_input():
 def test_run_experiment_reproducible_and_ledger_consistent():
     a = run_experiment("naive", "canonical", 3, 200, 18, keep_trials=True)
     b = run_experiment("naive", "canonical", 3, 200, 18, keep_trials=True)
-    assert a.b_mean == b.b_mean and a.rows == b.rows
-    assert a.total_queries == sum(r[3] for r in a.rows)
-    assert all(abs(r[2]) >= 0 for r in a.rows)
+    assert a.b_mean == b.b_mean and all(
+        np.array_equal(getattr(a, f), getattr(b, f)) for f in ("z", "scores", "queries"))
+    assert a.total_queries == a.queries.sum()
+    assert np.all(np.abs(a.scores) >= 0)
 
 
 def test_k_copy_upper_bound_chain():
