@@ -26,6 +26,7 @@ from .linalg import (
     haar_state_amps,
     rank2_identity_distance,
     trial_rng,
+    trial_streams,
 )
 
 SIMPLEX_MIN_TRIALS = 100
@@ -123,8 +124,7 @@ def _verify_symmetrize(args, checks):
     if not (1 <= args.n <= MAX_QUBITS and args.k >= 1 and args.cases >= 1):
         raise ValueError(f"symmetrize needs 1 <= -n <= {MAX_QUBITS}, -k >= 1 and --cases >= 1")
     check_dense_cap(2**args.n, args.k)
-    for i in range(args.cases):
-        rng = trial_rng(args.seed, i)
+    for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
         psi = PureState(haar_state_amps(2**args.n, rng))
         spec = ResourceSpec.random(args.k, rng)
         dev = verify_symmetrization(psi, spec)
@@ -139,8 +139,7 @@ def _verify_oracles(args, checks):
             f"oracles needs 1 <= -n <= {DENSE_MAX_QUBITS} and --cases >= 1: its Haar prep"
             " and 2N x 2N reflections are dense"
         )
-    for i in range(args.cases):
-        rng = trial_rng(args.seed, i)
+    for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
         psi = PureState(haar_state_amps(2**args.n, rng))
         o = canonical_oracle(psi)
         got = o.apply(bot_state(args.n))
@@ -164,8 +163,7 @@ def _verify_uprep(args, checks):
 
     rep = channel_distance_bound_report(args.n, args.t, args.trials, args.seed)
     _check(checks, f"mean_distance_T{args.t}", rep["mean_distance"], rep["bound"])
-    for i in range(8):
-        rng = trial_rng(args.seed, 10**6 + i)
+    for i, rng in enumerate(trial_streams(args.seed, 10**6, 10**6 + 8)):
         psi = PureState(haar_state_amps(2**args.n, rng))
         phi = PureState(haar_state_amps(2**args.n, rng))
         plan = decompose_phi(psi, phi)

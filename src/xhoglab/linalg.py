@@ -2,7 +2,9 @@
 
 Everything here is deterministic given a seed.  Seeds for individual trials are
 derived from a master seed and a trial counter (see :func:`trial_rng`), so that
-parallel experiment runs reproduce bit-for-bit regardless of scheduling.
+parallel experiment runs reproduce bit-for-bit regardless of scheduling.  Loops
+over many trials take the same ``SeedSequence((seed, i))`` -> PCG64 streams from
+:func:`trial_streams`, which computes the seeding a block of trials at a time.
 """
 
 from __future__ import annotations
@@ -28,6 +30,114 @@ class DimensionError(ValueError):
 def trial_rng(master_seed, trial=0):
     """Counter-based RNG derivation: one independent stream per (seed, trial)."""
     return np.random.default_rng(np.random.SeedSequence((int(master_seed), int(trial))))
+
+
+# numpy.random.SeedSequence's hash: uint32 words, a pool of four
+_MASK32 = 0xFFFFFFFF
+_SS_POOL = 4
+_SS_INIT_A, _SS_MULT_A = 0x43B0D7E5, 0x931E8875
+_SS_INIT_B, _SS_MULT_B = 0x8B51F9DD, 0x58F38DED
+_SS_MIX_L, _SS_MIX_R = 0xCA01F9DD, 0x4973F715
+# PCG64's 128-bit LCG multiplier
+_PCG_MULT = 0x2360ED051FC65DA44385DF649FCCF645
+_MASK128 = (1 << 128) - 1
+# the trial index must be one entropy word, as trial_rng's (seed, i) tuple has it
+TRIAL_INDEX_END = 2**32
+STREAM_BLOCK = 4096
+
+
+def _entropy_words(value: int) -> list:
+    """Little-endian uint32 words of a nonnegative int, at least one (SeedSequence's)."""
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def _hasher(hash_const, mult):
+    """SeedSequence's hashmix on uint32 arrays; the constant advances once per call."""
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ np.uint32(hash_const)
+        hash_const = hash_const * mult & _MASK32
+        value *= np.uint32(hash_const)
+        value ^= value >> 16
+        return value
+
+    return hashmix
+
+
+def _seed_sequence_states(seed_words, trials):
+    """``SeedSequence((seed, i)).generate_state(4, np.uint64)`` for each i in ``trials``.
+
+    The hash constants evolve independently of the data, so every step is
+    one uint32 array operation over the whole block (array arithmetic wraps
+    without a warning).  Returns a (len(trials), 4) uint64 array.
+    """
+    n = len(trials)
+    entropy = [np.full(n, w, dtype=np.uint32) for w in seed_words] + [trials]
+
+    def mix(x, y):
+        out = x * np.uint32(_SS_MIX_L)
+        out -= y * np.uint32(_SS_MIX_R)
+        out ^= out >> 16
+        return out
+
+    hashmix = _hasher(_SS_INIT_A, _SS_MULT_A)
+    zero = np.zeros(n, dtype=np.uint32)
+    pool = [hashmix(entropy[i] if i < len(entropy) else zero) for i in range(_SS_POOL)]
+    for src in range(_SS_POOL):
+        for dst in range(_SS_POOL):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for src in range(_SS_POOL, len(entropy)):
+        for dst in range(_SS_POOL):
+            pool[dst] = mix(pool[dst], hashmix(entropy[src]))
+
+    hashmix = _hasher(_SS_INIT_B, _SS_MULT_B)
+    words = np.empty((8, n), dtype=np.uint64)
+    for j in range(8):
+        words[j] = hashmix(pool[j % _SS_POOL])
+    # uint64 word k is uint32 words 2k (low half) and 2k + 1 (high half)
+    return (words[0::2] | (words[1::2] << np.uint64(32))).T
+
+
+def trial_streams(master_seed, start, stop):
+    """The streams ``trial_rng(master_seed, i)`` gives, for i in [start, stop).
+
+    SeedSequence's hash is computed for up to ``STREAM_BLOCK`` indices at a
+    time, and PCG64's seeding step turns each result into a state that is
+    assigned to one Generator.  That Generator is yielded for every index, so
+    a stream is valid only until the next one is drawn.  Ranges are checked
+    here, before anything is allocated.
+    """
+    seed = int(master_seed)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    if not (0 <= start and stop <= TRIAL_INDEX_END):
+        raise ValueError(f"trial range [{start}, {stop}) is outside [0, 2^32)")
+    return _streams(_entropy_words(seed), start, stop)
+
+
+def _streams(seed_words, start, stop):
+    bit_gen = np.random.PCG64(0)
+    rng = np.random.Generator(bit_gen)
+    for lo in range(start, stop, STREAM_BLOCK):
+        trials = np.arange(lo, min(lo + STREAM_BLOCK, stop), dtype=np.int64).astype(np.uint32)
+        for s_hi, s_lo, i_hi, i_lo in _seed_sequence_states(seed_words, trials).tolist():
+            # pcg64_set_seed: inc = 2 initseq + 1; state = ((inc + initstate) * MULT + inc)
+            inc = ((i_hi << 65) | (i_lo << 1) | 1) & _MASK128
+            state = ((inc + ((s_hi << 64) | s_lo)) * _PCG_MULT + inc) & _MASK128
+            bit_gen.state = {
+                "bit_generator": "PCG64",
+                "state": {"state": state, "inc": inc},
+                "has_uint32": 0,
+                "uinteger": 0,
+            }
+            yield rng
 
 
 def _as_rng(seed):

@@ -75,6 +75,11 @@ class SignFunction:
         return cls(n, np.array(table))
 
 
+def _reflect(v, amps):
+    """(I - 2 v v^dagger) amps in O(dim); scaling the overlap by 2 is exact."""
+    return amps - v * (2.0 * np.vdot(v, amps))
+
+
 class OracleHandle:
     """A queryable unitary whose hidden state is sealed from strategies.
 
@@ -108,14 +113,10 @@ class OracleHandle:
             # phase (I - 2 u u^dagger) W: Householder prep after the lazy Haar complement
             u = self._rank1_vec
             if adjoint:
-                amps = np.conj(self._phase) * (amps - 2.0 * u * np.vdot(u, amps))
-                return self._haar.apply_adjoint(amps)
-            amps = self._haar.apply(amps)
-            return self._phase * (amps - 2.0 * u * np.vdot(u, amps))
+                return self._haar.apply_adjoint(np.conj(self._phase) * _reflect(u, amps))
+            return self._phase * _reflect(u, self._haar.apply(amps))
         if self._rank1_vec is not None:
-            # I - 2 v v^dagger: self-adjoint, O(dim) application
-            v = self._rank1_vec
-            return amps - 2.0 * v * np.vdot(v, amps)
+            return _reflect(self._rank1_vec, amps)
         if self._diag is not None:
             return amps * (self._diag.conj() if adjoint else self._diag)
         m = self._mat
@@ -171,7 +172,9 @@ def canonical_oracle(psi: PureState, sealed=False) -> OracleHandle:
     """
     if psi.has_bot:
         raise ValueError("expected a state without the flag extension")
-    v = np.append(psi.amps, -1.0) * HALF_SQRT2
+    v = np.empty(psi.dim + 1, dtype=complex)
+    np.multiply(psi.amps, HALF_SQRT2, out=v[:-1])
+    v[-1] = -HALF_SQRT2
     return OracleHandle("canonical", psi.dim + 1, psi, rank1_vec=v, sealed=sealed)
 
 

@@ -29,7 +29,7 @@ from .linalg import (
     haar_unitary_mat,  # noqa: F401  unused here; xbench/test_xbench.py checks its tracer wraps this binding
     orth_basis,
     subspace_diamond_distance,
-    trial_rng,
+    trial_streams,
 )
 from .oracles import householder_vector
 
@@ -182,8 +182,7 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
         raise DimensionError(f"caps: 1 <= n <= {DENSE_MAX_QUBITS}, 0 <= t <= 4, trials >= 1")
     dim = 2**n
     dists = np.empty(trials)
-    for i in range(trials):
-        rng = trial_rng(seed, i)
+    for i, rng in enumerate(trial_streams(seed, 0, trials)):
         psi = PureState(haar_state_amps(dim, rng))
         plan = draw_plan(psi, rng)
         w = LazyHaarComplement(dim, rng) if t >= 2 else None

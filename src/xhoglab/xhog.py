@@ -18,7 +18,15 @@ from fractions import Fraction
 import numpy as np
 
 from . import SCHEMA_VERSION
-from .linalg import MAX_DIM, MAX_QUBITS, PureState, born_sample, haar_state_amps, trial_rng
+from .linalg import (
+    MAX_DIM,
+    MAX_QUBITS,
+    PureState,
+    born_sample,
+    haar_state_amps,
+    trial_rng,
+    trial_streams,
+)
 from .oracles import (
     OracleHandle,
     SignFunction,
@@ -87,15 +95,6 @@ class XebEstimate:
             w = csv.writer(fh)
             w.writerow(["trial", "z", "score", "queries"])
             w.writerows(zip(range(self.trials), self.z, self.scores, self.queries))
-
-
-def xeb_score_exact(z_dist, psi: PureState) -> float:
-    """2^n times the expected squared overlap of an output distribution with psi."""
-    z_dist = np.asarray(z_dist, dtype=float)
-    probs = psi.probabilities()
-    if len(z_dist) != len(probs):
-        raise ValueError("length mismatch")
-    return float(len(probs) * np.dot(z_dist, probs))
 
 
 def strategy_uniform(n: int, rng) -> StrategyOutcome:
@@ -229,9 +228,11 @@ def run_experiment(
 ) -> XebEstimate:
     """Per-trial fresh hidden instance, strategy run, exact scoring, aggregation.
 
-    Trial i derives its RNG from (master_seed, i), so results are bit-identical
-    regardless of execution order.  In exact mode (fourier family, naive
-    strategy) the score is the full average over every sign function.
+    Trial i draws from the stream ``trial_rng(master_seed, i)``, derived a
+    block at a time by ``trial_streams``, so results are bit-identical
+    regardless of execution order and any trial can be replayed alone.  In
+    exact mode (fourier family, naive strategy) the score is the full average
+    over every sign function.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -264,8 +265,7 @@ def run_experiment(
     zs = np.empty(trials, dtype=np.int32) if keep_trials else None
     queries = np.empty(trials, dtype=np.int32) if keep_trials else None
     n_dim = 2**n
-    for i in range(trials):
-        rng = trial_rng(master_seed, i)
+    for i, rng in enumerate(trial_streams(master_seed, 0, trials)):
         oracle, probs, psi = _hidden_instance(family, n, rng)
         outcome = _run_strategy(strategy, params, oracle, probs, psi, n, rng)
         scores[i] = n_dim * probs[outcome.z]

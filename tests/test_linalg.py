@@ -17,6 +17,7 @@ from xhoglab.linalg import (
     haar_unitary,
     trace_distance,
     trial_rng,
+    trial_streams,
     unitary_channel_diamond_distance,
 )
 from xhoglab.xhog import _exponential_chunks
@@ -129,6 +130,35 @@ def test_lazy_haar_entry_moments():
     w = np.array([LazyHaarComplement(4, trial_rng(73, i)).apply(np.eye(4)[1])[1] for i in range(trials)])
     assert abs(np.mean(np.abs(w) ** 2) - 1 / 3) < 3 * math.sqrt(1 / 18 / trials)
     assert abs(np.mean(w**2)) < 3 * math.sqrt(1 / 6 / trials)
+
+
+def test_trial_streams_match_trial_rng(capsys):
+    # 2^96 + 3 has five entropy words with the index, one more than the hash's pool
+    seeds = (0, 1, 2**32 - 1, 2**32, 2**64 + 5, 2**96 + 3, 2**130 + 11)
+    block = linalg.STREAM_BLOCK
+    checked = (0, 1, block - 1, block, 2**25 - 1, 2**32 - 1)
+    ranges = ((0, block + 1), (2**25 - 1, 2**25), (2**32 - 1, 2**32))
+    for seed in seeds:
+        seen = []
+        for start, stop in ranges:
+            for i, mine in zip(range(start, stop), trial_streams(seed, start, stop)):
+                if i not in checked:
+                    continue
+                ref = trial_rng(seed, i)
+                assert np.array_equal(mine.random(3), ref.random(3)), (seed, i)
+                assert np.array_equal(mine.standard_normal(4), ref.standard_normal(4)), (seed, i)
+                assert np.array_equal(mine.integers(0, 10, 5), ref.integers(0, 10, 5)), (seed, i)
+                assert mine.bit_generator.state == ref.bit_generator.state, (seed, i)
+                seen.append(i)
+        assert seen == list(checked)
+    for args in ((-1, 0, 1), (0, -1, 1), (0, 0, 2**32 + 1)):
+        with pytest.raises(ValueError):
+            trial_streams(*args)
+    from xhoglab.cli import main
+
+    argv = ["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2", "--seed", "-1"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error:")
 
 
 def test_measure_computational_point_mass():

@@ -4,7 +4,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from xhoglab import xhog
+from xhoglab import linalg, xhog
 from xhoglab.linalg import MAX_DIM, PureState, basis_state, haar_state_amps, trial_rng
 from xhoglab.oracles import (
     OracleSealedError,
@@ -25,29 +25,27 @@ from xhoglab.xhog import (
     strategy_k_copy_mode,
     strategy_naive_sample,
     strategy_uniform,
-    xeb_score_exact,
 )
 
 
 def test_xeb_score_uniform_is_one():
-    psi = PureState(haar_state_amps(8, trial_rng(1, 0)))
-    assert abs(xeb_score_exact(np.full(8, 1 / 8), psi) - 1.0) < 1e-12
+    # the runner scores output z as N * probs[z]; a uniform z averages to 1
+    probs = np.abs(haar_state_amps(8, trial_rng(1, 0))) ** 2
+    assert abs(np.mean(8 * probs[np.arange(8)]) - 1.0) < 1e-12
 
 
 def test_xeb_score_point_mass():
-    psi = basis_state(8, 0)
-    dist = np.zeros(8)
-    dist[0] = 1.0
-    assert xeb_score_exact(dist, psi) == 8.0
+    probs = basis_state(8, 0).probabilities()
+    assert 8 * probs[0] == 8.0
 
 
 def test_xeb_score_born_average():
-    # E over Haar of N * sum_z p_z^2 = 2N/(N+1)
+    # E over Haar of the Born-averaged score, sum_z p_z * N p_z, is 2N/(N+1)
     trials = 20000
     vals = np.empty(trials)
     for i in range(trials):
-        psi = PureState(haar_state_amps(8, trial_rng(2, i)))
-        vals[i] = xeb_score_exact(psi.probabilities(), psi)
+        probs = np.abs(haar_state_amps(8, trial_rng(2, i))) ** 2
+        vals[i] = np.dot(probs, 8 * probs)
     se = vals.std(ddof=1) / math.sqrt(trials)
     assert abs(vals.mean() - 16 / 9) < 3 * se
 
@@ -235,6 +233,45 @@ def test_run_experiment_reproducible_and_ledger_consistent():
         np.array_equal(getattr(a, f), getattr(b, f)) for f in ("z", "scores", "queries"))
     assert a.total_queries == a.queries.sum()
     assert np.all(np.abs(a.scores) >= 0)
+
+
+def _reference_loop(strategy, family, n, trials, seed, params):
+    """The runner's trials, one trial_rng stream each."""
+    zs, scores, queries = [], [], []
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        oracle, probs, psi = xhog._hidden_instance(family, n, rng)
+        outcome = xhog._run_strategy(strategy, params, oracle, probs, psi, n, rng)
+        zs.append(outcome.z)
+        scores.append(2**n * probs[outcome.z])
+        queries.append(outcome.queries_used)
+    return zs, scores, queries
+
+
+def test_run_experiment_matches_a_trial_rng_loop(monkeypatch):
+    # a small block puts block edges inside every run
+    monkeypatch.setattr(linalg, "STREAM_BLOCK", 7)
+    params_of = {"k_copy_mode": ({"k": 1}, {"k": 3}),
+                 "collision_amplify": ({"k": 1}, {"k": 3}, {"k": 3, "schedule": "adaptive"})}
+    ran = 0
+    for strategy in xhog.STRATEGIES:
+        for family in xhog.FAMILIES:
+            for n in (1, 3, 5):
+                for params in params_of.get(strategy, ({},)):
+                    try:
+                        want = _reference_loop(strategy, family, n, 16, 23, params)
+                    except ValueError:
+                        with pytest.raises(ValueError):
+                            run_experiment(strategy, family, n, 16, 23, strategy_params=params)
+                        continue
+                    est = run_experiment(strategy, family, n, 16, 23, strategy_params=params,
+                                         keep_trials=True)
+                    got = (est.z.tolist(), est.scores.tolist(), est.queries.tolist())
+                    assert got == want, (strategy, family, n, params)
+                    ran += 1
+    # per n: 3 families for uniform, naive and argmax, 2 k's for k_copy_mode; collision_amplify
+    # needs k >= 2 and a state reflection, so it runs 2 params on 2 families
+    assert ran == 3 * (3 * 3 + 2 * 3 + 2 * 2)
 
 
 def test_k_copy_upper_bound_chain():
