@@ -142,11 +142,12 @@ def _verify_oracles(args, checks):
     for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
         psi = PureState(haar_state_amps(2**args.n, rng))
         o = canonical_oracle(psi)
-        got = o.apply(bot_state(args.n))
-        dev = float(np.max(np.abs(got.amps - psi.with_bot().amps)))
+        bot = bot_state(args.n).amps
+        got = o.apply(bot)
+        dev = float(np.max(np.abs(got - psi.with_bot().amps)))
         _check(checks, f"case_{i}_flag_to_psi", dev, 1e-10)
         twice = o.apply(got)
-        dev = float(np.max(np.abs(twice.amps - bot_state(args.n).amps)))
+        dev = float(np.max(np.abs(twice - bot)))
         _check(checks, f"case_{i}_involution", dev, 1e-10)
     from .linalg import haar_unitary
 

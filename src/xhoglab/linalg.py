@@ -197,6 +197,11 @@ def bot_state(n: int) -> PureState:
     return basis_state(2**n + 1, 2**n, has_bot=True)
 
 
+def _unitarity_error(m) -> float:
+    """max |m^dagger m - I| over the entries; 0 for an empty matrix."""
+    return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])), initial=0.0))
+
+
 @dataclass
 class UnitaryOp:
     """A dense unitary with an additive ledger of oracle call counts."""
@@ -209,9 +214,31 @@ class UnitaryOp:
         d = self.mat.shape[0]
         if self.mat.shape != (d, d):
             raise DimensionError("matrix is not square")
-        err = np.max(np.abs(self.mat.conj().T @ self.mat - np.eye(d)))
+        err = _unitarity_error(self.mat)
         if err > 1e-8:
             raise ValueError(f"matrix is not unitary (deviation {err:.3g})")
+
+    @classmethod
+    def from_update(cls, basis, block, query_ledger=None) -> "UnitaryOp":
+        """I + B (E - I) B^dagger: E acts on span(B), the complement is fixed.
+
+        It is unitary exactly when B (dim x r) has orthonormal columns and E
+        (r x r) is unitary.  Both are checked in O(dim r^2) with the bound of
+        the dense check, so the O(dim^3) product mat^dagger mat is never formed.
+        A rank-one reflection is B = v, E = [[-1]]; r = 0 gives the identity.
+        """
+        b = np.asarray(basis, dtype=complex)
+        e = np.asarray(block, dtype=complex)
+        if b.ndim != 2 or e.shape != (b.shape[1], b.shape[1]):
+            raise DimensionError(f"basis {b.shape} and block {e.shape} do not match")
+        for what, m in (("basis columns are not orthonormal", b), ("block is not unitary", e)):
+            err = _unitarity_error(m)
+            if err > 1e-8:
+                raise ValueError(f"{what} (deviation {err:.3g})")
+        op = object.__new__(cls)
+        op.mat = np.eye(len(b), dtype=complex) + b @ (e - np.eye(len(e))) @ b.conj().T
+        op.query_ledger = dict(query_ledger or {})
+        return op
 
     @property
     def dim(self) -> int:
@@ -255,10 +282,7 @@ def haar_state(n: int, seed) -> PureState:
     """Haar-random n-qubit state: normalized i.i.d. complex Gaussian amplitudes."""
     if not 1 <= n <= MAX_QUBITS:
         raise DimensionError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
-    rng = _as_rng(seed)
-    dim = 2**n
-    z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
-    return PureState(z / np.linalg.norm(z))
+    return PureState(haar_state_amps(2**n, _as_rng(seed)))
 
 
 def haar_state_amps(dim: int, rng) -> np.ndarray:

@@ -84,19 +84,19 @@ class OracleHandle:
     """A queryable unitary whose hidden state is sealed from strategies.
 
     Every forward/adjoint/controlled application increments ``calls`` by one.
-    ``apply`` is matrix-free: rank-one, diagonal, or (random prep) a rank-one
-    Householder after a lazily sampled Haar complement.  Only a handle built
-    from a dense matrix applies one; ``unitary`` materializes it on request.
+    Queries take and return amplitude arrays and are matrix-free: rank-one,
+    diagonal, or (random prep) a rank-one Householder after a lazily sampled
+    Haar complement.  ``unitary`` builds the dense operator once, on request.
     """
 
-    def __init__(self, kind, dim, metadata, mat=None, rank1_vec=None, diag=None, haar=None,
-                 phase=1.0, sealed=False):
+    def __init__(self, kind, dim, metadata, rank1_vec=None, diag=None, haar=None, phase=1.0,
+                 sealed=False):
         self.kind = kind
         self.dim = dim
         self.calls = 0
         self.sealed = sealed
         self._metadata = metadata
-        self._mat = mat
+        self._unitary = None
         self._rank1_vec = rank1_vec
         self._diag = diag
         self._haar = haar
@@ -117,23 +117,16 @@ class OracleHandle:
             return self._phase * _reflect(u, self._haar.apply(amps))
         if self._rank1_vec is not None:
             return _reflect(self._rank1_vec, amps)
-        if self._diag is not None:
-            return amps * (self._diag.conj() if adjoint else self._diag)
-        m = self._mat
-        return (m.conj().T @ amps) if adjoint else (m @ amps)
+        return amps * (self._diag.conj() if adjoint else self._diag)
 
-    def apply(self, state):
-        """One oracle query.  Accepts and returns either PureState or ndarray."""
+    def apply(self, amps):
+        """One oracle query on an amplitude array."""
         self.calls += 1
-        if isinstance(state, PureState):
-            return PureState(self._apply_mat(state.amps, False), has_bot=state.has_bot)
-        return self._apply_mat(np.asarray(state, dtype=complex), False)
+        return self._apply_mat(np.asarray(amps, dtype=complex), False)
 
-    def apply_adjoint(self, state):
+    def apply_adjoint(self, amps):
         self.calls += 1
-        if isinstance(state, PureState):
-            return PureState(self._apply_mat(state.amps, True), has_bot=state.has_bot)
-        return self._apply_mat(np.asarray(state, dtype=complex), True)
+        return self._apply_mat(np.asarray(amps, dtype=complex), True)
 
     def apply_controlled(self, state_2dim):
         """Block-diagonal controlled form on a doubled space; costs one query."""
@@ -144,24 +137,23 @@ class OracleHandle:
 
     @property
     def unitary(self) -> UnitaryOp:
-        """The dense matrix, for tests and cross-checks; later queries agree with it."""
-        if self._mat is None:
-            if self._rank1_vec is not None:
-                v = self._rank1_vec
-                self._mat = np.eye(self.dim, dtype=complex) - 2.0 * np.outer(v, v.conj())
-                if self._haar is not None:
-                    self._mat = self._phase * self._mat @ self._haar.materialize()
-            elif self._diag is not None:
-                self._mat = np.diag(self._diag.astype(complex))
-        return UnitaryOp(self._mat)
+        """The dense operator, for tests and cross-checks; later queries agree with it."""
+        if self._unitary is None:
+            if self._haar is not None:
+                v = householder_matrix(self._phase, self._rank1_vec)
+                self._unitary = UnitaryOp(v @ self._haar.materialize())
+            elif self._rank1_vec is not None:
+                self._unitary = UnitaryOp.from_update(self._rank1_vec[:, None], [[-1.0]])
+            else:
+                self._unitary = UnitaryOp(np.diag(self._diag))
+        return self._unitary
 
 
 def reflection_about(psi: PureState) -> UnitaryOp:
     """I - 2 |psi><psi|: psi is a -1 eigenvector, its complement is fixed."""
     if psi.has_bot:
         raise ValueError("expected a state without the flag extension")
-    v = psi.amps
-    return UnitaryOp(np.eye(psi.dim, dtype=complex) - 2.0 * np.outer(v, v.conj()))
+    return UnitaryOp.from_update(psi.amps[:, None], [[-1.0]])
 
 
 def canonical_oracle(psi: PureState, sealed=False) -> OracleHandle:
@@ -188,40 +180,23 @@ def householder_vector(psi_amps: np.ndarray):
     return phase, (u / nrm if nrm > 1e-14 else np.zeros_like(u))
 
 
-def gram_schmidt_prep(psi_amps: np.ndarray) -> np.ndarray:
-    """Alternative completion: first column psi, rest by Gram-Schmidt on the identity."""
-    psi_amps = np.asarray(psi_amps, dtype=complex)
-    dim = len(psi_amps)
-    cols = [psi_amps]
-    for i in range(dim):
-        if len(cols) == dim:
-            break
-        c = np.eye(dim)[i].astype(complex)
-        for b in cols:
-            c = c - b * np.vdot(b, c)
-        nrm = np.linalg.norm(c)
-        if nrm > 1e-9:
-            cols.append(c / nrm)
-    return np.column_stack(cols)
+def householder_matrix(phase, u) -> np.ndarray:
+    """Dense phase (I - 2 u u^dagger); the u = 0 of psi ~ |0> spans no direction."""
+    basis = u[:, None] if u.any() else np.zeros((len(u), 0))
+    return phase * UnitaryOp.from_update(basis, -np.eye(basis.shape[1])).mat
 
 
-def random_prep_oracle(psi: PureState, seed, completion="householder", sealed=False) -> OracleHandle:
+def random_prep_oracle(psi: PureState, seed, sealed=False) -> OracleHandle:
     """A unitary with U|0^n> = |psi>, Haar-random on the complement of |0^n>.
 
-    Built as V W: V is a fixed completion preparing psi, W is Haar on the
-    subspace orthogonal to |0^n>.  The distribution is independent of the
-    choice of V by Haar invariance.  The Householder completion is applied
-    matrix-free, with W sampled lazily; the Gram-Schmidt one is a dense
-    cross-check.
+    Built as V W: V is the Householder completion preparing psi, W is Haar on
+    the subspace orthogonal to |0^n>.  The distribution is independent of the
+    choice of V by Haar invariance.  V is applied matrix-free, with W sampled
+    lazily.
     """
     if psi.has_bot:
         raise ValueError("expected a state without the flag extension")
     haar = LazyHaarComplement(psi.dim, _as_rng(seed))
-    if completion == "gram_schmidt":
-        mat = gram_schmidt_prep(psi.amps) @ haar.materialize()
-        return OracleHandle("random_prep", psi.dim, psi, mat=mat, sealed=sealed)
-    if completion != "householder":
-        raise ValueError(f"unknown completion {completion!r}")
     phase, u = householder_vector(psi.amps)
     return OracleHandle("random_prep", psi.dim, psi, rank1_vec=u, haar=haar, phase=phase, sealed=sealed)
 
@@ -288,8 +263,7 @@ def refl_from_prep(prep: UnitaryOp, t: int, n_system=None) -> UnitaryOp:
         sv = np.linalg.svd(block, compute_uv=False)
         if sv[0] < 1.0 - 1e-8:
             raise ValueError("prep output on zeros is not a product state")
-    mat = np.eye(dim, dtype=complex) - 2.0 * np.outer(out0, out0.conj())
-    return UnitaryOp(mat, {"prep": 2 * t + 1})
+    return UnitaryOp.from_update(out0[:, None], [[-1.0]], {"prep": 2 * t + 1})
 
 
 def embed_extended_to_ancilla(amps_ext: np.ndarray) -> np.ndarray:
@@ -340,8 +314,7 @@ def canonical_from_prep(prep: UnitaryOp, t: int) -> UnitaryOp:
     queries for t simulated oracle queries.
     """
     target = canonical_prep_target(prep)
-    mat = np.eye(len(target), dtype=complex) - 2.0 * np.outer(target, target.conj())
-    return UnitaryOp(mat, {"prep": 4 * t + 2})
+    return UnitaryOp.from_update(target[:, None], [[-1.0]], {"prep": 4 * t + 2})
 
 
 def preparation_input(oracle: OracleHandle) -> np.ndarray:

@@ -31,7 +31,7 @@ from .linalg import (
     subspace_diamond_distance,
     trial_streams,
 )
-from .oracles import householder_vector
+from .oracles import _reflect, householder_matrix, householder_vector
 
 log = logging.getLogger(__name__)
 
@@ -53,6 +53,14 @@ class RotationPlan:
     theta: float
     psi_perp: PureState
 
+    @property
+    def block(self) -> np.ndarray:
+        """The rotation on (psi_perp, psi): [[alpha, conj(beta)], [-beta, alpha]].
+
+        It has determinant 1, trace 2 cos(theta), and eigenvalues e^(+-i theta).
+        """
+        return np.array([[self.alpha, np.conj(self.beta)], [-self.beta, self.alpha]])
+
 
 def decompose_phi(psi: PureState, phi: PureState) -> RotationPlan:
     """Split phi into its psi component and a normalized orthogonal remainder."""
@@ -68,16 +76,9 @@ def decompose_phi(psi: PureState, phi: PureState) -> RotationPlan:
 
 
 def rotation_R(plan: RotationPlan) -> UnitaryOp:
-    """The rotation with R phi = psi_perp, identity outside span{psi, psi_perp}.
-
-    In the ordered basis (psi_perp, psi) the 2x2 block is
-    [[alpha, conj(beta)], [-beta, alpha]]; it has determinant 1, trace
-    2 cos(theta), and eigenvalues e^(+-i theta).
-    """
-    b = np.column_stack([plan.psi_perp.amps, plan.psi.amps])
-    block = np.array([[plan.alpha, np.conj(plan.beta)], [-plan.beta, plan.alpha]])
-    mat = np.eye(plan.psi.dim, dtype=complex) + b @ (block - np.eye(2)) @ b.conj().T
-    return UnitaryOp(mat)
+    """The rotation with R phi = psi_perp, identity outside span{psi, psi_perp},
+    acting as ``plan.block`` in the ordered basis (psi_perp, psi)."""
+    return UnitaryOp.from_update(np.column_stack([plan.psi_perp.amps, plan.psi.amps]), plan.block)
 
 
 def swap_via_canonical(psi: PureState, psi_perp: PureState) -> UnitaryOp:
@@ -129,8 +130,7 @@ def simulate_U_psi(psi: PureState, seed, mode="ideal", t=1) -> UnitaryOp:
 
 
 def _simulated_query_matrix(plan: RotationPlan, w, mode):
-    phase, u = householder_vector(plan.phi.amps)
-    v = phase * (np.eye(len(u)) - 2.0 * np.outer(u, u.conj()))
+    v = householder_matrix(*householder_vector(plan.phi.amps))
     if mode == "ideal":
         v = rotation_R(plan).mat @ v
     elif mode != "approximate":
@@ -149,8 +149,7 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
     """
     if t == 0:
         return 0.0
-    block = np.array([[plan.alpha, np.conj(plan.beta)], [-plan.beta, plan.alpha]])
-    e = block - np.eye(2)
+    e = plan.block - np.eye(2)
     s_b = np.column_stack([plan.psi.amps, plan.psi_perp.amps])  # = swap @ (psi_perp, psi)
     if t == 1:
         # W and the swap cancel: the mismatch is the bare rotation, distance 2|beta|
@@ -159,7 +158,7 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
 
     def approximate_query(x):  # S V W x, matrix-free
         y = w.apply(x)
-        return _swap(plan, phase * (y - 2.0 * u * np.vdot(u, y)))
+        return _swap(plan, phase * _reflect(u, y))
 
     cs = [s_b]
     for _ in range(t - 1):

@@ -195,11 +195,30 @@ def test_verify_uprep_report_and_rerun(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("n, seeds", [(1, range(1, 51)), (2, range(1, 51)), (8, range(1, 51)),
-                                      (10, range(1, 6))], ids=["n1", "n2", "n8", "n10"])
+                                      (10, range(1, 13))], ids=["n1", "n2", "n8", "n10"])
 def test_verify_uprep_passes_on_correct_code(n, seeds, capsys):
     for seed in seeds:
         assert main(["verify", "uprep", "-n", str(n), "--trials", "1", "--seed", str(seed)]) == 0
     assert "FAIL" not in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, dense_checks", [
+    (["uprep", "-n", "8", "-T", "2", "--trials", "2"], 0),  # rotations are built by from_update
+    (["oracles", "-n", "8", "--cases", "3"], 1),  # only the Haar prep is checked densely
+])
+def test_verify_runs_the_dense_unitarity_check_only_where_needed(argv, dense_checks, monkeypatch,
+                                                                  capsys):
+    calls = []
+    post_init = UnitaryOp.__post_init__
+
+    def counted(self):
+        calls.append(self.mat.shape)
+        post_init(self)
+
+    monkeypatch.setattr(UnitaryOp, "__post_init__", counted)
+    assert main(["verify", *argv, "--seed", "4"]) == 0
+    assert len(calls) == dense_checks
+    capsys.readouterr()
 
 
 def _with_third_direction(rotation_R):

@@ -214,6 +214,57 @@ def test_query_ledger_additive():
     assert (a @ b).query_ledger == {"prep": 5, "other": 1}
 
 
+def _orthonormal(dim, r, rng):
+    return np.linalg.qr(rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r)))[0]
+
+
+def test_from_update_matches_dense_formulas():
+    rng = trial_rng(67, 0)
+    for dim in (2, 5, 16):
+        # a rank-one reflection, as built before from np.outer
+        v = linalg.haar_state_amps(dim, rng)
+        op = UnitaryOp.from_update(v[:, None], [[-1.0]], {"prep": 3})
+        assert np.max(np.abs(op.mat - (np.eye(dim) - 2.0 * np.outer(v, v.conj())))) < 1e-14
+        assert op.query_ledger == {"prep": 3}
+        # a rank-2 rotation block and a Haar block of rank 3, against I + B (E - I) B^dagger
+        for r in (2, 3):
+            b = _orthonormal(dim, min(r, dim), rng)
+            e = haar_unitary(b.shape[1], rng).mat
+            want = np.eye(dim) + b @ (e - np.eye(len(e))) @ b.conj().T
+            op = UnitaryOp.from_update(b, e)
+            assert np.max(np.abs(op.mat - want)) < 1e-14
+            assert op.query_ledger == {}
+            UnitaryOp(op.mat)  # and it passes the dense check
+
+
+def test_from_update_checks_basis_and_block():
+    rng = trial_rng(67, 1)
+    b = _orthonormal(6, 2, rng)
+    rot = np.array([[0.6, 0.8], [-0.8, 0.6]])
+    UnitaryOp.from_update(b * (1 + 1e-10), rot)  # within the dense check's 1e-8
+    with pytest.raises(ValueError, match="orthonormal"):
+        UnitaryOp.from_update(b * (1 + 1e-7), rot)
+    with pytest.raises(ValueError, match="orthonormal"):
+        UnitaryOp.from_update(b + 1e-3 * b[:, ::-1], rot)  # 2e-3 off orthogonal
+    with pytest.raises(ValueError, match="block is not unitary"):
+        UnitaryOp.from_update(b, rot * 1.001)
+    with pytest.raises(ValueError, match="block is not unitary"):
+        UnitaryOp.from_update(b[:, :1], [[2.0]])
+    with pytest.raises(DimensionError):
+        UnitaryOp.from_update(b, [[-1.0]])
+    with pytest.raises(DimensionError):
+        UnitaryOp.from_update(b[:, 0], [[-1.0]])
+
+
+def test_from_update_of_no_direction_is_identity():
+    # householder_vector's u = 0 (psi ~ |0>) is no direction: a zero column is not
+    # orthonormal, and an empty basis gives the identity
+    with pytest.raises(ValueError, match="orthonormal"):
+        UnitaryOp.from_update(np.zeros((4, 1)), [[-1.0]])
+    op = UnitaryOp.from_update(np.zeros((4, 0)), np.zeros((0, 0)))
+    assert np.array_equal(op.mat, np.eye(4))
+
+
 def test_density_matrix_validation():
     with pytest.raises(ValueError):
         DensityMatrix(np.diag([0.5, 0.6]))

@@ -61,10 +61,10 @@ def test_reflection_about_examples():
 def test_canonical_oracle_defining_actions():
     psi = haar_state(3, 7)
     o = canonical_oracle(psi)
-    got = o.apply(bot_state(3))
-    assert np.max(np.abs(got.amps - psi.with_bot().amps)) < 1e-10
+    got = o.apply(bot_state(3).amps)
+    assert np.max(np.abs(got - psi.with_bot().amps)) < 1e-10
     back = o.apply(got)
-    assert np.max(np.abs(back.amps - bot_state(3).amps)) < 1e-10
+    assert np.max(np.abs(back - bot_state(3).amps)) < 1e-10
     # a state orthogonal to psi and the flag is fixed
     rng = trial_rng(7, 1)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -136,20 +136,27 @@ def test_random_prep_n1_phase():
     assert abs(abs(m[1, 1]) - 1.0) < 1e-10
 
 
+def test_householder_matrix_matches_dense_formula():
+    for n in (1, 3, 5):
+        phase, u = oracles.householder_vector(haar_state(n, 21 + n).amps)
+        want = phase * (np.eye(2**n) - 2.0 * np.outer(u, u.conj()))
+        assert np.max(np.abs(oracles.householder_matrix(phase, u) - want)) < 1e-14
+    # psi = |0>: u = 0, and V is the phase times the identity
+    phase, u = oracles.householder_vector(np.array([1j, 0, 0, 0]))
+    assert not u.any()
+    assert np.array_equal(oracles.householder_matrix(phase, u), 1j * np.eye(4))
+
+
 def test_random_prep_completion_invariance():
-    # second-moment statistics of an off-first-column entry agree between completions
+    # U|1> is uniform on the complement of psi whatever completion prepares psi, so
+    # E|U_01|^2 = (1 - |psi_0|^2) / (N - 1)
     psi = haar_state(2, 23)
     trials = 3000
-    acc = {}
-    for completion in ("householder", "gram_schmidt"):
-        vals = np.empty(trials)
-        for i in range(trials):
-            o = random_prep_oracle(psi, trial_rng(29, i), completion=completion)
-            vals[i] = abs(o.unitary.mat[0, 1]) ** 2
-        acc[completion] = (vals.mean(), vals.std(ddof=1) / math.sqrt(trials))
-    diff = abs(acc["householder"][0] - acc["gram_schmidt"][0])
-    se = math.hypot(acc["householder"][1], acc["gram_schmidt"][1])
-    assert diff < 3 * se
+    vals = np.empty(trials)
+    for i in range(trials):
+        vals[i] = abs(random_prep_oracle(psi, trial_rng(29, i)).unitary.mat[0, 1]) ** 2
+    exact = (1 - abs(psi.amps[0]) ** 2) / (psi.dim - 1)
+    assert abs(vals.mean() - exact) < 3 * vals.std(ddof=1) / math.sqrt(trials)
 
 
 def test_refl_from_prep_identity_prep():
