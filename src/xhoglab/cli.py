@@ -247,6 +247,8 @@ def cmd_verify(args) -> int:
 
 def cmd_lp(args) -> int:
     from .fourier_lp import (
+        CERTIFY_CAP,
+        ENUM_CAP,
         CertificateError,
         CrossCheckError,
         build_primal,
@@ -260,6 +262,13 @@ def cmd_lp(args) -> int:
     if args.emit_config:
         print(json.dumps(config, sort_keys=True, indent=2))
         return 0
+    # checked before any work: dual_certificate's C(2^n, 2^(n-1)) alone takes
+    # ~30 s at n = 20, and a negative n is no size at all; solve has no LP at n = 0
+    n_range = {"certify": (0, CERTIFY_CAP), "solve": (1, ENUM_CAP), "naive-value": (0, ENUM_CAP)}
+    lo, hi = n_range[args.action]
+    if not lo <= args.n <= hi:
+        print(f"error: lp {args.action} needs {lo} <= -n <= {hi}", file=sys.stderr)
+        return 2
     report = {"schema_version": SCHEMA_VERSION, "action": args.action, "n": args.n}
     try:
         if args.action == "naive-value":
@@ -272,7 +281,7 @@ def cmd_lp(args) -> int:
             report["transcript"] = transcript
             report["b_exact"] = f"{cert.b.numerator}/{cert.b.denominator}"
             summary = transcript.rstrip("\n").splitlines()[-1]
-        elif args.action == "solve":
+        else:  # solve
             value, _ = solve_primal_numeric(build_primal(args.n))
             cert = dual_certificate(args.n)
             target = cert.b / 2**args.n
@@ -284,9 +293,6 @@ def cmd_lp(args) -> int:
                 print(summary)
                 print("error: numeric optimum disagrees with certificate", file=sys.stderr)
                 return 1
-        else:
-            print(f"error: unknown action {args.action}", file=sys.stderr)
-            return 2
     except CertificateError as exc:
         print(f"certificate invalid: {exc}", file=sys.stderr)
         return 1

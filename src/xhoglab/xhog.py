@@ -242,8 +242,14 @@ def run_experiment(
         raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
     params = strategy_params or {}
     k = params.get("k", 2)
-    if strategy in ("k_copy_mode", "collision_amplify") and k > MAX_DIM:
-        raise ValueError(f"k = {k} is over the cap of {MAX_DIM} copies")
+    # the strategies check these too, but only inside the first trial, after the
+    # per-trial arrays are allocated
+    if strategy in ("k_copy_mode", "collision_amplify"):
+        k_min = 1 if strategy == "k_copy_mode" else 2
+        if not k_min <= k <= MAX_DIM:
+            raise ValueError(f"{strategy} needs {k_min} <= k <= {MAX_DIM} copies, got k = {k}")
+    if strategy == "collision_amplify" and family == "fourier":
+        raise ValueError("collision_amplify needs a state reflection, which the fourier oracle lacks")
     t0 = time.perf_counter()
 
     if exact:
@@ -260,12 +266,13 @@ def run_experiment(
 
     if not 1 <= trials <= MAX_TRIALS:
         raise ValueError(f"trials = {trials} outside [1, {MAX_TRIALS}] (2^25, a 256 MiB score array)")
+    streams = trial_streams(master_seed, 0, trials)  # rejects a negative seed here
     scores = np.empty(trials)
     total_queries = 0
     zs = np.empty(trials, dtype=np.int32) if keep_trials else None
     queries = np.empty(trials, dtype=np.int32) if keep_trials else None
     n_dim = 2**n
-    for i, rng in enumerate(trial_streams(master_seed, 0, trials)):
+    for i, rng in enumerate(streams):
         oracle, probs, psi = _hidden_instance(family, n, rng)
         outcome = _run_strategy(strategy, params, oracle, probs, psi, n, rng)
         scores[i] = n_dim * probs[outcome.z]
@@ -284,12 +291,20 @@ def run_experiment(
 # Vectorized Monte Carlo helpers for the closed-form checks
 
 
-def _sample_rows(probs, rng):
-    """One categorical sample per row of a probability matrix."""
-    cum = np.cumsum(probs, axis=1)
-    cum[:, -1] = 1.0
-    u = rng.random(probs.shape[0])
-    return (cum < u[:, None]).sum(axis=1)
+def _row_cdf(probs):
+    """Overwrite each row of a probability matrix with its CDF; returns it.
+
+    The last entry is pinned to 1, so rounding in the sums cannot leave a
+    uniform above every entry.
+    """
+    cdf = np.cumsum(probs, axis=1, out=probs)
+    cdf[:, -1] = 1.0
+    return cdf
+
+
+def _draw_rows(cdf, u):
+    """One categorical index per row of a CDF matrix: the entries below u."""
+    return (cdf < u[:, None]).sum(axis=1)
 
 
 def _exponential_chunks(n_dim, trials, rng, chunk):
@@ -323,7 +338,10 @@ def collision_rate_mc(n, trials, seed, chunk=100_000):
     hits = 0
     for probs in _exponential_chunks(n_dim, trials, rng, chunk):
         probs /= probs.sum(axis=1, keepdims=True)
-        hits += int(np.sum(_sample_rows(probs, rng) == _sample_rows(probs, rng)))
+        cdf = _row_cdf(probs)
+        # the same uniforms as two rng.random(m) calls, one per measurement
+        u = rng.random((2, len(cdf)))
+        hits += int(np.sum(_draw_rows(cdf, u[0]) == _draw_rows(cdf, u[1])))
     rate = hits / trials
     se = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
     return rate / n_dim, se / n_dim
@@ -339,10 +357,11 @@ def posterior_mc(n, k, m, trials, seed, chunk=100_000):
     vals = []
     for probs in _exponential_chunks(2**n, trials, rng, chunk):
         probs /= probs.sum(axis=1, keepdims=True)
-        counts = np.zeros(len(probs), dtype=np.int64)
-        for _ in range(k):
-            counts += _sample_rows(probs, rng) == 0
-        vals.append(probs[counts == m, 0])
+        # a measurement gives string 0 exactly when its uniform is <= cdf[0] = p_0
+        # (for N = 1 the pinned cdf[0] = 1 = p_0 as well), so no CDF is built
+        p0 = probs[:, 0]
+        counts = (rng.random((k, len(p0))) <= p0).sum(axis=0)
+        vals.append(p0[counts == m])
     vals = np.concatenate(vals)
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals)
 
@@ -354,9 +373,11 @@ def chernoff_mass_rate(n, k, trials, seed, chunk=50_000):
     hits = 0
     for probs in _exponential_chunks(2**n, trials, rng, chunk):
         probs /= probs.sum(axis=1, keepdims=True)
+        cdf = _row_cdf(probs.copy())
         mass = np.zeros(len(probs))
         for _ in range(k):
-            mass += np.take_along_axis(probs, _sample_rows(probs, rng)[:, None], 1)[:, 0]
+            z = _draw_rows(cdf, rng.random(len(cdf)))
+            mass += np.take_along_axis(probs, z[:, None], 1)[:, 0]
         hits += int(np.sum(mass >= threshold))
     return hits / trials
 

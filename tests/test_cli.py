@@ -110,6 +110,10 @@ def test_xhog_qubit_count_out_of_range_is_usage_error(capsys):
     ["--strategy", "naive", "--trials", str(xhog.MAX_TRIALS + 1)],
     ["--strategy", "k_copy_mode", "-k", "100000000", "--trials", "1"],
     ["--strategy", "collision_amplify", "-k", str(MAX_DIM + 1), "--trials", "1"],
+    # at the trial cap, a bad k or family is rejected before the 256 MiB score array
+    ["--strategy", "k_copy_mode", "-k", "0", "--trials", str(xhog.MAX_TRIALS)],
+    ["--strategy", "collision_amplify", "-k", "1", "--trials", str(xhog.MAX_TRIALS)],
+    ["--strategy", "collision_amplify", "--family", "fourier", "--trials", str(xhog.MAX_TRIALS)],
 ])
 def test_xhog_oversized_run_is_usage_error(extra, capsys):
     tracemalloc.start()
@@ -388,6 +392,31 @@ def test_lp_bad_n_is_usage_error(capsys):
     # enumeration-backed actions reject n over the cap with a usage error
     rc = main(["lp", "naive-value", "-n", "7"])
     assert rc == 2
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("action,n,cap", [
+    ("certify", "-1", 8), ("certify", "9", 8), ("certify", "20", 8), ("certify", "64", 8),
+    ("solve", "-1", 4), ("solve", "0", 4), ("solve", "5", 4), ("solve", "64", 4),
+    ("naive-value", "-1", 4), ("naive-value", "5", 4),
+])
+def test_lp_n_is_checked_before_any_work(action, n, cap, capsys):
+    # certify -n 20 once spent ~30 s in math.comb; -1 and 64 raised tracebacks
+    tracemalloc.start()
+    try:
+        rc = main(["lp", action, "-n", n])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 2
+    assert peak < 2**20
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and f"<= {cap}" in err
+
+
+@pytest.mark.parametrize("action", ["certify", "naive-value"])
+def test_lp_at_n_zero(action, capsys):
+    assert main(["lp", action, "-n", "0"]) == 0
     capsys.readouterr()
 
 

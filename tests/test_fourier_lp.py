@@ -157,6 +157,17 @@ def test_objective_coefficients_closed_form_and_enum():
     assert enumerate_objective_coefficient(2, (0,)) == 0
 
 
+def test_all_sign_tables_match_column_stack():
+    # reference: one column per x, bit N - 1 - x of the row index, stacked
+    for n in range(5):
+        n_dim = 2**n
+        masks = np.arange(2**n_dim, dtype=np.int64)
+        cols = [(1 - 2 * ((masks >> (n_dim - 1 - x)) & 1)) for x in range(n_dim)]
+        want = np.column_stack(cols).astype(np.int64)
+        got = fourier_lp._all_sign_tables(n)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
 def test_cross_checks_raise_on_mismatch(monkeypatch):
     # the independent computations must raise, not assert (asserts vanish under -O)
     real = fourier_lp._all_sign_tables

@@ -179,6 +179,61 @@ def test_mc_helpers_pinned_outputs():
     assert chernoff_mass_rate(3, 1, 10_000, 5) == 0.9767
 
 
+def _loop_sample_rows(probs, rng):
+    cum = np.cumsum(probs, axis=1)
+    cum[:, -1] = 1.0
+    u = rng.random(probs.shape[0])
+    return (cum < u[:, None]).sum(axis=1)
+
+
+def _loop_collision_rate(n, trials, seed, chunk):
+    rng = trial_rng(seed, 0)
+    hits = 0
+    for probs in xhog._exponential_chunks(2**n, trials, rng, chunk):
+        probs /= probs.sum(axis=1, keepdims=True)
+        hits += int(np.sum(_loop_sample_rows(probs, rng) == _loop_sample_rows(probs, rng)))
+    rate = hits / trials
+    se = math.sqrt(max(rate * (1 - rate), 1e-300) / trials)
+    return rate / 2**n, se / 2**n
+
+
+def _loop_posterior(n, k, m, trials, seed, chunk):
+    rng = trial_rng(seed, 0)
+    vals = []
+    for probs in xhog._exponential_chunks(2**n, trials, rng, chunk):
+        probs /= probs.sum(axis=1, keepdims=True)
+        counts = np.zeros(len(probs), dtype=np.int64)
+        for _ in range(k):
+            counts += _loop_sample_rows(probs, rng) == 0
+        vals.append(probs[counts == m, 0])
+    vals = np.concatenate(vals)
+    return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals)
+
+
+def _loop_chernoff(n, k, trials, seed, chunk):
+    rng = trial_rng(seed, 0)
+    hits = 0
+    for probs in xhog._exponential_chunks(2**n, trials, rng, chunk):
+        probs /= probs.sum(axis=1, keepdims=True)
+        mass = np.zeros(len(probs))
+        for _ in range(k):
+            mass += np.take_along_axis(probs, _loop_sample_rows(probs, rng)[:, None], 1)[:, 0]
+        hits += int(np.sum(mass >= k / 2 ** (n + 2)))
+    return hits / trials
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4])
+def test_mc_helpers_match_a_per_draw_loop(n):
+    # the reference builds a fresh CDF and draws one uniform vector per sample;
+    # 1100-row chunks end in a partial chunk of 800 rows
+    trials, chunk = 3000, 1100
+    m = 4 if n == 0 else 1  # at N = 1 every draw is string 0, so only m = k is seen
+    for seed in range(6):
+        assert collision_rate_mc(n, trials, seed, chunk) == _loop_collision_rate(n, trials, seed, chunk)
+        assert posterior_mc(n, 4, m, trials, seed, chunk) == _loop_posterior(n, 4, m, trials, seed, chunk)
+        assert chernoff_mass_rate(n, 3, trials, seed, chunk) == _loop_chernoff(n, 3, trials, seed, chunk)
+
+
 def test_strategy_argmax():
     out = strategy_argmax(basis_state(8, 3))
     assert out.z == 3
