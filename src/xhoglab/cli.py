@@ -17,7 +17,6 @@ import numpy as np
 
 from . import SCHEMA_VERSION, __version__
 from .linalg import (
-    DENSE_MAX_QUBITS,
     MAX_DIM,
     MAX_QUBITS,
     PureState,
@@ -132,31 +131,38 @@ def _verify_symmetrize(args, checks):
 
 
 def _verify_oracles(args, checks):
-    from .oracles import canonical_from_prep, canonical_oracle, refl_from_prep
+    from .oracles import HALF_SQRT2, _reflect, canonical_from_prep, canonical_oracle, refl_from_prep
+    from .oracles import embed_extended_to_ancilla as embed, random_prep_oracle
 
-    if not (1 <= args.n <= DENSE_MAX_QUBITS and args.cases >= 1):
-        raise ValueError(
-            f"oracles needs 1 <= -n <= {DENSE_MAX_QUBITS} and --cases >= 1: its Haar prep"
-            " and 2N x 2N reflections are dense"
-        )
+    if not (1 <= args.n <= MAX_QUBITS and args.cases >= 1):
+        raise ValueError(f"oracles needs 1 <= -n <= {MAX_QUBITS} and --cases >= 1")
     for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
         psi = PureState(haar_state_amps(2**args.n, rng))
         o = canonical_oracle(psi)
         bot = bot_state(args.n).amps
         got = o.apply(bot)
-        dev = float(np.max(np.abs(got - psi.with_bot().amps)))
-        _check(checks, f"case_{i}_flag_to_psi", dev, 1e-10)
-        twice = o.apply(got)
-        dev = float(np.max(np.abs(twice - bot)))
-        _check(checks, f"case_{i}_involution", dev, 1e-10)
-    from .linalg import haar_unitary
-
-    prep = haar_unitary(2**args.n, trial_rng(args.seed, args.cases))
+        _check(checks, f"case_{i}_flag_to_psi", np.max(np.abs(got - psi.with_bot().amps)), 1e-10)
+        _check(checks, f"case_{i}_involution", np.max(np.abs(o.apply(got) - bot)), 1e-10)
+    # each simulation circuit runs against a sealed random prep oracle, which counts its calls
+    rng = trial_rng(args.seed, args.cases)
+    psi = PureState(haar_state_amps(2**args.n, rng))
+    ext = np.column_stack([haar_state_amps(2**args.n + 1, rng) for _ in range(2)])  # probes
+    reflected, oracled = ext[:-1], ext
+    o = canonical_oracle(psi)
     for t in (1, 2, 3):
-        led = refl_from_prep(prep, t).query_ledger["prep"]
-        _check(checks, f"refl_ledger_T{t}", abs(led - (2 * t + 1)), 0)
-        led = canonical_from_prep(prep, t).query_ledger["prep"]
-        _check(checks, f"canonical_ledger_T{t}", abs(led - (4 * t + 2)), 0)
+        reflected = np.column_stack([_reflect(psi.amps, c) for c in reflected.T])
+        oracled = o.apply(oracled)
+        prep = random_prep_oracle(psi, rng, sealed=True)
+        copy, got = refl_from_prep(prep, t, ext[:-1])
+        _check(checks, f"refl_ledger_T{t}", abs(prep.calls - (2 * t + 1)), 0)
+        dev = max(np.max(np.abs(copy - psi.amps)), np.max(np.abs(got - reflected)))
+        _check(checks, f"refl_action_T{t}", dev, 1e-10)
+        prep = random_prep_oracle(psi, rng, sealed=True)
+        copy, got = canonical_from_prep(prep, t, embed(ext))
+        _check(checks, f"canonical_ledger_T{t}", abs(prep.calls - (4 * t + 2)), 0)
+        want = embed(np.append(psi.amps, -1.0) * HALF_SQRT2)
+        dev = max(np.max(np.abs(copy - want)), np.max(np.abs(got - embed(oracled))))
+        _check(checks, f"canonical_action_T{t}", dev, 1e-10)
 
 
 def _verify_uprep(args, checks):

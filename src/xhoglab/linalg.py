@@ -10,7 +10,7 @@ over many trials take the same ``SeedSequence((seed, i))`` -> PCG64 streams from
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -19,7 +19,7 @@ ATOL = 1e-10
 
 MAX_QUBITS = 14
 MAX_DIM = 2**MAX_QUBITS
-# verifiers that build dense N x N or 2N x 2N operators stop here
+# verify uprep, which builds dense N x N operators, stops here
 DENSE_MAX_QUBITS = 10
 
 
@@ -204,10 +204,9 @@ def _unitarity_error(m) -> float:
 
 @dataclass
 class UnitaryOp:
-    """A dense unitary with an additive ledger of oracle call counts."""
+    """A dense unitary, checked on construction."""
 
     mat: np.ndarray
-    query_ledger: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.mat = np.asarray(self.mat, dtype=complex)
@@ -219,7 +218,7 @@ class UnitaryOp:
             raise ValueError(f"matrix is not unitary (deviation {err:.3g})")
 
     @classmethod
-    def from_update(cls, basis, block, query_ledger=None) -> "UnitaryOp":
+    def from_update(cls, basis, block) -> "UnitaryOp":
         """I + B (E - I) B^dagger: E acts on span(B), the complement is fixed.
 
         It is unitary exactly when B (dim x r) has orthonormal columns and E
@@ -237,23 +236,11 @@ class UnitaryOp:
                 raise ValueError(f"{what} (deviation {err:.3g})")
         op = object.__new__(cls)
         op.mat = np.eye(len(b), dtype=complex) + b @ (e - np.eye(len(e))) @ b.conj().T
-        op.query_ledger = dict(query_ledger or {})
         return op
 
     @property
     def dim(self) -> int:
         return self.mat.shape[0]
-
-    def __matmul__(self, other: "UnitaryOp") -> "UnitaryOp":
-        if self.dim != other.dim:
-            raise DimensionError("dimension mismatch in composition")
-        ledger = dict(self.query_ledger)
-        for k, v in other.query_ledger.items():
-            ledger[k] = ledger.get(k, 0) + v
-        return UnitaryOp(self.mat @ other.mat, ledger)
-
-    def apply(self, state: PureState) -> PureState:
-        return PureState(self.mat @ state.amps, has_bot=state.has_bot)
 
 
 def check_unit_trace(tr):

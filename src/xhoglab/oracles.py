@@ -11,7 +11,8 @@ Three oracle families are provided:
 Two encodings of the flag state coexist: matrix-level oracles append an
 (N+1)-th basis index, while circuit-level constructions use an ancilla qubit
 (|psi> encoded as |psi>|1>, the flag as |0^n>|0>).  ``embed_extended_to_ancilla``
-is the verified isomorphism between them.
+is the verified isomorphism between them.  The reductions run as circuits on
+sealed handles, so a query count is always a handle's ``calls``.
 """
 
 from __future__ import annotations
@@ -25,6 +26,8 @@ import numpy as np
 from .linalg import LazyHaarComplement, PureState, UnitaryOp, _as_rng, born_sample
 
 HALF_SQRT2 = 1.0 / math.sqrt(2)
+# the basis vector that one query maps to the hidden state: the flag, or |0^n>
+_START_INDEX = {"canonical": -1, "random_prep": 0}
 
 
 class OracleSealedError(RuntimeError):
@@ -83,10 +86,11 @@ def _reflect(v, amps):
 class OracleHandle:
     """A queryable unitary whose hidden state is sealed from strategies.
 
-    Every forward/adjoint/controlled application increments ``calls`` by one.
-    Queries take and return amplitude arrays and are matrix-free: rank-one,
+    Every forward/adjoint/controlled application increments ``calls``, the
+    program's only query count, by one.  Queries are matrix-free: rank-one,
     diagonal, or (random prep) a rank-one Householder after a lazily sampled
-    Haar complement.  ``unitary`` builds the dense operator once, on request.
+    Haar complement.  A (dim, m) block is one query of oracle (x) I_m, served
+    column by column.  ``unitary`` builds the dense operator once, on request.
     """
 
     def __init__(self, kind, dim, metadata, rank1_vec=None, diag=None, haar=None, phase=1.0,
@@ -109,6 +113,8 @@ class OracleHandle:
         return self._metadata
 
     def _apply_mat(self, amps, adjoint):
+        if amps.ndim == 2:
+            return np.column_stack([self._apply_mat(col, adjoint) for col in amps.T])
         if self._haar is not None:
             # phase (I - 2 u u^dagger) W: Householder prep after the lazy Haar complement
             u = self._rank1_vec
@@ -137,15 +143,10 @@ class OracleHandle:
 
     @property
     def unitary(self) -> UnitaryOp:
-        """The dense operator, for tests and cross-checks; later queries agree with it."""
+        """The dense operator, for tests and cross-checks: an uncounted query of the
+        identity block, so later queries agree with it."""
         if self._unitary is None:
-            if self._haar is not None:
-                v = householder_matrix(self._phase, self._rank1_vec)
-                self._unitary = UnitaryOp(v @ self._haar.materialize())
-            elif self._rank1_vec is not None:
-                self._unitary = UnitaryOp.from_update(self._rank1_vec[:, None], [[-1.0]])
-            else:
-                self._unitary = UnitaryOp(np.diag(self._diag))
+            self._unitary = UnitaryOp(self._apply_mat(np.eye(self.dim, dtype=complex), False))
         return self._unitary
 
 
@@ -247,23 +248,21 @@ def fourier_sampling_state(f: SignFunction) -> PureState:
     return PureState(fourier_coefficients_float(f).astype(complex))
 
 
-def refl_from_prep(prep: UnitaryOp, t: int, n_system=None) -> UnitaryOp:
-    """Simulate the reflection about psi from a prep unitary with garbage.
+def reflect_about_state(oracle: OracleHandle, amps) -> np.ndarray:
+    """I - 2|psi><psi| as O (I - 2|start><start|) O^dagger with O|start> = |psi>: two queries."""
+    amps = oracle.apply_adjoint(amps)
+    amps[_START_INDEX[oracle.kind]] *= -1.0
+    return oracle.apply(amps)
 
-    Given prep |0...0> = |psi>|phi>, the operator prep (I - 2|0..0><0..0|)
-    prep^dagger acts as R_psi on the system register whenever the garbage
-    register holds |phi>.  The ledger records the 2t+1 prep queries needed
-    for t reflections (2 per reflection plus one initial garbage preparation).
-    """
-    dim = prep.dim
-    out0 = prep.mat[:, 0]
-    if n_system is not None:
-        n_sys = 2**n_system
-        block = out0.reshape(n_sys, dim // n_sys)
-        sv = np.linalg.svd(block, compute_uv=False)
-        if sv[0] < 1.0 - 1e-8:
-            raise ValueError("prep output on zeros is not a product state")
-    return UnitaryOp.from_update(out0[:, None], [[-1.0]], {"prep": 2 * t + 1})
+
+def refl_from_prep(prep: OracleHandle, t: int, probes):
+    """Simulate t reflections about psi = prep|0^n> with 2t+1 prep queries: one
+    prepares the reference copy prep|0^n> (the garbage preparation), and each
+    reflection is ``reflect_about_state``.  Returns the copy and R_psi^t probes."""
+    copy = prep.apply(preparation_input(prep))
+    for _ in range(t):
+        probes = reflect_about_state(prep, probes)
+    return copy, probes
 
 
 def embed_extended_to_ancilla(amps_ext: np.ndarray) -> np.ndarray:
@@ -273,7 +272,7 @@ def embed_extended_to_ancilla(amps_ext: np.ndarray) -> np.ndarray:
     to 0 (|0^n>|0>).
     """
     n_dim = len(amps_ext) - 1
-    out = np.zeros(2 * n_dim, dtype=complex)
+    out = np.zeros((2 * n_dim, *np.shape(amps_ext)[1:]), dtype=complex)
     out[1::2] = amps_ext[:n_dim]
     out[0] = amps_ext[n_dim]
     return out
@@ -288,33 +287,40 @@ def project_ancilla_to_extended(amps_anc: np.ndarray) -> np.ndarray:
     return out
 
 
-def canonical_prep_target(prep: UnitaryOp) -> np.ndarray:
-    """The state the two-query circuit prepares from |0^n>|0>:
-    (|psi>|1> - |0^n>|0>)/sqrt(2) for psi = prep|0^n>.
+def canonical_prep_circuit(prep: OracleHandle, s, adjoint=False) -> np.ndarray:
+    """The two-query circuit P, or P^dagger, with P|0^n>|0> = (|psi>|1> - |0^n>|0>)/sqrt(2)
+    for psi = prep|0^n>, on s[x, a] or a block s[x, a, j] (system x, ancilla a, index 2x+a).
 
-    Registers: n-qubit system (index x) tensor one ancilla (index a), basis
-    index 2x+a, simulated as the N x 2 array s[x, a].  Stages: ancilla X,
-    ancilla H, controlled flag prep (identity here, since the flag's system
-    part is |0^n>), controlled prep^dagger, ancilla X, final prep on the
-    system register.
+    P's stages: ancilla X, ancilla H, controlled flag prep (identity here, since
+    the flag's system part is |0^n>), controlled prep^dagger, ancilla X, and
+    prep (x) I, one query on the (N, 2m) block.
     """
-    s = np.zeros((prep.dim, 2), dtype=complex)
-    s[0, 0] = 1.0
-    s = s[:, ::-1] @ (np.array([[1, 1], [1, -1]]) * HALF_SQRT2)  # ancilla X, ancilla H
-    s[:, 1] = (s[:, 1].conj() @ prep.mat).conj()  # controlled prep^dagger
-    return (prep.mat @ s[:, ::-1]).reshape(-1)  # ancilla X, prep on the system
+    s = np.asarray(s, dtype=complex)
+    if adjoint:
+        s = prep.apply_adjoint(s.reshape(prep.dim, -1)).reshape(s.shape)[:, ::-1]
+        s[:, 1] = prep.apply(s[:, 1])  # controlled prep
+        return np.stack([s[:, 0] - s[:, 1], s[:, 0] + s[:, 1]], axis=1) * HALF_SQRT2  # H, X
+    s = np.stack([s[:, 1] + s[:, 0], s[:, 1] - s[:, 0]], axis=1) * HALF_SQRT2  # ancilla X, H
+    s[:, 1] = prep.apply_adjoint(s[:, 1])  # controlled prep^dagger
+    return prep.apply(s[:, ::-1].reshape(prep.dim, -1)).reshape(s.shape)  # ancilla X, prep
 
 
-def canonical_from_prep(prep: UnitaryOp, t: int) -> UnitaryOp:
-    """Simulate the canonical oracle for psi = prep|0^n> in the ancilla encoding.
+def canonical_from_prep(prep: OracleHandle, t: int, probes):
+    """Simulate t canonical-oracle queries for psi = prep|0^n> with 4t+2 prep queries.
 
-    Returns the reflection about (|psi>|1> - |0^n>|0>)/sqrt(2), built as
-    P (I - 2|0><0|) P^dagger for the two-query prep circuit P, whose first
-    column is ``canonical_prep_target``.  The ledger records 4t+2 prep
-    queries for t simulated oracle queries.
+    In the ancilla encoding the oracle is the reflection about P|0^n>|0>, run as
+    P (I - 2|0^n 0><0^n 0|) P^dagger: P prepares that reference copy once and
+    each reflection runs P^dagger and P.  Returns the copy and the t-fold
+    simulated oracle applied to ``probes`` (a 2N vector or a (2N, m) block).
     """
-    target = canonical_prep_target(prep)
-    return UnitaryOp.from_update(target[:, None], [[-1.0]], {"prep": 4 * t + 2})
+    start = np.eye(2 * prep.dim, 1).reshape(prep.dim, 2)  # |0^n>|0>
+    target = canonical_prep_circuit(prep, start).reshape(-1)
+    s = np.reshape(probes, (prep.dim, 2, -1))
+    for _ in range(t):
+        s = canonical_prep_circuit(prep, s, adjoint=True)
+        s[0, 0] *= -1.0
+        s = canonical_prep_circuit(prep, s)
+    return target, s.reshape(np.shape(probes))
 
 
 def preparation_input(oracle: OracleHandle) -> np.ndarray:
@@ -326,10 +332,10 @@ def preparation_input(oracle: OracleHandle) -> np.ndarray:
     """
     if oracle.kind == "fourier_phase":
         return np.ones(oracle.dim, dtype=complex)
-    if oracle.kind not in ("canonical", "random_prep"):
+    if oracle.kind not in _START_INDEX:
         raise ValueError(f"oracle kind {oracle.kind!r} cannot prepare the hidden state")
     start = np.zeros(oracle.dim, dtype=complex)
-    start[-1 if oracle.kind == "canonical" else 0] = 1.0
+    start[_START_INDEX[oracle.kind]] = 1.0
     return start
 
 

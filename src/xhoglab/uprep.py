@@ -31,7 +31,7 @@ from .linalg import (
     subspace_diamond_distance,
     trial_streams,
 )
-from .oracles import _reflect, householder_matrix, householder_vector
+from .oracles import _reflect, canonical_oracle, householder_matrix, householder_vector
 
 log = logging.getLogger(__name__)
 
@@ -81,20 +81,18 @@ def rotation_R(plan: RotationPlan) -> UnitaryOp:
     return UnitaryOp.from_update(np.column_stack([plan.psi_perp.amps, plan.psi.amps]), plan.block)
 
 
-def swap_via_canonical(psi: PureState, psi_perp: PureState) -> UnitaryOp:
+def swap_via_canonical(psi: PureState, psi_perp: PureState):
     """O_psi O_{psi_perp} O_psi on the extended space: swaps psi and psi_perp.
 
-    Fixes the flag state and everything orthogonal to all three; costs 2
-    queries to O_psi and 1 to O_{psi_perp}.
+    Fixes the flag state and everything orthogonal to all three.  Built by
+    applying sealed canonical-oracle handles to an identity block; returns the
+    matrix and the handles' call counts (2 to O_psi, 1 to O_{psi_perp}).
     """
-    from .oracles import canonical_oracle
-
     if abs(np.vdot(psi.amps, psi_perp.amps)) > 1e-10:
         raise ValueError("psi and psi_perp are not orthogonal")
-    o_psi = canonical_oracle(psi).unitary
-    o_perp = canonical_oracle(psi_perp).unitary
-    out = o_psi @ o_perp @ o_psi
-    return UnitaryOp(out.mat, {"O_psi": 2, "O_psi_perp": 1})
+    o_psi, o_perp = canonical_oracle(psi, sealed=True), canonical_oracle(psi_perp, sealed=True)
+    out = o_psi.apply(o_perp.apply(o_psi.apply(np.eye(psi.dim + 1))))
+    return UnitaryOp(out), (o_psi.calls, o_perp.calls)
 
 
 def _swap(plan: RotationPlan, x):
@@ -114,28 +112,32 @@ def draw_plan(psi: PureState, rng) -> RotationPlan:
             log.info("resampled a degenerate helper state at dim %d", psi.dim)
 
 
-def simulate_U_psi(psi: PureState, seed, mode="ideal", t=1) -> UnitaryOp:
+def simulate_U_psi(psi: PureState, seed, mode="ideal", t=1):
     """The t-query composition of the simulated random prep oracle.
 
     ideal mode uses the corrected prep V' = RV (maps zeros to psi exactly and
     is distributed as a fresh random prep oracle); approximate mode substitutes
-    the available V.  The ledger records 2 canonical-oracle queries per
-    simulated query.
+    the available V.  Returns the dense composition and its O_psi query count.
     """
     rng = _as_rng(seed)
     plan = draw_plan(psi, rng)
-    w = LazyHaarComplement(psi.dim, rng).materialize()
-    mat = _simulated_query_matrix(plan, w, mode)
-    return UnitaryOp(np.linalg.matrix_power(mat, t), {"O_psi": 2 * t})
+    return _simulated_composition(plan, LazyHaarComplement(psi.dim, rng).materialize(), mode, t)
 
 
-def _simulated_query_matrix(plan: RotationPlan, w, mode):
+def _simulated_composition(plan: RotationPlan, w, mode, t):
+    """(S V W)^t and its O_psi query count, with the swap S run as O_psi O_{psi_perp} O_psi
+    on sealed canonical-oracle handles: 2 O_psi queries per simulated query."""
     v = householder_matrix(*householder_vector(plan.phi.amps))
     if mode == "ideal":
         v = rotation_R(plan).mat @ v
     elif mode != "approximate":
         raise ValueError(f"unknown mode {mode!r}")
-    return _swap(plan, v @ w)
+    o_psi, o_perp = (canonical_oracle(p, sealed=True) for p in (plan.psi, plan.psi_perp))
+    x = np.eye(len(w) + 1, len(w), dtype=complex)  # the n-qubit space; the flag row stays ~0
+    for _ in range(t):
+        x[:-1] = v @ (w @ x[:-1])
+        x = o_psi.apply(o_perp.apply(o_psi.apply(x)))
+    return UnitaryOp(x[:-1]), o_psi.calls
 
 
 def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> float:

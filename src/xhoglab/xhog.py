@@ -35,6 +35,7 @@ from .oracles import (
     fourier_phase_oracle,
     preparation_input,
     random_prep_oracle,
+    reflect_about_state,
     sample_oracle_output,
 )
 
@@ -150,11 +151,9 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
         seen.add(z)
 
     good = np.fromiter(sorted(seen), dtype=np.intp)
-    start = preparation_input(oracle)  # the flag or |0^n>: reflecting about it is free
-    flip_index = oracle.dim - 1 if oracle.kind == "canonical" else 0
     n_dim = oracle.dim - 1 if oracle.kind == "canonical" else oracle.dim
     n = n_dim.bit_length() - 1
-    state = oracle.apply(start)
+    state = oracle.apply(preparation_input(oracle))
 
     if schedule == "fixed":
         t_iter = fixed_grover_iterations(n, k)
@@ -167,12 +166,8 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
         raise ValueError(f"unknown schedule {schedule!r}")
 
     for _ in range(t_iter):
-        # O (I - 2|start><start|) O^dagger = I - 2|psi><psi|; the canonical oracle is a
-        # reflection, so its adjoint query is the same query
         state[good] *= -1.0
-        state = oracle.apply_adjoint(state)
-        state[flip_index] *= -1.0
-        state = oracle.apply(state)
+        state = reflect_about_state(oracle, state)
     z = int(born_sample(np.abs(state[:n_dim]) ** 2, rng))
     aux = {"collision": False, "grover_iterations": t_iter, "amplified_hit": z in seen}
     return StrategyOutcome(z, oracle.calls - before, aux)
@@ -351,8 +346,10 @@ def posterior_mc(n, k, m, trials, seed, chunk=100_000):
     """Conditional mean of p_0 given string 0 appears m times in k measurements.
 
     Returns (mean, std_err, conditioning_count); the exact value is the
-    posterior expectation (1+m)/(2^n+k).
-    """
+    posterior expectation (1+m)/(2^n+k).  Raises ValueError unless 0 <= m <= k
+    and two or more rows meet the condition (none does for m < k at N = 1)."""
+    if not 0 <= m <= k:
+        raise ValueError("need 0 <= m <= k")
     rng = trial_rng(seed, 0)
     vals = []
     for probs in _exponential_chunks(2**n, trials, rng, chunk):
@@ -363,6 +360,8 @@ def posterior_mc(n, k, m, trials, seed, chunk=100_000):
         counts = (rng.random((k, len(p0))) <= p0).sum(axis=0)
         vals.append(p0[counts == m])
     vals = np.concatenate(vals)
+    if len(vals) < 2:
+        raise ValueError(f"{len(vals)} of {trials} rows see string 0 exactly {m} times")
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals)
 
 

@@ -8,7 +8,9 @@ import time
 from fractions import Fraction
 
 import numpy as np
+import pytest
 
+from xhoglab import oracles, uprep
 from xhoglab.cli import main
 from xhoglab.fourier_lp import (
     build_primal,
@@ -22,17 +24,15 @@ from xhoglab.linalg import (
     UnitaryOp,
     expected_max_simplex,
     haar_state_amps,
-    haar_unitary,
     trial_rng,
     unitary_channel_diamond_distance,
 )
-from xhoglab.oracles import canonical_from_prep, refl_from_prep
+from xhoglab.oracles import OracleHandle, embed_extended_to_ancilla, random_prep_oracle
 from xhoglab.symmetrize import ResourceSpec, verify_symmetrization
 from xhoglab.uprep import (
     channel_distance_bound_report,
     decompose_phi,
     rotation_R,
-    simulate_U_psi,
     swap_via_canonical,
 )
 from xhoglab.xhog import collision_rate_mc, max_xeb_mc, posterior_mc, run_experiment
@@ -90,15 +90,59 @@ def test_criterion_04_symmetrization():
 
 
 def test_criterion_05_query_ledgers():
-    prep = haar_unitary(8, trial_rng(5, 0))
+    # every count is a sealed handle's calls; the circuits are looked up on their
+    # modules, so the one-query mutations below reach them
     psi = PureState(haar_state_amps(8, trial_rng(5, 1)))
+    probes = np.eye(9, 2, -3, dtype=complex)
     ok = True
     for t in (1, 2, 3):
-        ok = ok and refl_from_prep(prep, t).query_ledger == {"prep": 2 * t + 1}
-        ok = ok and canonical_from_prep(prep, t).query_ledger == {"prep": 4 * t + 2}
-        u = simulate_U_psi(psi, trial_rng(5, 2), "ideal", t=t)
-        ok = ok and u.query_ledger == {"O_psi": 2 * t}
+        prep = random_prep_oracle(psi, trial_rng(5, 0), sealed=True)
+        oracles.refl_from_prep(prep, t, probes[:-1])
+        ok = ok and prep.calls == 2 * t + 1
+        prep = random_prep_oracle(psi, trial_rng(5, 0), sealed=True)
+        oracles.canonical_from_prep(prep, t, embed_extended_to_ancilla(probes))
+        ok = ok and prep.calls == 4 * t + 2
+        _, calls = uprep.simulate_U_psi(psi, trial_rng(5, 2), "ideal", t=t)
+        ok = ok and calls == 2 * t
     _report(5, "query ledgers 2T+1, 4T+2, 2T for T=1..3", ok)
+
+
+def _one_query_off(monkeypatch, module, name, extra):
+    """Mutate module.name: its first forward query is dropped (the input passes
+    through, uncounted) or, with ``extra``, made twice."""
+    real_apply, real_circuit = OracleHandle.apply, getattr(module, name)
+    armed = []
+
+    def apply(self, amps):
+        if armed and armed.pop():
+            if not extra:
+                return np.asarray(amps, dtype=complex)
+            real_apply(self, amps)
+        return real_apply(self, amps)
+
+    def circuit(*args, **kwargs):
+        armed.append(True)
+        try:
+            return real_circuit(*args, **kwargs)
+        finally:
+            armed.clear()
+
+    monkeypatch.setattr(OracleHandle, "apply", apply)
+    monkeypatch.setattr(module, name, circuit)
+
+
+@pytest.mark.parametrize("extra", [False, True], ids=["skip", "add"])
+@pytest.mark.parametrize("module, name", [
+    ("oracles", "refl_from_prep"), ("oracles", "canonical_from_prep"), ("uprep", "simulate_U_psi"),
+])
+def test_criterion_05_fails_a_circuit_one_query_off(module, name, extra, monkeypatch, capsys):
+    _one_query_off(monkeypatch, {"oracles": oracles, "uprep": uprep}[module], name, extra)
+    # a skipped O_psi query leaves simulate_U_psi's matrix non-unitary, which UnitaryOp rejects
+    with pytest.raises((AssertionError, ValueError)):
+        test_criterion_05_query_ledgers()
+    if module == "oracles":  # verify oracles runs these two circuits, not the dense simulate_U_psi
+        assert main(["verify", "oracles", "-n", "3", "--cases", "1", "--seed", "1"]) == 1
+    capsys.readouterr()
 
 
 def test_criterion_06_swap_and_channel_distance():
@@ -109,7 +153,7 @@ def test_criterion_06_swap_and_channel_distance():
         psi = PureState(haar_state_amps(16, rng))
         phi = PureState(haar_state_amps(16, rng))
         plan = decompose_phi(psi, phi)
-        s = swap_via_canonical(psi, plan.psi_perp)
+        s, _ = swap_via_canonical(psi, plan.psi_perp)
         dev = max(
             np.max(np.abs(s.mat @ psi.with_bot().amps - plan.psi_perp.with_bot().amps)),
             np.max(np.abs(s.mat @ plan.psi_perp.with_bot().amps - psi.with_bot().amps)),

@@ -180,6 +180,20 @@ def test_verify_rerun_byte_identical(tmp_path, capsys):
     assert outs[0] == outs[1]
 
 
+def test_verify_oracles_at_the_qubit_cap_stays_small(capsys):
+    # the circuits run on amplitude arrays; a dense prep at n = 14 would need 4 GiB
+    tracemalloc.start()
+    try:
+        rc = main(["verify", "oracles", "-n", "14", "--cases", "1", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 16 * 2**20
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 14 and all(ln.endswith(" OK") for ln in lines)
+
+
 def test_verify_uprep_report_and_rerun(tmp_path, capsys):
     out = tmp_path / "u.json"
     texts = []
@@ -208,7 +222,7 @@ def test_verify_uprep_passes_on_correct_code(n, seeds, capsys):
 
 @pytest.mark.parametrize("argv, dense_checks", [
     (["uprep", "-n", "8", "-T", "2", "--trials", "2"], 0),  # rotations are built by from_update
-    (["oracles", "-n", "8", "--cases", "3"], 1),  # only the Haar prep is checked densely
+    (["oracles", "-n", "8", "--cases", "3"], 0),  # the circuits run on sealed handles
 ])
 def test_verify_runs_the_dense_unitarity_check_only_where_needed(argv, dense_checks, monkeypatch,
                                                                   capsys):
@@ -234,7 +248,7 @@ def _with_third_direction(rotation_R):
             v = v - b * np.vdot(b, v)
         v /= np.linalg.norm(v)
         extra = np.eye(len(v)) + (np.exp(1e-5j) - 1) * np.outer(v, v.conj())
-        return rotation_R(plan) @ UnitaryOp(extra)
+        return UnitaryOp(rotation_R(plan).mat @ extra)
     return rotated
 
 
@@ -278,8 +292,8 @@ def test_verify_unknown_suite(capsys):
     ["symmetrize", "--cases", "0"],
     ["oracles", "-n", "-1"],
     ["oracles", "-n", "0"],
-    ["oracles", "-n", "11"],  # dense Haar prep and 2N x 2N reflections, as in uprep
-    ["oracles", "-n", "14"],
+    ["oracles", "-n", "15"],  # over linalg.MAX_QUBITS
+    ["oracles", "-n", "64"],  # 2^64 amplitudes, rejected before any allocation
     ["oracles", "--cases", "0"],
 ])
 def test_verify_bad_size_is_usage_error(argv, capsys):

@@ -2,7 +2,7 @@
 
 Each flag is drawn from a small window around each of its bounds.  The
 accepted top of a range is left out where one run there takes seconds: -n 9
-and 10 of the dense verifiers, xhog's -k 2^14 (k queries of a 2^14-dimensional
+and 10 of verify uprep, xhog's -k 2^14 (k queries of a 2^14-dimensional
 random-prep oracle) and --trials 2^25, and lp solve -n 4 (a 65536-row LP).
 Their rejected sides are drawn.  A rejected xhog argv is run again at
 --trials 2^25, unless --trials itself was the fault, so a check that comes
@@ -31,7 +31,7 @@ WINDOWS = {
         "-k": (-1, 0, 1, 2, 6, 7),  # the protocol enumeration stops at k = 6
         "--cases": (-1, 0, 1, 2),
     },
-    "oracles": {"-n": (-1, 0, 1, 2, 11, 14), "--cases": (-1, 0, 1, 2)},
+    "oracles": {"-n": (-1, 0, 1, 2, 15, 14), "--cases": (-1, 0, 1, 2)},
     "uprep": {"-n": (-1, 0, 1, 2, 11, 14), "-T": (-1, 0, 1, 4, 5), "--trials": (-1, 0, 1, 2)},
     "simplex": {"-N": (-1, 0, 1, 2, 16384, 16385), "--trials": (-1, 0, 1, 99, 100, 101)},
 }

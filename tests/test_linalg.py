@@ -208,12 +208,6 @@ def test_diamond_distance_generic_phase_pair():
     assert abs(got - 2 * math.sin(math.pi / 4)) < 1e-12
 
 
-def test_query_ledger_additive():
-    a = UnitaryOp(np.eye(2), {"prep": 2})
-    b = UnitaryOp(np.eye(2), {"prep": 3, "other": 1})
-    assert (a @ b).query_ledger == {"prep": 5, "other": 1}
-
-
 def _orthonormal(dim, r, rng):
     return np.linalg.qr(rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r)))[0]
 
@@ -223,9 +217,8 @@ def test_from_update_matches_dense_formulas():
     for dim in (2, 5, 16):
         # a rank-one reflection, as built before from np.outer
         v = linalg.haar_state_amps(dim, rng)
-        op = UnitaryOp.from_update(v[:, None], [[-1.0]], {"prep": 3})
+        op = UnitaryOp.from_update(v[:, None], [[-1.0]])
         assert np.max(np.abs(op.mat - (np.eye(dim) - 2.0 * np.outer(v, v.conj())))) < 1e-14
-        assert op.query_ledger == {"prep": 3}
         # a rank-2 rotation block and a Haar block of rank 3, against I + B (E - I) B^dagger
         for r in (2, 3):
             b = _orthonormal(dim, min(r, dim), rng)
@@ -233,7 +226,6 @@ def test_from_update_matches_dense_formulas():
             want = np.eye(dim) + b @ (e - np.eye(len(e))) @ b.conj().T
             op = UnitaryOp.from_update(b, e)
             assert np.max(np.abs(op.mat - want)) < 1e-14
-            assert op.query_ledger == {}
             UnitaryOp(op.mat)  # and it passes the dense check
 
 

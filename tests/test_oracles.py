@@ -11,7 +11,6 @@ from xhoglab.linalg import (
     born_sample,
     bot_state,
     haar_state,
-    haar_unitary,
     trial_rng,
 )
 from xhoglab.oracles import (
@@ -24,6 +23,7 @@ from xhoglab.oracles import (
     fourier_sampling_state,
     project_ancilla_to_extended,
     random_prep_oracle,
+    reflect_about_state,
     reflection_about,
     refl_from_prep,
 )
@@ -159,75 +159,107 @@ def test_random_prep_completion_invariance():
     assert abs(vals.mean() - exact) < 3 * vals.std(ddof=1) / math.sqrt(trials)
 
 
+def test_block_query_is_one_call_acting_column_by_column():
+    rng = trial_rng(31, 0)
+    psi = haar_state(3, rng)
+    block = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
+    pairs = [
+        (lambda: random_prep_oracle(psi, trial_rng(31, 1)), block),
+        (lambda: canonical_oracle(psi), np.vstack([block, np.ones((1, 3))])),
+        (lambda: fourier_phase_oracle(SignFunction.random(3, trial_rng(31, 2))), block),
+    ]
+    for make, x in pairs:
+        for adjoint in (False, True):
+            whole, cols = make(), make()  # twins: a lazy Haar complement is sampled alike
+            query = (lambda o, a: o.apply_adjoint(a)) if adjoint else (lambda o, a: o.apply(a))
+            got = query(whole, x)
+            assert whole.calls == 1
+            assert np.array_equal(got, np.column_stack([query(cols, c) for c in x.T]))
+
+
+def test_reflect_about_state_is_two_queries():
+    rng = trial_rng(32, 0)
+    psi = haar_state(3, rng)
+    x = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
+    for o, v in ((canonical_oracle(psi, sealed=True), psi.with_bot().amps),
+                 (random_prep_oracle(psi, rng, sealed=True), psi.amps)):
+        got = reflect_about_state(o, x[: o.dim])
+        assert o.calls == 2
+        assert np.max(np.abs(got - reflection_about(PureState(v)).mat @ x[: o.dim])) < 1e-12
+
+
 def test_refl_from_prep_identity_prep():
-    c = refl_from_prep(UnitaryOp(np.eye(4)), 1)
-    assert np.allclose(c.mat, reflection_about(basis_state(4, 0)).mat)
+    # a prep of |0^n> itself: the simulated reflection is diag(-1, 1, 1, 1)
+    copy, out = refl_from_prep(random_prep_oracle(basis_state(4, 0), 30, sealed=True), 1, np.eye(4))
+    assert np.allclose(copy, np.eye(4)[0])
+    assert np.allclose(out, reflection_about(basis_state(4, 0)).mat)
 
 
 def test_refl_from_prep_ledger():
-    prep = haar_unitary(4, 31)
+    psi = haar_state(2, 31)
+    r = reflection_about(psi).mat
     for t in (1, 2, 3):
-        assert refl_from_prep(prep, t).query_ledger == {"prep": 2 * t + 1}
-
-
-def test_refl_from_prep_with_garbage_register():
-    rng = trial_rng(37, 0)
-    sys_u = haar_unitary(4, rng)
-    garb_u = haar_unitary(2, rng)
-    prep = UnitaryOp(np.kron(sys_u.mat, garb_u.mat))
-    psi = sys_u.mat[:, 0]
-    phi = garb_u.mat[:, 0]
-    c = refl_from_prep(prep, 1, n_system=2)
-    r = reflection_about(PureState(psi)).mat
-    for x in range(4):
-        got = c.mat @ np.kron(np.eye(4)[x], phi)
-        want = np.kron(r @ np.eye(4)[x], phi)
-        assert np.max(np.abs(got - want)) < 1e-10
-
-
-def test_refl_from_prep_rejects_entangled_prep():
-    # CNOT-like prep of a Bell state is not a product state on the split
-    bell = np.zeros((4, 4))
-    bell[:, 0] = [1 / math.sqrt(2), 0, 0, 1 / math.sqrt(2)]
-    bell[:, 1] = [1 / math.sqrt(2), 0, 0, -1 / math.sqrt(2)]
-    bell[:, 2] = [0, 1 / math.sqrt(2), 1 / math.sqrt(2), 0]
-    bell[:, 3] = [0, 1 / math.sqrt(2), -1 / math.sqrt(2), 0]
-    with pytest.raises(ValueError):
-        refl_from_prep(UnitaryOp(bell), 1, n_system=1)
+        prep = random_prep_oracle(psi, trial_rng(31, t), sealed=True)
+        copy, out = refl_from_prep(prep, t, np.eye(4))
+        assert prep.calls == 2 * t + 1
+        assert np.max(np.abs(copy - psi.amps)) < 1e-12
+        assert np.max(np.abs(out - np.linalg.matrix_power(r, t))) < 1e-12
 
 
 def test_canonical_from_prep_ledger():
-    prep = haar_unitary(4, 41)
+    psi = haar_state(2, 41)
     for t in (1, 2, 3):
-        assert canonical_from_prep(prep, t).query_ledger == {"prep": 4 * t + 2}
+        prep = random_prep_oracle(psi, trial_rng(41, t), sealed=True)
+        canonical_from_prep(prep, t, np.eye(8))
+        assert prep.calls == 4 * t + 2
 
 
 def test_canonical_from_prep_identity_prep():
-    target = oracles.canonical_prep_target(UnitaryOp(np.eye(2)))
+    # a prep of |0^n> itself; t = 0 runs only the reference preparation
+    target, _ = canonical_from_prep(random_prep_oracle(basis_state(2, 0), 42), 0, np.zeros(4))
     want = np.zeros(4, dtype=complex)
     want[0 * 2 + 1] = 1 / math.sqrt(2)   # |0>|1>
     want[0 * 2 + 0] = -1 / math.sqrt(2)  # -|0>|0>
     assert abs(abs(np.vdot(want, target)) - 1.0) < 1e-10
 
 
+def _canonical_target(psi):
+    """(|psi>|1> - |0^n>|0>)/sqrt(2) in the ancilla encoding."""
+    want = np.zeros(2 * psi.dim, dtype=complex)
+    want[1::2] = psi.amps / math.sqrt(2)  # |psi>|1>
+    want[0] -= 1 / math.sqrt(2)  # -|0^n>|0>
+    return want
+
+
 def test_canonical_prep_target_on_haar_preps():
     for n in range(1, 7):
-        prep = haar_unitary(2**n, trial_rng(53, n))
-        want = np.zeros(2 ** (n + 1), dtype=complex)
-        want[1::2] = prep.mat[:, 0] / math.sqrt(2)  # |psi>|1>
-        want[0] -= 1 / math.sqrt(2)  # -|0^n>|0>
-        assert np.max(np.abs(oracles.canonical_prep_target(prep) - want)) < 1e-12
+        rng = trial_rng(53, n)
+        psi = haar_state(n, rng)
+        prep = random_prep_oracle(psi, rng, sealed=True)
+        target, _ = canonical_from_prep(prep, 0, np.zeros(2 ** (n + 1)))
+        assert np.max(np.abs(target - _canonical_target(psi))) < 1e-12
+        assert prep.calls == 2
+        # P^dagger undoes P on a block of columns, two queries each way
+        s = rng.standard_normal((2**n, 2, 3)) + 1j * rng.standard_normal((2**n, 2, 3))
+        forth = oracles.canonical_prep_circuit(prep, s)
+        back = oracles.canonical_prep_circuit(prep, forth, adjoint=True)
+        assert np.max(np.abs(back - s)) < 1e-12
+        assert prep.calls == 6
 
 
 def test_canonical_from_prep_matches_canonical_oracle():
-    prep = haar_unitary(4, 43)
-    psi = PureState(prep.mat[:, 0])
-    sim = canonical_from_prep(prep, 1).mat
+    psi = haar_state(2, 43)
     direct = canonical_oracle(psi).unitary.mat
-    for i in range(5):
-        ext = np.eye(5)[i].astype(complex)
-        got = project_ancilla_to_extended(sim @ embed_extended_to_ancilla(ext))
-        assert np.max(np.abs(got - direct @ ext)) < 1e-10
+    for t in (1, 2, 3):
+        prep = random_prep_oracle(psi, trial_rng(43, t), sealed=True)
+        copy, sim = canonical_from_prep(prep, t, embed_extended_to_ancilla(np.eye(5)))
+        assert np.max(np.abs(copy - _canonical_target(psi))) < 1e-12
+        want = np.linalg.matrix_power(direct, t)
+        got = np.column_stack([project_ancilla_to_extended(c) for c in sim.T])
+        assert np.max(np.abs(got - want)) < 1e-10
+        # the simulated oracle is a unitary on the whole 2N-dimensional ancilla space
+        _, full = canonical_from_prep(prep, t, np.eye(8))
+        assert np.max(np.abs(full.conj().T @ full - np.eye(8))) < 1e-12
 
 
 def test_encoding_isomorphism_roundtrip():

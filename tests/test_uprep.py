@@ -22,7 +22,8 @@ from xhoglab.uprep import (
     simulate_U_psi,
     swap_via_canonical,
     t_composed_diamond,
-    _simulated_query_matrix,
+    _simulated_composition,
+    _swap,
 )
 
 
@@ -133,7 +134,7 @@ def test_rank2_residual_exposes_a_third_direction():
     v /= np.linalg.norm(v)
     # a phase inside the rotation's arc leaves the eigenvalue hull, hence the distance, unchanged
     extra = UnitaryOp(np.eye(8) + (np.exp(0.5j * plan.theta) - 1) * np.outer(v, v.conj()))
-    u = rotation_R(plan) @ extra
+    u = UnitaryOp(rotation_R(plan).mat @ extra.mat)
     dense = unitary_channel_diamond_distance(u, UnitaryOp(np.eye(8)))
     assert abs(dense - 2 * abs(plan.beta)) < 1e-12
     assert rank2_identity_distance(u.mat)[1] > 0.1
@@ -146,33 +147,46 @@ def test_rank2_residual_exposes_a_third_direction():
 def test_swap_via_canonical():
     psi, phi, rng = _pair(4, 13)
     plan = decompose_phi(psi, phi)
-    s = swap_via_canonical(psi, plan.psi_perp)
-    assert s.query_ledger == {"O_psi": 2, "O_psi_perp": 1}
+    s, calls = swap_via_canonical(psi, plan.psi_perp)
+    assert calls == (2, 1)  # O_psi, O_psi_perp: the sealed handles' counts
     assert np.max(np.abs(s.mat @ psi.with_bot().amps - plan.psi_perp.with_bot().amps)) < 1e-10
     assert np.max(np.abs(s.mat @ plan.psi_perp.with_bot().amps - psi.with_bot().amps)) < 1e-10
     bot = np.eye(5)[4]
     assert np.max(np.abs(s.mat @ bot - bot)) < 1e-10
     assert np.max(np.abs(s.mat @ s.mat - np.eye(5))) < 1e-10
     # n=1 basis-state instance is the plain 0<->1 permutation
-    s01 = swap_via_canonical(basis_state(2, 0), basis_state(2, 1))
+    s01, _ = swap_via_canonical(basis_state(2, 0), basis_state(2, 1))
     assert np.allclose(s01.mat, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         swap_via_canonical(psi, phi)
 
 
+def test_closed_form_swap_matches_the_handle_route():
+    # t_composed_diamond applies the swap in closed form; the handles run O_psi O_perp O_psi
+    for i in range(5):
+        psi, phi, rng = _pair(16, 90 + i)
+        plan = decompose_phi(psi, phi)
+        s, _ = swap_via_canonical(psi, plan.psi_perp)
+        x = rng.standard_normal((16, 3)) + 1j * rng.standard_normal((16, 3))
+        assert np.max(np.abs(_swap(plan, x) - s.mat[:-1, :-1] @ x)) < 1e-12
+        assert np.max(np.abs(s.mat[-1, :-1])) < 1e-12  # the flag stays out
+
+
 def test_simulate_ideal_first_column_and_ledger():
     psi = PureState(haar_state_amps(16, trial_rng(17, 0)))
     for t in (1, 2, 3):
-        u = simulate_U_psi(psi, trial_rng(17, 1), "ideal", t=t)
-        assert u.query_ledger == {"O_psi": 2 * t}
-    u1 = simulate_U_psi(psi, trial_rng(17, 1), "ideal")
+        _, calls = simulate_U_psi(psi, trial_rng(17, 1), "ideal", t=t)
+        assert calls == 2 * t
+    u1, _ = simulate_U_psi(psi, trial_rng(17, 1), "ideal")
     assert np.max(np.abs(u1.mat[:, 0] - psi.amps)) < 1e-10
+    with pytest.raises(ValueError):
+        simulate_U_psi(psi, trial_rng(17, 1), "exact")
 
 
 def test_simulate_single_call_distance():
     psi = PureState(haar_state_amps(16, trial_rng(19, 0)))
-    ui = simulate_U_psi(psi, trial_rng(19, 1), "ideal")
-    ua = simulate_U_psi(psi, trial_rng(19, 1), "approximate")
+    ui, _ = simulate_U_psi(psi, trial_rng(19, 1), "ideal")
+    ua, _ = simulate_U_psi(psi, trial_rng(19, 1), "approximate")
     plan = draw_plan(psi, trial_rng(19, 1))
     d = unitary_channel_diamond_distance(ui, ua)
     assert abs(d - 2 * abs(plan.beta)) < 1e-8
@@ -184,7 +198,7 @@ def test_simulate_ideal_complement_first_moment():
     trials = 4000
     acc = np.zeros((4, 3), dtype=complex)
     for i in range(trials):
-        acc += simulate_U_psi(psi, trial_rng(23, i + 1), "ideal").mat[:, 1:]
+        acc += simulate_U_psi(psi, trial_rng(23, i + 1), "ideal")[0].mat[:, 1:]
     mean = np.abs(acc / trials)
     # each entry is an average of trials unit-bounded zero-mean variables
     assert np.max(mean) < 5.0 / math.sqrt(trials)
@@ -200,10 +214,9 @@ def test_t_composed_fast_path_matches_dense():
         lazy = {t: t_composed_diamond(plan, sampler, t) for t in (1, 2, 3)}
         w = sampler.materialize()
         for t in (1, 2, 3):
-            mi = np.linalg.matrix_power(_simulated_query_matrix(plan, w, "ideal"), t)
-            ma = np.linalg.matrix_power(_simulated_query_matrix(plan, w, "approximate"), t)
-            dense = unitary_channel_diamond_distance(UnitaryOp(mi), UnitaryOp(ma))
-            assert abs(lazy[t] - dense) < 1e-8
+            mi, _ = _simulated_composition(plan, w, "ideal", t)
+            ma, _ = _simulated_composition(plan, w, "approximate", t)
+            assert abs(lazy[t] - unitary_channel_diamond_distance(mi, ma)) < 1e-8
 
 
 def _mean_t_composed(n, t, draws, seed, dense):

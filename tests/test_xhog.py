@@ -107,6 +107,14 @@ def test_posterior_monte_carlo():
     assert abs(mean - 3 / 7) < 3 * se
 
 
+@pytest.mark.parametrize("args", [(2, 3, 5, 1000, 1), (0, 3, 0, 1000, 1), (2, 3, -1, 1000, 1)])
+def test_posterior_mc_rejects_an_m_no_row_can_meet(args):
+    # m > k or m < 0 is checked before drawing; at N = 1 every draw is string 0, so m < k
+    # leaves no row, which once returned (nan, nan, 0) after numpy warnings
+    with pytest.raises(ValueError):
+        posterior_mc(*args)
+
+
 def test_collision_rate_mc():
     rate, se = collision_rate_mc(4, 300000, 9)
     assert abs(rate - 2 / (16 * 17)) < 3 * se
