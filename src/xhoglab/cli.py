@@ -2,8 +2,9 @@
 
 Every stochastic command requires an explicit --seed and is bit-reproducible:
 rerunning with the same flags produces byte-identical reports apart from the
-wall_seconds field.  Exit codes: 0 success, 1 verification/assertion failure,
-2 usage error, 3 I/O error.
+wall_seconds field.  A report's config is the parsed command line.  Exit codes:
+0 success, 1 verification failure or failed cross-check, 2 usage error, 3 I/O
+error; ``main`` maps each exception to its code through ``EXIT_CODES``.
 """
 
 from __future__ import annotations
@@ -15,7 +16,8 @@ import time
 
 import numpy as np
 
-from . import SCHEMA_VERSION, __version__
+from . import SCHEMA_VERSION, __version__, fourier_lp, xhog
+from .fourier_lp import CERTIFY_CAP, ENUM_CAP
 from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
@@ -30,85 +32,35 @@ from .linalg import (
 
 SIMPLEX_MIN_TRIALS = 100
 
-
-def _emit(report, path):
-    text = json.dumps(report, sort_keys=True, indent=2) + "\n"
-    if path:
-        with open(path, "w") as fh:
-            fh.write(text)
-    return text
-
-
-def _finish(report, config, out_path, quiet_summary=None):
-    report["config"] = config
-    report["version"] = __version__
-    try:
-        _emit(report, out_path)
-    except OSError as exc:
-        print(f"error: cannot write report: {exc}", file=sys.stderr)
-        return 3
-    if quiet_summary:
-        print(quiet_summary)
-    return 0
+# exception -> (exit code, stderr prefix); main uses the entry nearest in the exception's
+# MRO, so a CertificateError, which is a ValueError, exits 1
+EXIT_CODES = {
+    fourier_lp.CertificateError: (1, "certificate invalid:"),
+    fourier_lp.CrossCheckError: (1, "error: internal cross-check failed:"),
+    ValueError: (2, "error:"),
+    OSError: (3, "I/O error:"),
+}
 
 
-def cmd_xhog(args) -> int:
-    from .fourier_lp import CrossCheckError
-    from .xhog import FAMILIES, STRATEGIES, run_experiment
-
-    if args.strategy not in STRATEGIES or args.family not in FAMILIES:
-        print(f"error: unknown strategy/family {args.strategy}/{args.family}", file=sys.stderr)
-        return 2
-    if not args.exact and args.seed is None:
-        print("error: --seed is required for stochastic runs", file=sys.stderr)
-        return 2
-    config = {
-        "command": "xhog",
-        "strategy": args.strategy,
-        "family": args.family,
-        "n": args.n,
-        "trials": args.trials,
-        "seed": args.seed,
-        "k": args.k,
-        "schedule": args.schedule,
-        "exact": args.exact,
-        "out": args.out,
-        "csv": args.csv,
-    }
-    if args.emit_config:
-        print(json.dumps(config, sort_keys=True, indent=2))
-        return 0
-    params = {"k": args.k, "schedule": args.schedule}
-    try:
-        est = run_experiment(
-            args.strategy,
-            args.family,
-            args.n,
-            args.trials,
-            args.seed if args.seed is not None else 0,
-            strategy_params=params,
-            exact=args.exact,
-            keep_trials=bool(args.csv),
-        )
-    except CrossCheckError as exc:
-        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+def cmd_xhog(args):
+    est = xhog.run_experiment(
+        args.strategy,
+        args.family,
+        args.n,
+        args.trials,
+        args.seed if args.seed is not None else 0,
+        strategy_params={"k": args.k, "schedule": args.schedule},
+        exact=args.exact,
+        keep_trials=bool(args.csv),
+    )
     if args.csv:
-        try:
-            est.write_csv(args.csv)
-        except OSError as exc:
-            print(f"error: cannot write csv: {exc}", file=sys.stderr)
-            return 3
-    report = est.to_json_dict()
+        est.write_csv(args.csv)
     if est.exact_value is not None:
         v = est.exact_value
         summary = f"b={v.numerator}/{v.denominator} (exact)"
     else:
         summary = f"b={est.b_mean:.6f} ± {est.std_err:.6f} (queries={est.total_queries})"
-    return _finish(report, config, args.out, summary)
+    return est.to_json_dict(), summary, 0
 
 
 def _check(checks, name, value, bound):
@@ -168,8 +120,8 @@ def _verify_oracles(args, checks):
 def _verify_uprep(args, checks):
     from .uprep import channel_distance_bound_report, decompose_phi, rotation_R
 
-    rep = channel_distance_bound_report(args.n, args.t, args.trials, args.seed)
-    _check(checks, f"mean_distance_T{args.t}", rep["mean_distance"], rep["bound"])
+    rep = channel_distance_bound_report(args.n, args.T, args.trials, args.seed)
+    _check(checks, f"mean_distance_T{args.T}", rep["mean_distance"], rep["bound"])
     for i, rng in enumerate(trial_streams(args.seed, 10**6, 10**6 + 8)):
         psi = PureState(haar_state_amps(2**args.n, rng))
         phi = PureState(haar_state_amps(2**args.n, rng))
@@ -181,7 +133,7 @@ def _verify_uprep(args, checks):
 
 
 def _verify_simplex(args, checks):
-    if not 1 <= args.big_n <= MAX_DIM:
+    if not 1 <= args.N <= MAX_DIM:
         raise ValueError(
             f"simplex needs 1 <= -N <= {MAX_DIM}: above that, max_xeb_mc's 2048-row chunk"
             " would pass 256 MiB"
@@ -191,48 +143,23 @@ def _verify_simplex(args, checks):
             f"simplex needs --trials >= {SIMPLEX_MIN_TRIALS}: with fewer trials the standard"
             " error is too noisy for the 3-SE gate, which then fails correct code"
         )
-    from .xhog import max_xeb_mc
-
-    mean, se = max_xeb_mc(args.big_n, args.trials, args.seed)
-    target = float(expected_max_simplex(args.big_n))
-    _check(checks, f"expected_max_N{args.big_n}", abs(mean - target), 3 * se)
+    mean, se = xhog.max_xeb_mc(args.N, args.trials, args.seed)
+    target = float(expected_max_simplex(args.N))
+    _check(checks, f"expected_max_N{args.N}", abs(mean - target), 3 * se)
 
 
-def cmd_verify(args) -> int:
-    suites = {
-        "symmetrize": _verify_symmetrize,
-        "oracles": _verify_oracles,
-        "uprep": _verify_uprep,
-        "simplex": _verify_simplex,
-    }
-    if args.suite not in suites:
-        print(f"error: unknown suite {args.suite}", file=sys.stderr)
-        return 2
-    if args.seed is None:
-        print("error: --seed is required", file=sys.stderr)
-        return 2
-    config = {
-        "command": "verify",
-        "suite": args.suite,
-        "n": args.n,
-        "k": args.k,
-        "T": args.t,
-        "cases": args.cases,
-        "trials": args.trials,
-        "N": args.big_n,
-        "seed": args.seed,
-        "out": args.out,
-    }
-    if args.emit_config:
-        print(json.dumps(config, sort_keys=True, indent=2))
-        return 0
+SUITES = {
+    "symmetrize": _verify_symmetrize,
+    "oracles": _verify_oracles,
+    "uprep": _verify_uprep,
+    "simplex": _verify_simplex,
+}
+
+
+def cmd_verify(args):
     t0 = time.perf_counter()
     checks = []
-    try:
-        suites[args.suite](args, checks)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+    SUITES[args.suite](args, checks)
     ok = all(c["ok"] for c in checks)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -242,73 +169,41 @@ def cmd_verify(args) -> int:
         "ok": ok,
         "wall_seconds": time.perf_counter() - t0,
     }
+    lines = []
     for c in checks:
         status = "OK" if c["ok"] else "FAIL"
-        print(f"{c['name']}: deviation {c['value']:.3e} (bound {c['bound']:.3e}) {status}")
-    rc = _finish(report, config, args.out)
-    if rc:
-        return rc
-    return 0 if ok else 1
+        lines.append(f"{c['name']}: deviation {c['value']:.3e} (bound {c['bound']:.3e}) {status}")
+    return report, "\n".join(lines), 0 if ok else 1
 
 
-def cmd_lp(args) -> int:
-    from .fourier_lp import (
-        CERTIFY_CAP,
-        ENUM_CAP,
-        CertificateError,
-        CrossCheckError,
-        build_primal,
-        dual_certificate,
-        naive_fourier_value,
-        solve_primal_numeric,
-        verify_dual_feasibility,
-    )
-
-    config = {"command": "lp", "action": args.action, "n": args.n, "out": args.out}
-    if args.emit_config:
-        print(json.dumps(config, sort_keys=True, indent=2))
-        return 0
+def cmd_lp(args):
     # checked before any work: dual_certificate's C(2^n, 2^(n-1)) alone takes
     # ~30 s at n = 20, and a negative n is no size at all; solve has no LP at n = 0
     n_range = {"certify": (0, CERTIFY_CAP), "solve": (1, ENUM_CAP), "naive-value": (0, ENUM_CAP)}
     lo, hi = n_range[args.action]
     if not lo <= args.n <= hi:
-        print(f"error: lp {args.action} needs {lo} <= -n <= {hi}", file=sys.stderr)
-        return 2
+        raise ValueError(f"lp {args.action} needs {lo} <= -n <= {hi}")
     report = {"schema_version": SCHEMA_VERSION, "action": args.action, "n": args.n}
-    try:
-        if args.action == "naive-value":
-            b = naive_fourier_value(args.n)
-            report["b_exact"] = f"{b.numerator}/{b.denominator}"
-            summary = f"b = {b.numerator}/{b.denominator}"
-        elif args.action == "certify":
-            cert = dual_certificate(args.n)
-            transcript = verify_dual_feasibility(cert)
-            report["transcript"] = transcript
-            report["b_exact"] = f"{cert.b.numerator}/{cert.b.denominator}"
-            summary = transcript.rstrip("\n").splitlines()[-1]
-        else:  # solve
-            value, _ = solve_primal_numeric(build_primal(args.n))
-            cert = dual_certificate(args.n)
-            target = cert.b / 2**args.n
-            report["optimal_value"] = value
-            report["certificate_value"] = float(target)
-            report["residual"] = abs(value - float(target))
-            summary = f"optimum = {value:.12f} (certificate {float(target):.12f})"
-            if report["residual"] > 1e-9:
-                print(summary)
-                print("error: numeric optimum disagrees with certificate", file=sys.stderr)
-                return 1
-    except CertificateError as exc:
-        print(f"certificate invalid: {exc}", file=sys.stderr)
-        return 1
-    except CrossCheckError as exc:
-        print(f"error: internal cross-check failed: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    return _finish(report, config, args.out, summary)
+    if args.action == "naive-value":
+        b = fourier_lp.naive_fourier_value(args.n)
+        report["b_exact"] = f"{b.numerator}/{b.denominator}"
+        summary = f"b = {b.numerator}/{b.denominator}"
+    elif args.action == "certify":
+        cert = fourier_lp.dual_certificate(args.n)
+        transcript = fourier_lp.verify_dual_feasibility(cert)
+        report["transcript"] = transcript
+        report["b_exact"] = f"{cert.b.numerator}/{cert.b.denominator}"
+        summary = transcript.rstrip("\n").splitlines()[-1]
+    else:  # solve
+        value, _ = fourier_lp.solve_primal_numeric(fourier_lp.build_primal(args.n))
+        target = float(fourier_lp.dual_certificate(args.n).b / 2**args.n)
+        report["optimal_value"] = value
+        report["certificate_value"] = target
+        report["residual"] = abs(value - target)
+        summary = f"optimum = {value:.12f} (certificate {target:.12f})"
+        if report["residual"] > 1e-9:
+            raise fourier_lp.CrossCheckError(f"numeric LP {summary}")
+    return report, summary, 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -317,8 +212,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     px = sub.add_parser("xhog", help="run a scored heavy-output experiment")
-    px.add_argument("--strategy", required=True)
-    px.add_argument("--family", required=True)
+    px.add_argument("--strategy", required=True, choices=xhog.STRATEGIES)
+    px.add_argument("--family", required=True, choices=xhog.FAMILIES)
     px.add_argument("-n", type=int, required=True)
     px.add_argument("--trials", type=int, default=1000)
     px.add_argument("--seed", type=int)
@@ -331,14 +226,14 @@ def build_parser() -> argparse.ArgumentParser:
     px.set_defaults(func=cmd_xhog)
 
     pv = sub.add_parser("verify", help="run a randomized verification sweep")
-    pv.add_argument("suite")
+    pv.add_argument("suite", choices=SUITES)
     pv.add_argument("-n", type=int, default=2)
     pv.add_argument("-k", type=int, default=2)
-    pv.add_argument("-T", dest="t", type=int, default=1)
+    pv.add_argument("-T", type=int, default=1)
     pv.add_argument("--cases", type=int, default=20)
     pv.add_argument("--trials", type=int, default=1000)
-    pv.add_argument("-N", dest="big_n", type=int, default=8)
-    pv.add_argument("--seed", type=int)
+    pv.add_argument("-N", type=int, default=8)
+    pv.add_argument("--seed", type=int, required=True)
     pv.add_argument("--out")
     pv.add_argument("--emit-config", action="store_true")
     pv.set_defaults(func=cmd_verify)
@@ -353,16 +248,32 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    """Run one command: each cmd_* returns (report, summary, exit code) or raises, and
+    only this function prints the config, writes the report and maps exceptions."""
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 2
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "emit_config")}
     try:
-        return args.func(args)
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return 3
+        if args.command == "xhog" and not args.exact and args.seed is None:
+            raise ValueError("--seed is required for stochastic runs")
+        if args.emit_config:
+            print(json.dumps(config, sort_keys=True, indent=2))
+            return 0
+        report, summary, rc = args.func(args)
+        report["config"] = config
+        report["version"] = __version__
+        if args.out:
+            with open(args.out, "w") as fh:
+                fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
+    except tuple(EXIT_CODES) as exc:
+        rc, prefix = next(EXIT_CODES[t] for t in type(exc).__mro__ if t in EXIT_CODES)
+        print(f"{prefix} {exc}", file=sys.stderr)
+        return rc
+    if summary:
+        print(summary)
+    return rc
 
 
 if __name__ == "__main__":

@@ -22,7 +22,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .oracles import SignFunction
+from .oracles import SignFunction, _hadamard
 
 ENUM_CAP = 4  # full enumeration of 2^(2^n) sign tables
 CERTIFY_CAP = 8  # the exact check walks all C(2^n, 2) pair constraints
@@ -73,15 +73,11 @@ def naive_fourier_value(n: int) -> Fraction:
     of sum_z f-hat(z)^4 over every sign table, and the closed form via the
     fourth central moment of a Binomial(N, 1/2) count of -1 entries.
     """
-    # lazy: `xhoglab xhog` imports this module only for CrossCheckError, and
-    # scipy.linalg takes ~0.3 s to load
-    from scipy.linalg import hadamard
-
     n_dim = 2**n
     tables = _all_sign_tables(n)
     # float64 takes the BLAS product and is exact here: every entry of s is an
     # integer of size <= N <= 16, and every sum of s^4 stays below 2^53
-    s = tables.astype(np.float64) @ hadamard(n_dim, dtype=np.float64)
+    s = tables.astype(np.float64) @ _hadamard(n)
     s *= s
     total = int(np.sum(s * s))
     by_enum = Fraction(total, 2**n_dim * n_dim**3)
@@ -233,7 +229,8 @@ def lp_objective(p: MonomialPoly) -> Fraction:
 class LpInstance:
     n: int
     variables: list  # frozensets S, |S| = 2
-    constraint_matrix: np.ndarray  # one row per sign table, entries prod_(x in S) f(x)
+    # one row per sign table with f(0) = +1, entries prod_(x in S) f(x); -f gives the same row
+    constraint_matrix: np.ndarray
     objective: list  # Fraction per variable
 
 
@@ -241,11 +238,13 @@ def build_primal(n: int) -> LpInstance:
     """The symmetrized 1-query primal LP: nonnegativity of p on every sign table.
 
     The degree-2 variable set is the 2-element subsets (their XOR is
-    automatically nonzero); c_empty is fixed at 1/N.
+    automatically nonzero); c_empty is fixed at 1/N.  Only the tables with
+    f(0) = +1 are kept, the first half of the enumeration: f and -f have the
+    same pair products f(x)f(y), so the other half would repeat every row.
     """
     n_dim = 2**n
     pairs = list(itertools.combinations(range(n_dim), 2))
-    tables = _all_sign_tables(n)
+    tables = _all_sign_tables(n)[: 2 ** (n_dim - 1)]
     cols = [tables[:, x] * tables[:, y] for x, y in pairs]
     a = np.column_stack(cols) if cols else np.zeros((len(tables), 0), dtype=np.int64)
     objective = [Fraction(2, n_dim)] * len(pairs)

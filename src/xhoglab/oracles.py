@@ -61,10 +61,7 @@ class SignFunction:
 
     @classmethod
     def from_hex(cls, n: int, text: str) -> "SignFunction":
-        size = 2**n
-        bits = int(text, 16)
-        table = [(-1 if (bits >> (size - 1 - x)) & 1 else 1) for x in range(size)]
-        return cls(n, np.array(table))
+        return cls.from_index(n, int(text, 16))
 
     @classmethod
     def random(cls, n: int, rng) -> "SignFunction":

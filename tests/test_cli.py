@@ -4,6 +4,7 @@ import json
 import math
 import tracemalloc
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -140,14 +141,6 @@ def test_xhog_random_prep_at_the_qubit_cap_stays_small(capsys):
     assert rc == 0
     assert peak < 64 * 2**20
     assert capsys.readouterr().out.startswith("b=")
-
-
-def test_emit_config(capsys):
-    rc = main(["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2",
-               "--seed", "9", "--emit-config"])
-    assert rc == 0
-    config = json.loads(capsys.readouterr().out)
-    assert config["command"] == "xhog" and config["seed"] == 9
 
 
 def test_verify_suite_report(tmp_path, capsys):
@@ -377,6 +370,53 @@ def test_failed_cross_check_is_exit_1_not_a_traceback(argv, monkeypatch, capsys)
     monkeypatch.setattr(fourier_lp, "_all_sign_tables", lambda n: np.ones_like(real(n)))
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: internal cross-check failed:")
+
+
+def _raising(exc):
+    def raise_it(*args, **kwargs):
+        raise exc
+    return raise_it
+
+
+@pytest.mark.parametrize("argv, patch, exc, rc, prefix", [
+    (["lp", "certify", "-n", "2"], "dual_certificate", fourier_lp.CertificateError("kappa < 0"),
+     1, "certificate invalid: kappa < 0"),
+    (["lp", "naive-value", "-n", "2"], "naive_fourier_value", fourier_lp.CrossCheckError("1 != 2"),
+     1, "error: internal cross-check failed: 1 != 2"),
+    (["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2", "--seed", "1"],
+     "run_experiment", ValueError("no such run"), 2, "error: no such run"),
+    (["verify", "oracles", "-n", "1", "--cases", "1", "--seed", "1", "--out", "{tmp}/no/v.json"],
+     None, None, 3, "I/O error:"),
+    (["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2", "--trials", "5",
+      "--seed", "1", "--csv", "{tmp}/no/rows.csv"], None, None, 3, "I/O error:"),
+], ids=["certificate", "cross-check", "value", "report-write", "csv-write"])
+def test_each_mapped_exception_exits_with_its_code(argv, patch, exc, rc, prefix, tmp_path,
+                                                   monkeypatch, capsys):
+    if patch:
+        monkeypatch.setattr(fourier_lp if argv[0] == "lp" else xhog, patch, _raising(exc))
+    assert main([a.format(tmp=tmp_path) for a in argv]) == rc
+    cap = capsys.readouterr()
+    assert cap.err.startswith(prefix) and "Traceback" not in cap.err
+    assert cap.out == ""  # the summary is printed only after the report is written
+
+
+GOLDEN_CONFIGS = json.loads((Path(__file__).parent / "golden" / "cli_configs.json").read_text())
+
+
+def _config_id(case):
+    return "-".join(w for w in case["argv"].split()[:2] if not w.startswith("-"))
+
+
+@pytest.mark.parametrize("case", GOLDEN_CONFIGS, ids=map(_config_id, GOLDEN_CONFIGS))
+def test_report_config_is_the_parsed_command_line(case, tmp_path, capsys):
+    # the golden file pins every config key: renaming an argparse dest changes the reports
+    argv = case["argv"].split()
+    assert main([*argv, "--emit-config"]) == 0
+    assert json.loads(capsys.readouterr().out) == case["config"]
+    out = tmp_path / "r.json"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["config"] == {**case["config"], "out": str(out)}
+    capsys.readouterr()
 
 
 def test_lp_certify(tmp_path, capsys):

@@ -3,7 +3,7 @@
 Each flag is drawn from a small window around each of its bounds.  The
 accepted top of a range is left out where one run there takes seconds: -n 9
 and 10 of verify uprep, xhog's -k 2^14 (k queries of a 2^14-dimensional
-random-prep oracle) and --trials 2^25, and lp solve -n 4 (a 65536-row LP).
+random-prep oracle) and --trials 2^25, and lp solve -n 4 (a 32768-row LP).
 Their rejected sides are drawn.  A rejected xhog argv is run again at
 --trials 2^25, unless --trials itself was the fault, so a check that comes
 after the per-trial arrays are allocated shows as a tracemalloc peak.

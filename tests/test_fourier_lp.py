@@ -181,10 +181,10 @@ def test_cross_checks_raise_on_mismatch(monkeypatch):
 def test_build_primal_shapes():
     lp = build_primal(2)
     assert len(lp.variables) == 6
-    assert lp.constraint_matrix.shape == (16, 6)
+    assert lp.constraint_matrix.shape == (8, 6)
     lp1 = build_primal(1)
     assert len(lp1.variables) == 1
-    assert lp1.constraint_matrix.shape == (4, 1)
+    assert lp1.constraint_matrix.shape == (2, 1)
 
 
 def test_naive_primal_point_feasible_and_value():
