@@ -25,7 +25,7 @@ from .linalg import (
     bot_state,
     expected_max_simplex,
     haar_state_amps,
-    rank2_identity_distance,
+    rank2_update_distance,
     trial_rng,
     trial_streams,
 )
@@ -126,9 +126,12 @@ def _verify_uprep(args, checks):
         psi = PureState(haar_state_amps(2**args.n, rng))
         phi = PureState(haar_state_amps(2**args.n, rng))
         plan = decompose_phi(psi, phi)
-        # R is I off span{psi, psi_perp}; the residual certifies that rank-2 subspace
-        dist, residual = rank2_identity_distance(rotation_R(plan).mat)
-        dev = max(abs(dist - 2 * abs(plan.beta)), residual)
+        # R is I + B (E - I) B^dagger; the residual certifies that E moves at most two
+        # directions, and R phi = psi_perp tells R from R^dagger, whose eigenvalues agree
+        r = rotation_R(plan)
+        dist, residual = rank2_update_distance(r.basis, r.block)
+        miss = np.max(np.abs(r.apply(plan.phi.amps) - plan.psi_perp.amps))
+        dev = max(abs(dist - 2 * abs(plan.beta)), residual, miss)
         _check(checks, f"case_{i}_rotation_distance_equality", dev, 1e-8)
 
 

@@ -19,8 +19,6 @@ ATOL = 1e-10
 
 MAX_QUBITS = 14
 MAX_DIM = 2**MAX_QUBITS
-# verify uprep, which builds dense N x N operators, stops here
-DENSE_MAX_QUBITS = 10
 
 
 class DimensionError(ValueError):
@@ -202,20 +200,21 @@ def _unitarity_error(m) -> float:
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])), initial=0.0))
 
 
-@dataclass
 class UnitaryOp:
-    """A dense unitary, checked on construction."""
+    """A unitary: dense and checked on construction, or kept as the factors of
+    :meth:`from_update`, in which case ``mat`` is built on first read."""
 
-    mat: np.ndarray
+    basis = block = None  # from_update's B and E; None for a dense operator
 
-    def __post_init__(self):
-        self.mat = np.asarray(self.mat, dtype=complex)
-        d = self.mat.shape[0]
-        if self.mat.shape != (d, d):
+    def __init__(self, mat):
+        mat = np.asarray(mat, dtype=complex)
+        d = mat.shape[0]
+        if mat.shape != (d, d):
             raise DimensionError("matrix is not square")
-        err = _unitarity_error(self.mat)
+        err = _unitarity_error(mat)
         if err > 1e-8:
             raise ValueError(f"matrix is not unitary (deviation {err:.3g})")
+        self._mat = mat
 
     @classmethod
     def from_update(cls, basis, block) -> "UnitaryOp":
@@ -235,12 +234,27 @@ class UnitaryOp:
             if err > 1e-8:
                 raise ValueError(f"{what} (deviation {err:.3g})")
         op = object.__new__(cls)
-        op.mat = np.eye(len(b), dtype=complex) + b @ (e - np.eye(len(e))) @ b.conj().T
+        op._mat, op.basis, op.block = None, b, e
         return op
 
     @property
+    def mat(self) -> np.ndarray:
+        if self._mat is None:
+            b, e = self.basis, self.block
+            self._mat = np.eye(len(b), dtype=complex) + b @ (e - np.eye(len(e))) @ b.conj().T
+        return self._mat
+
+    @property
     def dim(self) -> int:
-        return self.mat.shape[0]
+        return len(self.basis) if self._mat is None else self._mat.shape[0]
+
+    def apply(self, x) -> np.ndarray:
+        """The operator applied to x (a vector or a dim x m block); O(dim r m) on the
+        factors of from_update, with no dense build."""
+        if self._mat is not None:
+            return self._mat @ x
+        b, e = self.basis, self.block
+        return x + b @ ((e - np.eye(len(e))) @ (b.conj().T @ x))
 
 
 def check_unit_trace(tr):
@@ -437,6 +451,15 @@ def orth_basis(cols, tol=1e-12):
     return u[:, sv > tol * max(1.0, sv[0])]
 
 
+def _block_diamond_distance(block, dim) -> float:
+    """Diamond distance from the identity channel of a unitary that acts as the r x r
+    ``block`` on an r-dimensional subspace of C^dim and fixes its complement."""
+    eigs = np.linalg.eigvals(block)
+    if dim > len(block):
+        eigs = np.append(eigs, 1.0)
+    return unitary_eigs_to_diamond(eigs)
+
+
 def subspace_diamond_distance(q, uq) -> float:
     """Diamond distance from the identity channel of a unitary U that maps span(q)
     onto itself and fixes its orthogonal complement.
@@ -444,33 +467,24 @@ def subspace_diamond_distance(q, uq) -> float:
     q is an orthonormal basis (dim x r) and uq = U q; only the r x r block
     q^dagger U q is diagonalized, plus one eigenvalue 1 for the complement.
     """
-    eigs = np.linalg.eigvals(q.conj().T @ uq)
-    if q.shape[0] > q.shape[1]:
-        eigs = np.append(eigs, 1.0)
-    return unitary_eigs_to_diamond(eigs)
+    return _block_diamond_distance(q.conj().T @ uq, q.shape[0])
 
 
-def rank2_identity_distance(mat):
-    """Diamond distance from the identity channel of a dense unitary that differs
-    from I on at most two dimensions, with the residual that certifies it.
+def rank2_update_distance(basis, block):
+    """Diamond distance from the identity channel of I + B (E - I) B^dagger, with the
+    residual that certifies it differs from I on at most two dimensions.
 
-    Q is built from K = mat - I by column-pivoted Gram-Schmidt, at most two
-    columns.  The residual max(||K - QQ^dagger K||_F, ||K - KQQ^dagger||_F) is
-    ~0 exactly when mat is the identity off span(Q) and maps span(Q) onto
-    itself, so a unitary that differs from I on more dimensions shows a large
-    residual instead of a wrong distance.  O(dim^2), no dense eigensolve.
+    B (dim x r) has orthonormal columns, as ``UnitaryOp.from_update`` checks,
+    so the distance comes from the r x r block E alone, plus one eigenvalue 1
+    for the complement, and the Frobenius norm of R - I outside its best
+    rank-2 subspace is that of E - I: sqrt of the sum of sigma_i(E - I)^2 for
+    i >= 3.  A rotation that moves a third direction shows that residual
+    instead of a wrong distance.  O(r^3) and no dim-sized array.
     Returns (distance, residual).
     """
-    k = mat - np.eye(len(mat))
-    col2 = np.linalg.norm(k, axis=0) ** 2
-    q = np.zeros((len(mat), 0), dtype=complex)
-    for _ in range(2):
-        # pivot: the column farthest from span(q), by Pythagoras (used only to choose)
-        j = np.argmax(col2 - np.linalg.norm(q.conj().T @ k, axis=0) ** 2)
-        q = orth_basis(np.column_stack([q, k[:, j]]))
-    kq = k @ q
-    residual = max(np.linalg.norm(k - q @ (q.conj().T @ k)), np.linalg.norm(k - kq @ q.conj().T))
-    return subspace_diamond_distance(q, q + kq), float(residual)
+    e = np.asarray(block, dtype=complex)
+    sv = np.linalg.svd(e - np.eye(len(e)), compute_uv=False)
+    return _block_diamond_distance(e, len(basis)), float(np.sqrt(np.sum(sv[2:] ** 2)))
 
 
 def harmonic_number(n: int) -> Fraction:

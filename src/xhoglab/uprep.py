@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import (
-    DENSE_MAX_QUBITS,
+    MAX_QUBITS,
     DimensionError,
     LazyHaarComplement,
     PureState,
@@ -129,7 +129,7 @@ def _simulated_composition(plan: RotationPlan, w, mode, t):
     on sealed canonical-oracle handles: 2 O_psi queries per simulated query."""
     v = householder_matrix(*householder_vector(plan.phi.amps))
     if mode == "ideal":
-        v = rotation_R(plan).mat @ v
+        v = rotation_R(plan).apply(v)
     elif mode != "approximate":
         raise ValueError(f"unknown mode {mode!r}")
     o_psi, o_perp = (canonical_oracle(p, sealed=True) for p in (plan.psi, plan.psi_perp))
@@ -179,8 +179,8 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
     distance by convexity; the report states the margin against
     (10t+4)/2^(n/2).
     """
-    if not (1 <= n <= DENSE_MAX_QUBITS and 0 <= t <= 4 and trials >= 1):
-        raise DimensionError(f"caps: 1 <= n <= {DENSE_MAX_QUBITS}, 0 <= t <= 4, trials >= 1")
+    if not (1 <= n <= MAX_QUBITS and 0 <= t <= 4 and trials >= 1):
+        raise DimensionError(f"caps: 1 <= n <= {MAX_QUBITS}, 0 <= t <= 4, trials >= 1")
     dim = 2**n
     dists = np.empty(trials)
     for i, rng in enumerate(trial_streams(seed, 0, trials)):

@@ -187,6 +187,21 @@ def test_verify_oracles_at_the_qubit_cap_stays_small(capsys):
     assert len(lines) == 14 and all(ln.endswith(" OK") for ln in lines)
 
 
+def test_verify_uprep_at_the_qubit_cap_stays_small(capsys):
+    # each rotation is checked on its rank-2 factors; one dense N x N rotation at n = 14
+    # would take 4 GiB
+    tracemalloc.start()
+    try:
+        rc = main(["verify", "uprep", "-n", "14", "-T", "4", "--trials", "2", "--seed", "1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert peak < 32 * 2**20
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 9 and all(ln.endswith(" OK") for ln in lines)
+
+
 def test_verify_uprep_report_and_rerun(tmp_path, capsys):
     out = tmp_path / "u.json"
     texts = []
@@ -220,13 +235,13 @@ def test_verify_uprep_passes_on_correct_code(n, seeds, capsys):
 def test_verify_runs_the_dense_unitarity_check_only_where_needed(argv, dense_checks, monkeypatch,
                                                                   capsys):
     calls = []
-    post_init = UnitaryOp.__post_init__
+    init = UnitaryOp.__init__
 
-    def counted(self):
-        calls.append(self.mat.shape)
-        post_init(self)
+    def counted(self, mat):
+        calls.append(np.shape(mat))
+        init(self, mat)
 
-    monkeypatch.setattr(UnitaryOp, "__post_init__", counted)
+    monkeypatch.setattr(UnitaryOp, "__init__", counted)
     assert main(["verify", *argv, "--seed", "4"]) == 0
     assert len(calls) == dense_checks
     capsys.readouterr()
@@ -235,13 +250,13 @@ def test_verify_runs_the_dense_unitarity_check_only_where_needed(argv, dense_che
 def _with_third_direction(rotation_R):
     def rotated(plan):
         # a phase of 1e-5 on a direction orthogonal to psi and psi_perp: the dense distance
-        # is unchanged and the rank-2 one moves by < 1e-8, so only the residual (~1e-5) sees it
-        v = np.eye(plan.psi.dim)[-1]
-        for b in (plan.psi.amps, plan.psi_perp.amps):
-            v = v - b * np.vdot(b, v)
+        # is unchanged and R phi = psi_perp still holds, so only the residual (~1e-5) sees it
+        r = rotation_R(plan)
+        v = np.eye(plan.psi.dim)[-1] - r.basis @ (r.basis.conj().T[:, -1])
         v /= np.linalg.norm(v)
-        extra = np.eye(len(v)) + (np.exp(1e-5j) - 1) * np.outer(v, v.conj())
-        return UnitaryOp(rotation_R(plan).mat @ extra)
+        block = np.eye(3, dtype=complex)
+        block[:2, :2], block[2, 2] = r.block, np.exp(1e-5j)
+        return UnitaryOp.from_update(np.column_stack([r.basis, v]), block)
     return rotated
 
 
@@ -253,7 +268,15 @@ def _with_half_angle(rotation_R):
     return rotated
 
 
-@pytest.mark.parametrize("wrong", [_with_third_direction, _with_half_angle])
+def _inverse(rotation_R):
+    def rotated(plan):
+        # R^dagger has R's eigenvalues, so only R phi = psi_perp tells them apart
+        r = rotation_R(plan)
+        return UnitaryOp.from_update(r.basis, r.block.conj().T)
+    return rotated
+
+
+@pytest.mark.parametrize("wrong", [_with_third_direction, _with_half_angle, _inverse])
 def test_verify_uprep_fails_a_wrong_rotation(wrong, monkeypatch, capsys):
     monkeypatch.setattr(uprep, "rotation_R", wrong(uprep.rotation_R))
     assert main(["verify", "uprep", "-n", "3", "--trials", "1", "--seed", "1"]) == 1
@@ -269,7 +292,7 @@ def test_verify_unknown_suite(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["uprep", "-n", "11"],
+    ["uprep", "-n", "15"],  # over linalg.MAX_QUBITS
     ["uprep", "-n", "0"],  # a 1-dim helper state is always degenerate: draw_plan never returns
     ["uprep", "--trials", "0"],
     ["simplex", "-N", "0"],

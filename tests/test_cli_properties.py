@@ -1,9 +1,10 @@
 """Property test: every command maps sizes near its bounds to an exit code.
 
 Each flag is drawn from a small window around each of its bounds.  The
-accepted top of a range is left out where one run there takes seconds: -n 9
-and 10 of verify uprep, xhog's -k 2^14 (k queries of a 2^14-dimensional
-random-prep oracle) and --trials 2^25, and lp solve -n 4 (a 32768-row LP).
+accepted top of a range is left out where one run there takes seconds: xhog's
+-k 2^14 (k queries of a 2^14-dimensional random-prep oracle) and --trials
+2^25, and lp solve -n 4 (a 32768-row LP).  verify uprep's -n 14 is drawn: its
+rotations are checked on their rank-2 factors, so a run there takes ~0.1 s.
 Their rejected sides are drawn.  A rejected xhog argv is run again at
 --trials 2^25, unless --trials itself was the fault, so a check that comes
 after the per-trial arrays are allocated shows as a tracemalloc peak.
@@ -32,7 +33,7 @@ WINDOWS = {
         "--cases": (-1, 0, 1, 2),
     },
     "oracles": {"-n": (-1, 0, 1, 2, 15, 14), "--cases": (-1, 0, 1, 2)},
-    "uprep": {"-n": (-1, 0, 1, 2, 11, 14), "-T": (-1, 0, 1, 4, 5), "--trials": (-1, 0, 1, 2)},
+    "uprep": {"-n": (-1, 0, 1, 2, 15, 14), "-T": (-1, 0, 1, 4, 5), "--trials": (-1, 0, 1, 2)},
     "simplex": {"-N": (-1, 0, 1, 2, 16384, 16385), "--trials": (-1, 0, 1, 99, 100, 101)},
 }
 

@@ -9,7 +9,7 @@ from xhoglab.linalg import (
     UnitaryOp,
     basis_state,
     haar_state_amps,
-    rank2_identity_distance,
+    rank2_update_distance,
     trial_rng,
     unitary_channel_diamond_distance,
 )
@@ -115,13 +115,13 @@ def test_rank2_rotation_distance_matches_dense():
             plan = decompose_phi(PureState(haar_state_amps(2**n, rng)),
                                  PureState(haar_state_amps(2**n, rng)))
             r = rotation_R(plan)
-            d, residual = rank2_identity_distance(r.mat)
+            d, residual = rank2_update_distance(r.basis, r.block)
             dense = unitary_channel_diamond_distance(r, UnitaryOp(np.eye(2**n)))
             assert abs(d - dense) < 1e-12
-            assert residual < 1e-12
-    # basis-state instance: R = I, an empty subspace, distance 0
+            assert residual == 0.0  # a 2 x 2 block has no third singular value
+    # basis-state instance: R = I, a block of I, distance 0
     r = rotation_R(decompose_phi(basis_state(4, 0), basis_state(4, 3)))
-    assert rank2_identity_distance(r.mat) == (0.0, 0.0)
+    assert rank2_update_distance(r.basis, r.block) == (0.0, 0.0)
     assert unitary_channel_diamond_distance(r, UnitaryOp(np.eye(4))) == 0.0
 
 
@@ -133,15 +133,21 @@ def test_rank2_residual_exposes_a_third_direction():
         v = v - b * np.vdot(b, v)
     v /= np.linalg.norm(v)
     # a phase inside the rotation's arc leaves the eigenvalue hull, hence the distance, unchanged
-    extra = UnitaryOp(np.eye(8) + (np.exp(0.5j * plan.theta) - 1) * np.outer(v, v.conj()))
-    u = UnitaryOp(rotation_R(plan).mat @ extra.mat)
+    block = np.eye(3, dtype=complex)
+    block[:2, :2] = plan.block
+    block[2, 2] = np.exp(0.5j * plan.theta)
+    u = UnitaryOp.from_update(np.column_stack([plan.psi_perp.amps, psi.amps, v]), block)
     dense = unitary_channel_diamond_distance(u, UnitaryOp(np.eye(8)))
     assert abs(dense - 2 * abs(plan.beta)) < 1e-12
-    assert rank2_identity_distance(u.mat)[1] > 0.1
-    # K = |0><2| has its columns in span(|0>) but acts on |2>: only the row residual sees it
-    shear = np.eye(4)
-    shear[0, 2] = 1.0
-    assert rank2_identity_distance(shear)[1] > 0.5
+    d, residual = rank2_update_distance(u.basis, u.block)
+    assert abs(d - dense) < 1e-12
+    assert abs(residual - abs(block[2, 2] - 1)) < 1e-12
+    # the residual is R - I's Frobenius norm outside its best rank-2 subspace
+    sv = np.linalg.svd(u.mat - np.eye(8), compute_uv=False)
+    assert abs(residual - np.sqrt(np.sum(sv[2:] ** 2))) < 1e-12
+    # I + |0><2| is no rotation: its block on (|0>, |2>) is a shear, which from_update rejects
+    with pytest.raises(ValueError, match="block is not unitary"):
+        UnitaryOp.from_update(np.eye(4)[:, [0, 2]], [[1.0, 1.0], [0.0, 1.0]])
 
 
 def test_swap_via_canonical():
