@@ -70,11 +70,11 @@ def _check(checks, name, value, bound):
 
 
 def _verify_symmetrize(args, checks):
-    from .symmetrize import ResourceSpec, check_dense_cap, verify_symmetrization
+    from .symmetrize import ResourceSpec, check_block_cap, verify_symmetrization
 
     if not (1 <= args.n <= MAX_QUBITS and args.k >= 1 and args.cases >= 1):
         raise ValueError(f"symmetrize needs 1 <= -n <= {MAX_QUBITS}, -k >= 1 and --cases >= 1")
-    check_dense_cap(2**args.n, args.k)
+    check_block_cap(2**args.n, args.k)
     for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
         psi = PureState(haar_state_amps(2**args.n, rng))
         spec = ResourceSpec.random(args.k, rng)

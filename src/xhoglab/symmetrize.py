@@ -8,20 +8,30 @@ state is produced by a measure-and-resuperpose protocol: measure k copies of
 psi, replace each result by the flag with probability |beta_j|^2, and prepare
 a superposition over all reorderings weighted by the factor coefficients.
 This module computes both density matrices exactly and checks their equality
-block by block over the multiset groups, without building either matrix.
+block by block over the multiset groups, without building either matrix.  The
+group structure depends only on (N+1, k); it is built once as a
+:class:`GroupLayout`, and every group of one size is compared in one batch of
+array operations.
 """
 
 from __future__ import annotations
 
-import itertools
+import functools
+import math
+from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
 from .linalg import DensityMatrix, DimensionError, PureState, _as_rng, born_sample, check_unit_trace
 
-# (N+1)^k cap: one dense (N+1)^k x (N+1)^k complex matrix is at most 256 MiB
-DENSE_CAP_DIM = 4096
+# sum over the multiset groups of |G|^2, the block entries the verifier compares;
+# it also bounds (N+1)^k, the length of |R>
+BLOCK_CAP = 2**22
+# (N+1)^k cap of the dense references: one 729 x 729 complex matrix is 8.1 MiB
+DENSE_CAP_DIM = 729
+# block entries compared in one batch of array operations: 1 MiB per complex array
+SLICE_ENTRIES = 2**16
 
 
 @dataclass(frozen=True)
@@ -54,78 +64,161 @@ class ResourceSpec:
         return cls(tuple(pairs))
 
 
+def _partitions(k, largest):
+    """The partitions of k into parts of at most ``largest``, parts descending."""
+    if k == 0:
+        yield ()
+        return
+    for part in range(min(k, largest), 0, -1):
+        for rest in _partitions(k - part, part):
+            yield (part,) + rest
+
+
+def block_entries(base, k) -> int:
+    """sum_G |G|^2 over the multiset groups of k-digit strings over [0, base).
+
+    A group's occupation numbers, sorted, form a partition lam of k with at most
+    ``base`` parts; C(base, len(lam)) * len(lam)! / prod(multiplicities!) groups
+    share it, and each has the multinomial k! / prod(lam_i!) strings.
+    """
+    total = 0
+    for lam in _partitions(k, k):
+        if len(lam) > base:
+            continue
+        keys = math.factorial(len(lam))
+        for mult in Counter(lam).values():
+            keys //= math.factorial(mult)
+        size = math.factorial(k)
+        for part in lam:
+            size //= math.factorial(part)
+        total += math.comb(base, len(lam)) * keys * size * size
+    return total
+
+
+def check_block_cap(n_dim, k):
+    # sum_G |G|^2 >= (N+1)^k >= 2^k passes the cap once k reaches its bit length, so a
+    # huge k walks no partitions
+    if k >= BLOCK_CAP.bit_length() or block_entries(n_dim + 1, k) > BLOCK_CAP:
+        raise DimensionError(
+            f"sum over the multiset groups of |G|^2 at (N+1, k) = ({n_dim + 1}, {k}) exceeds the"
+            f" block cap {BLOCK_CAP}"
+        )
+
+
 def check_dense_cap(n_dim, k):
-    # (N+1)^k >= 2^k passes the cap once k reaches its bit length, so a huge k never
-    # forms the power
     if k >= DENSE_CAP_DIM.bit_length() or (n_dim + 1) ** k > DENSE_CAP_DIM:
         raise DimensionError(f"(N+1)^k = {n_dim + 1}^{k} exceeds the dense cap {DENSE_CAP_DIM}")
 
 
-def digits_of(index, base, k):
-    """Row-major mixed-radix digits of a flat index (factor 0 most significant)."""
-    out = []
-    for _ in range(k):
-        out.append(index % base)
-        index //= base
-    return tuple(reversed(out))
-
-
-def index_of(digits, base):
-    idx = 0
-    for d in digits:
-        idx = idx * base + d
-    return idx
+def _check_resource(psi, spec):
+    if psi.has_bot:
+        raise ValueError("psi must not carry the flag extension")
+    check_block_cap(psi.dim, spec.k)
 
 
 def build_R(psi: PureState, spec: ResourceSpec) -> PureState:
     """Tensor product of the k factors alpha_j |psi> + beta_j |bot>."""
-    if psi.has_bot:
-        raise ValueError("psi must not carry the flag extension")
-    check_dense_cap(psi.dim, spec.k)
+    _check_resource(psi, spec)
     vec = np.array([1.0 + 0j])
     for a, b in spec.coeffs:
         factor = np.append(a * psi.amps, b)
-        vec = np.kron(vec, factor)
+        vec = np.outer(vec, factor).ravel()
     return PureState(vec)
 
 
-def multiset_groups(base, k):
-    """Every multiset group of k-digit strings over [0, base), as ascending flat indices.
+@dataclass(frozen=True)
+class GroupLayout:
+    """The multiset groups of k-digit strings over [0, base).
 
-    A group holds the strings that are reorderings of one another; sigma_R and
-    rho_R are block-diagonal over these groups.
+    ``digits[x]`` holds the row-major digits of flat index x (factor 0 most
+    significant) and ``gid[x]`` its group; groups are numbered in
+    ``combinations_with_replacement(range(base), k)`` order.  ``classes`` has
+    one ``(ids, idx)`` pair per group size s: the ids of the groups of that
+    size, ascending, and their (groups, s) matrix of ascending flat indices.
+    sigma_R and rho_R are block-diagonal over the groups.  Digits take the
+    narrowest unsigned type that holds base - 1, and group ids and flat
+    indices are int32, which holds every base^k <= ``BLOCK_CAP``.
     """
-    for key in itertools.combinations_with_replacement(range(base), k):
-        yield _group_of(key, base)
+
+    base: int
+    digits: np.ndarray
+    gid: np.ndarray
+    classes: tuple
 
 
-def _group_of(key, base):
-    """Ascending flat indices of the distinct reorderings of the digit string ``key``."""
-    return np.array(sorted({index_of(p, base) for p in itertools.permutations(key)}))
+@functools.lru_cache(maxsize=4)
+def group_layout(base, k) -> GroupLayout:
+    """The layout of (base, k), built once per process and shared read-only."""
+    digits = np.indices((base,) * k, dtype=np.min_scalar_type(base - 1)).reshape(k, -1).T
+    # a sorted digit row read as a flat index: ascending keys are the rows in lexicographic,
+    # i.e. combinations_with_replacement, order
+    key = np.zeros(len(digits), dtype=np.int32)
+    for col in np.sort(digits, axis=1).T:
+        key = key * base + col
+    # a stable sort by key lists the groups in order, each with its flat indices ascending
+    order = np.argsort(key, kind="stable").astype(np.int32)
+    first = np.diff(key[order], prepend=-1) != 0  # the first index of each group
+    starts = np.flatnonzero(first)
+    sizes = np.diff(starts, append=len(key))
+    gid = np.empty(len(key), dtype=np.int32)
+    gid[order] = np.cumsum(first, dtype=np.int32) - 1
+    classes = []
+    for size in np.unique(sizes):
+        ids = np.flatnonzero(sizes == size).astype(np.int32)
+        classes.append((ids, order[starts[ids][:, None] + np.arange(size)]))
+    for arr in (digits, gid, *(a for c in classes for a in c)):
+        arr.flags.writeable = False
+    return GroupLayout(base, digits, gid, tuple(classes))
 
 
-def _sigma_block(r, group):
-    """sigma_R on one group: r_G r_G^dagger."""
-    sub = r[group]
-    return np.outer(sub, sub.conj())
+def _slices(layout):
+    """(ids, idx) batches of equal-size groups, at most ~``SLICE_ENTRIES`` block entries each."""
+    for ids, idx in layout.classes:
+        step = max(1, SLICE_ENTRIES // idx.shape[1] ** 2)
+        for lo in range(0, len(ids), step):
+            yield ids[lo : lo + step], idx[lo : lo + step]
 
 
-def _rho_block(group, probs_psi, spec, base):
-    """rho_R on one group: (p_G / |zeta_G|^2) zeta_G zeta_G^dagger, and zero when
-    the group's outcome probability or zeta_G is zero."""
-    amps, prob = _zeta_group(group, probs_psi, spec, base)
-    nrm2 = float(np.vdot(amps, amps).real)
-    if prob <= 0.0 or nrm2 <= 0.0:
-        return np.zeros((len(group), len(group)), dtype=complex)
-    return (prob / nrm2) * np.outer(amps, amps.conj())
+def _outer(rows):
+    """rows[g] rows[g]^dagger for every row g: a (groups, s, s) batch."""
+    return rows[:, :, None] * rows.conj()[:, None, :]
 
 
-def _dense(block, base, k) -> DensityMatrix:
-    """Scatter ``block(group)`` over every multiset group into one dense matrix
-    (the test reference)."""
-    mat = np.zeros((base**k, base**k), dtype=complex)
-    for group in multiset_groups(base, k):
-        mat[np.ix_(group, group)] = block(group)
+def _protocol_amplitudes(layout, probs_psi, spec):
+    """Per flat index, the protocol amplitude gamma_x; per group, the outcome probability p_G.
+
+    gamma_x is the product over the factors of beta_j where digit j is the flag
+    and alpha_j elsewhere; outcome x occurs with probability the product of
+    |beta_j|^2 where digit j is the flag and |alpha_j|^2 |psi_(x_j)|^2
+    elsewhere, and p_G sums it over the group.  Each factor is one lookup of
+    digit column j in a table of its base values.
+    """
+    gamma = np.ones(len(layout.gid), dtype=complex)
+    weight = np.ones(len(layout.gid))
+    for col, (a, b) in zip(layout.digits.T, spec.coeffs):
+        gamma *= np.append(np.full(len(probs_psi), a), b)[col]
+        weight *= np.append(abs(a) ** 2 * probs_psi, abs(b) ** 2)[col]
+    return gamma, np.bincount(layout.gid, weights=weight)
+
+
+def _rho_weights(layout, gamma, prob):
+    """p_G / |zeta_G|^2 per group, and zero when p_G or zeta_G is zero."""
+    nrm2 = np.bincount(layout.gid, weights=gamma.real**2 + gamma.imag**2)
+    out = np.zeros(len(prob))
+    np.divide(prob, nrm2, out=out, where=(prob > 0.0) & (nrm2 > 0.0))
+    return out
+
+
+def _rho_blocks(gamma, coef, ids, idx):
+    """rho_R on a batch of groups: (p_G / |zeta_G|^2) zeta_G zeta_G^dagger."""
+    return coef[ids][:, None, None] * _outer(gamma[idx])
+
+
+def _dense(layout, blocks) -> DensityMatrix:
+    """Scatter ``blocks(ids, idx)`` over every batch into one dense matrix (the test reference)."""
+    mat = np.zeros((len(layout.gid), len(layout.gid)), dtype=complex)
+    for ids, idx in _slices(layout):
+        mat[idx[:, :, None], idx[:, None, :]] = blocks(ids, idx)
     return DensityMatrix(mat)
 
 
@@ -135,42 +228,10 @@ def sigma_R_exact(psi: PureState, spec: ResourceSpec) -> DensityMatrix:
     Entry (x, y) equals <x|R><R|y> when the digit strings of x and y are
     reorderings of each other, and is exactly zero otherwise.
     """
-    r = build_R(psi, spec).amps
-    return _dense(lambda g: _sigma_block(r, g), psi.dim + 1, spec.k)
-
-
-def _zeta_group(group_indices, r_digits, spec, base):
-    """Unnormalized zeta amplitudes and the group's outcome probability.
-
-    ``group_indices`` are the flat indices whose digit strings are reorderings
-    of one another.
-    """
-    k = spec.k
-    amps = np.zeros(len(group_indices), dtype=complex)
-    prob = 0.0
-    for pos, idx in enumerate(group_indices):
-        z = digits_of(idx, base, k)
-        gamma = 1.0 + 0j
-        weight = 1.0
-        for j, zj in enumerate(z):
-            a, b = spec.coeffs[j]
-            if zj == base - 1:
-                gamma *= b
-                weight *= abs(b) ** 2
-            else:
-                gamma *= a
-                weight *= abs(a) ** 2 * r_digits[zj]
-        amps[pos] = gamma
-        prob += weight
-    return amps, prob
-
-
-def _check_protocol(psi, spec):
-    if psi.has_bot:
-        raise ValueError("psi must not carry the flag extension")
+    _check_resource(psi, spec)
     check_dense_cap(psi.dim, spec.k)
-    if spec.k > 6:
-        raise DimensionError("protocol enumeration capped at k = 6")
+    r = build_R(psi, spec).amps
+    return _dense(group_layout(psi.dim + 1, spec.k), lambda ids, idx: _outer(r[idx]))
 
 
 def rho_R_protocol_exact(psi: PureState, spec: ResourceSpec) -> DensityMatrix:
@@ -180,46 +241,48 @@ def rho_R_protocol_exact(psi: PureState, spec: ResourceSpec) -> DensityMatrix:
     extended strings by multiset, and mixes the resulting superpositions with
     their outcome probabilities.
     """
-    _check_protocol(psi, spec)
-    base = psi.dim + 1
-    probs_psi = psi.probabilities()
-    return _dense(lambda g: _rho_block(g, probs_psi, spec, base), base, spec.k)
+    _check_resource(psi, spec)
+    check_dense_cap(psi.dim, spec.k)
+    layout = group_layout(psi.dim + 1, spec.k)
+    gamma, prob = _protocol_amplitudes(layout, psi.probabilities(), spec)
+    coef = _rho_weights(layout, gamma, prob)
+    return _dense(layout, lambda ids, idx: _rho_blocks(gamma, coef, ids, idx))
 
 
 def rho_R_sample(psi: PureState, spec: ResourceSpec, seed) -> PureState:
     """One protocol execution: measure k copies, run the flag lottery, output zeta."""
+    _check_resource(psi, spec)
     rng = _as_rng(seed)
     base = psi.dim + 1
-    k = spec.k
     probs_psi = psi.probabilities()
-    xs = born_sample(probs_psi, rng, size=k)
-    xbar = []
-    for j in range(k):
-        a, b = spec.coeffs[j]
-        xbar.append(base - 1 if rng.random() < abs(b) ** 2 else int(xs[j]))
-    group = _group_of(xbar, base)
-    amps, _ = _zeta_group(group, probs_psi, spec, base)
-    vec = np.zeros(base**k, dtype=complex)
-    vec[group] = amps
+    xs = born_sample(probs_psi, rng, size=spec.k)
+    index = 0
+    for (_, b), x in zip(spec.coeffs, xs):
+        index = index * base + (base - 1 if rng.random() < abs(b) ** 2 else int(x))
+    layout = group_layout(base, spec.k)
+    gamma, _ = _protocol_amplitudes(layout, probs_psi, spec)
+    vec = np.where(layout.gid == layout.gid[index], gamma, 0.0)
     return PureState(vec / np.linalg.norm(vec))
 
 
 def verify_symmetrization(psi: PureState, spec: ResourceSpec) -> float:
     """Max-entry deviation between the analytic average and the protocol mixture.
 
-    Both are compared block by block over the multiset groups, so no
-    (N+1)^k-square matrix is built.  Each block is rank one with a nonnegative
-    weight, hence Hermitian and PSD; only the unit trace of each side is checked.
+    Both are compared over the multiset groups, every group of one size in one
+    batch, so no (N+1)^k-square matrix is built.  Each block is rank one with a
+    nonnegative weight, hence Hermitian and PSD; only the unit trace of each
+    side is checked.
     """
-    _check_protocol(psi, spec)
+    _check_resource(psi, spec)
+    layout = group_layout(psi.dim + 1, spec.k)  # before |R>: its build's temporaries are freed
+    gamma, prob = _protocol_amplitudes(layout, psi.probabilities(), spec)
+    coef = _rho_weights(layout, gamma, prob)
     r = build_R(psi, spec).amps
-    base = psi.dim + 1
-    probs_psi = psi.probabilities()
     dev = tr_sigma = tr_rho = 0.0
-    for group in multiset_groups(base, spec.k):
-        sigma, rho = _sigma_block(r, group), _rho_block(group, probs_psi, spec, base)
-        tr_sigma += np.trace(sigma).real
-        tr_rho += np.trace(rho).real
+    for ids, idx in _slices(layout):
+        sigma, rho = _outer(r[idx]), _rho_blocks(gamma, coef, ids, idx)
+        tr_sigma += np.trace(sigma, axis1=1, axis2=2).real.sum()
+        tr_rho += np.trace(rho, axis1=1, axis2=2).real.sum()
         dev = max(dev, float(np.max(np.abs(sigma - rho))))
     check_unit_trace(tr_sigma)
     check_unit_trace(tr_rho)

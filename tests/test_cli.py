@@ -338,9 +338,11 @@ def test_verify_simplex_accepts_the_dimension_cap(monkeypatch, capsys):
     capsys.readouterr()
 
 
-@pytest.mark.parametrize("k_arg", [["-n", "3", "-k", "5"], ["-n", "2", "-k", "8"]])
+@pytest.mark.parametrize(
+    "k_arg", [["-n", "3", "-k", "6"], ["-n", "2", "-k", "8"], ["-n", "2", "-k", "7"]]
+)
 def test_verify_symmetrize_over_the_dense_cap_is_rejected_before_allocating(k_arg, capsys):
-    # 9^5 and 5^8 rows: the dense matrices would need 52 GiB and 2.2 TiB
+    # sum_G |G|^2 = 1.6e8, 8.0e8 and 4.1e7 block entries, over symmetrize.BLOCK_CAP = 2^22
     tracemalloc.start()
     try:
         rc = main(["verify", "symmetrize", *k_arg, "--cases", "1", "--seed", "1"])
@@ -353,30 +355,57 @@ def test_verify_symmetrize_over_the_dense_cap_is_rejected_before_allocating(k_ar
     assert err.startswith("error:") and "Traceback" not in err
 
 
-def test_verify_symmetrize_runs_block_wise(capsys):
-    # (N+1)^k = 3125: the two dense matrices alone would take 312 MB
+def _symmetrize_peak(*size):
+    """(exit code, tracemalloc peak) of one verify symmetrize case, the group layout's
+    build included."""
+    from xhoglab import symmetrize
+
+    symmetrize.group_layout.cache_clear()
     tracemalloc.start()
     try:
-        rc = main(["verify", "symmetrize", "-n", "2", "-k", "5", "--cases", "1", "--seed", "1"])
-        peak = tracemalloc.get_traced_memory()[1]
+        rc = main(["verify", "symmetrize", *size, "--cases", "1", "--seed", "1"])
+        return rc, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def test_verify_symmetrize_runs_block_wise(capsys):
+    # (N+1)^k = 3125: the two dense matrices alone would take 312 MB
+    rc, peak = _symmetrize_peak("-n", "2", "-k", "5")
     assert rc == 0
     assert peak < 8 * 2**20
+    assert capsys.readouterr().out.rstrip().endswith(" OK")
+
+
+@pytest.mark.parametrize(
+    "size, peak_mib",
+    [
+        # (N+1)^k = 59049 rows and sum_G |G|^2 = 3965409 block entries, just under the cap;
+        # the dense matrices would take 111 GB.  Measured peak ~7.7 MiB.
+        (("-n", "3", "-k", "5"), 12),
+        # the largest index space the cap admits: 1050625 rows, sum_G |G|^2 = 2.1e6.  |R>,
+        # gamma and the layout are ~16 MiB each; measured peak ~62 MiB.
+        (("-n", "10", "-k", "2"), 80),
+    ],
+)
+def test_verify_symmetrize_runs_at_the_block_cap(size, peak_mib, capsys):
+    rc, peak = _symmetrize_peak(*size)
+    assert rc == 0
+    assert peak < peak_mib * 2**20
     assert capsys.readouterr().out.rstrip().endswith(" OK")
 
 
 def test_verify_symmetrize_fails_a_wrong_protocol_weight(monkeypatch, capsys):
     from xhoglab import symmetrize
 
-    real = symmetrize._zeta_group
+    real = symmetrize._protocol_amplitudes
 
     def dephased(*args):
         # superposition weights without their phases: each block keeps its trace p_G
-        amps, prob = real(*args)
-        return np.abs(amps), prob
+        gamma, prob = real(*args)
+        return np.abs(gamma), prob
 
-    monkeypatch.setattr(symmetrize, "_zeta_group", dephased)
+    monkeypatch.setattr(symmetrize, "_protocol_amplitudes", dephased)
     assert main(["verify", "symmetrize", "-n", "1", "-k", "3", "--cases", "3", "--seed", "1"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 3 and all(ln.endswith(" FAIL") for ln in lines)

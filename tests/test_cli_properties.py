@@ -28,8 +28,10 @@ REJECTED_PEAK = 2**20
 
 WINDOWS = {
     "symmetrize": {
-        "-n": (-1, 0, 1, 2, 11, 12, 14, 15),  # (N+1)^k <= 4096 admits n = 11 only at k = 1
-        "-k": (-1, 0, 1, 2, 6, 7),  # the protocol enumeration stops at k = 6
+        # symmetrize.BLOCK_CAP on sum_G |G|^2 admits k <= 2 up to n = 10 and only k = 1 from
+        # n = 11 on, and k <= 8 at n = 1 and k <= 6 at n = 2
+        "-n": (-1, 0, 1, 2, 10, 11, 14, 15),
+        "-k": (-1, 0, 1, 2, 6, 7, 8, 9),
         "--cases": (-1, 0, 1, 2),
     },
     "oracles": {"-n": (-1, 0, 1, 2, 15, 14), "--cases": (-1, 0, 1, 2)},

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -5,16 +6,22 @@ import pytest
 
 from xhoglab.linalg import DimensionError, PureState, basis_state, haar_state_amps, trace_distance, trial_rng
 from xhoglab.symmetrize import (
+    BLOCK_CAP,
     ResourceSpec,
+    block_entries,
     build_R,
-    digits_of,
-    index_of,
-    multiset_groups,
+    check_block_cap,
+    group_layout,
     rho_R_protocol_exact,
     rho_R_sample,
     sigma_R_exact,
     verify_symmetrization,
 )
+
+
+def index_of(digits, base):
+    """Row-major flat index of a digit string (factor 0 most significant)."""
+    return int(np.ravel_multi_index(digits, (base,) * len(digits)))
 
 
 def test_resource_spec_normalization_check():
@@ -25,8 +32,10 @@ def test_resource_spec_normalization_check():
 
 
 def test_mixed_radix_roundtrip():
+    digits = group_layout(3, 3).digits
     for idx in range(27):
-        assert index_of(digits_of(idx, 3, 3), 3) == idx
+        assert index_of(tuple(digits[idx]), 3) == idx
+        assert digits[idx].tolist() == [idx // 9, idx // 3 % 3, idx % 3]
 
 
 def test_build_R_single_factor():
@@ -137,11 +146,32 @@ def test_verify_symmetrization_equals_dense_references():
             assert verify_symmetrization(psi, spec) == dense
 
 
+def test_slices_cover_every_group_once(monkeypatch):
+    # -n 3 -k 5 is the size that slices; small slices split every size class here
+    from xhoglab import symmetrize
+
+    rng = trial_rng(8, 0)
+    psi = PureState(haar_state_amps(4, rng))
+    spec = ResourceSpec.random(4, rng)
+    want = verify_symmetrization(psi, spec)
+    layout = group_layout(5, 4)
+    for entries in (1, 50):
+        monkeypatch.setattr(symmetrize, "SLICE_ENTRIES", entries)
+        ids = np.concatenate([ids for ids, _ in symmetrize._slices(layout)])
+        assert sorted(ids) == list(range(math.comb(5 + 4 - 1, 4)))
+        assert verify_symmetrization(psi, spec) == want
+
+
 def test_verify_symmetrization_checks_the_protocol_trace(monkeypatch):
     from xhoglab import symmetrize
 
-    real = symmetrize._zeta_group
-    monkeypatch.setattr(symmetrize, "_zeta_group", lambda *a: (real(*a)[0], real(*a)[1] / 2))
+    real = symmetrize._protocol_amplitudes
+
+    def halved(*args):
+        gamma, prob = real(*args)
+        return gamma, prob / 2
+
+    monkeypatch.setattr(symmetrize, "_protocol_amplitudes", halved)
     rng = trial_rng(9, 0)
     psi = PureState(haar_state_amps(4, rng))
     with pytest.raises(ValueError, match="trace"):
@@ -149,21 +179,56 @@ def test_verify_symmetrization_checks_the_protocol_trace(monkeypatch):
 
 
 def test_multiset_groups_partition_the_index_space():
-    for base, k in ((3, 1), (3, 3), (5, 2)):
-        groups = list(multiset_groups(base, k))
-        assert len(groups) == math.comb(base + k - 1, k)
-        assert np.array_equal(np.sort(np.concatenate(groups)), np.arange(base**k))
-        for g in groups:
-            assert np.all(np.diff(g) > 0)
-            keys = {tuple(sorted(digits_of(int(i), base, k))) for i in g}
-            assert len(keys) == 1
+    for base, k in ((3, 1), (3, 3), (5, 2), (4, 4)):
+        layout = group_layout(base, k)
+        groups = {int(g): rows for ids, idx in layout.classes for g, rows in zip(ids, idx)}
+        assert sorted(groups) == list(range(math.comb(base + k - 1, k)))
+        assert np.array_equal(np.sort(np.concatenate(list(groups.values()))), np.arange(base**k))
+        # group g is the g-th multiset in combinations_with_replacement order, and holds
+        # exactly the flat indices of its distinct reorderings, ascending
+        keys = itertools.combinations_with_replacement(range(base), k)
+        for g, key in enumerate(keys):
+            want = sorted({index_of(p, base) for p in itertools.permutations(key)})
+            assert groups[g].tolist() == want
+            assert np.all(layout.gid[groups[g]] == g)
+        assert sum(len(rows) ** 2 for rows in groups.values()) == block_entries(base, k)
+
+
+def test_block_entries_closed_form():
+    # sum_G |G|^2 is the number of (x, y) pairs whose digit strings are reorderings
+    for base, k in ((2, 3), (3, 4), (5, 3), (9, 2)):
+        strings = itertools.product(range(base), repeat=k)
+        sizes = {}
+        for s in strings:
+            key = tuple(sorted(s))
+            sizes[key] = sizes.get(key, 0) + 1
+        assert block_entries(base, k) == sum(v * v for v in sizes.values()) >= base**k
+    assert block_entries(10, 1) == 10 and block_entries(4, 0) == 1
+
+
+def test_verify_builds_the_layout_once_per_size():
+    from xhoglab.cli import main
+
+    group_layout.cache_clear()
+    assert main(["verify", "symmetrize", "-n", "1", "-k", "4", "--cases", "30", "--seed", "1"]) == 0
+    info = group_layout.cache_info()
+    assert (info.misses, info.hits) == (1, 29)
 
 
 def test_dimension_cap():
     psi = PureState(haar_state_amps(2**4, trial_rng(7, 0)))
     with pytest.raises(DimensionError):
         build_R(psi, ResourceSpec.random(6, trial_rng(7, 1)))
-    # the cap is on (N+1)^k, the side of the dense matrices, not on index bits
+    # the cap is on sum_G |G|^2, the block entries the verifier compares, not on index bits
     assert build_R(psi, ResourceSpec.random(2, trial_rng(7, 2))).dim == 17**2
+    assert block_entries(17, 4) <= BLOCK_CAP < block_entries(17, 5)  # 1.7e6 and 1.3e8
     with pytest.raises(DimensionError):
-        build_R(psi, ResourceSpec.random(3, trial_rng(7, 3)))  # 17^3 = 4913 > 4096
+        build_R(psi, ResourceSpec.random(5, trial_rng(7, 3)))
+    # the dense references stop at (N+1)^k = 729; 17^3 = 4913 is over it
+    with pytest.raises(DimensionError):
+        sigma_R_exact(psi, ResourceSpec.random(3, trial_rng(7, 4)))
+    with pytest.raises(DimensionError):
+        rho_R_protocol_exact(psi, ResourceSpec.random(3, trial_rng(7, 4)))
+    # a k at the cap's bit length is rejected without walking its partitions
+    with pytest.raises(DimensionError):
+        check_block_cap(2, 10**9)
