@@ -21,8 +21,8 @@ from .fourier_lp import CERTIFY_CAP, ENUM_CAP
 from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
+    MAX_TRIALS,
     PureState,
-    bot_state,
     expected_max_simplex,
     haar_state_amps,
     rank2_update_distance,
@@ -84,16 +84,16 @@ def _verify_symmetrize(args, checks):
 
 def _verify_oracles(args, checks):
     from .oracles import HALF_SQRT2, _reflect, canonical_from_prep, canonical_oracle, refl_from_prep
-    from .oracles import embed_extended_to_ancilla as embed, random_prep_oracle
+    from .oracles import embed_extended_to_ancilla as embed, preparation_input, random_prep_oracle
 
     if not (1 <= args.n <= MAX_QUBITS and args.cases >= 1):
         raise ValueError(f"oracles needs 1 <= -n <= {MAX_QUBITS} and --cases >= 1")
     for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
         psi = PureState(haar_state_amps(2**args.n, rng))
         o = canonical_oracle(psi)
-        bot = bot_state(args.n).amps
+        bot = preparation_input(o)  # the flag
         got = o.apply(bot)
-        _check(checks, f"case_{i}_flag_to_psi", np.max(np.abs(got - psi.with_bot().amps)), 1e-10)
+        _check(checks, f"case_{i}_flag_to_psi", np.max(np.abs(got - np.append(psi.amps, 0))), 1e-10)
         _check(checks, f"case_{i}_involution", np.max(np.abs(o.apply(got) - bot)), 1e-10)
     # each simulation circuit runs against a sealed random prep oracle, which counts its calls
     rng = trial_rng(args.seed, args.cases)
@@ -145,6 +145,11 @@ def _verify_simplex(args, checks):
         raise ValueError(
             f"simplex needs --trials >= {SIMPLEX_MIN_TRIALS}: with fewer trials the standard"
             " error is too noisy for the 3-SE gate, which then fails correct code"
+        )
+    if args.trials > MAX_TRIALS:
+        raise ValueError(
+            f"simplex needs --trials <= {MAX_TRIALS}: max_xeb_mc keeps 16 bytes per trial,"
+            " 512 MiB at 2^25"
         )
     mean, se = xhog.max_xeb_mc(args.N, args.trials, args.seed)
     target = float(expected_max_simplex(args.N))

@@ -17,12 +17,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from .oracles import SignFunction, _hadamard
+from .oracles import _hadamard
 
 ENUM_CAP = 4  # full enumeration of 2^(2^n) sign tables
 CERTIFY_CAP = 8  # the exact check walks all C(2^n, 2) pair constraints
@@ -47,25 +47,6 @@ def _all_sign_tables(n):
     return 1 - 2 * bits
 
 
-def _character(a, b):
-    """The Walsh character (-1)^(a.b) of two bit strings."""
-    return (-1) ** bin(a & b).count("1")
-
-
-def _xor_of(s):
-    out = 0
-    for x in s:
-        out ^= x
-    return out
-
-
-def fourier_coefficient(f: SignFunction, z: int) -> Fraction:
-    """Exact f-hat(z) = 2^(-n) sum_x f(x) (-1)^(x.z)."""
-    n_dim = 2**f.n
-    signs = np.array([_character(x, z) for x in range(n_dim)])
-    return Fraction(int(np.dot(f.table, signs)), n_dim)
-
-
 def naive_fourier_value(n: int) -> Fraction:
     """Exact score of sampling the transformed state, b = 3 - 2/2^n.
 
@@ -88,141 +69,6 @@ def naive_fourier_value(n: int) -> Fraction:
     if by_enum != by_moment:
         raise CrossCheckError(f"naive value: enumeration {by_enum} != moment form {by_moment}")
     return by_enum
-
-
-@dataclass(frozen=True)
-class MonomialPoly:
-    """Multilinear polynomial over sign tables: sum_S c_S prod_(x in S) f(x)."""
-
-    n: int
-    deg_cap: int
-    coeffs: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for s, c in self.coeffs.items():
-            s = frozenset(s)
-            if len(s) > self.deg_cap:
-                raise ValueError(f"|S| = {len(s)} exceeds degree cap {self.deg_cap}")
-            c = Fraction(c)
-            if c != 0:
-                clean[s] = c
-        object.__setattr__(self, "coeffs", clean)
-
-    def evaluate(self, f: SignFunction) -> Fraction:
-        total = Fraction(0)
-        for s, c in self.coeffs.items():
-            prod = 1
-            for x in s:
-                prod *= int(f.table[x])
-            total += c * prod
-        return total
-
-
-def naive_family(n: int) -> dict:
-    """The polynomial family of the naive strategy: p_z(f) = f-hat(z)^2."""
-    n_dim = 2**n
-    family = {}
-    for z in range(n_dim):
-        coeffs = {frozenset(): Fraction(1, n_dim)}
-        for x, y in itertools.combinations(range(n_dim), 2):
-            coeffs[frozenset((x, y))] = Fraction(2 * _character(x ^ y, z), n_dim**2)
-        family[z] = MonomialPoly(n, 2, coeffs)
-    return family
-
-
-def symmetrize_family(family: dict) -> MonomialPoly:
-    """Collapse a family (p_z)_z to the shift-symmetrized p'_(0^n).
-
-    p'_0(f) = (1/N) sum_y p_y(f . chi_y); on monomials this multiplies c_(y,S)
-    by (-1)^((xor S) . y) before averaging over y.
-    """
-    n = next(iter(family.values())).n
-    n_dim = 2**n
-    if set(family) != set(range(n_dim)):
-        raise ValueError("family must have one polynomial per z")
-    deg_cap = max(p.deg_cap for p in family.values())
-    out = {}
-    for y, p in family.items():
-        for s, c in p.coeffs.items():
-            sign = _character(_xor_of(s), y)
-            out[s] = out.get(s, Fraction(0)) + Fraction(sign, n_dim) * c
-    return MonomialPoly(n, deg_cap, out)
-
-
-def family_objective_exact(family: dict) -> Fraction:
-    """E_f[sum_z p_z(f) f-hat(z)^2] by full enumeration (the LP objective, = b/N)."""
-    n = next(iter(family.values())).n
-    n_dim = 2**n
-    total = Fraction(0)
-    for mask in range(2 ** n_dim):
-        f = SignFunction.from_index(n, mask)
-        fhat2 = [fourier_coefficient(f, z) ** 2 for z in range(n_dim)]
-        for z, p in family.items():
-            total += p.evaluate(f) * fhat2[z]
-    return total / 2**n_dim
-
-
-def reduce_equality_constraints(p: MonomialPoly) -> dict:
-    """Check the forced coefficients of a symmetrized polynomial.
-
-    Requires c_empty = 1/N, c_S = 0 for odd |S|, and c_S = 0 when the XOR of S
-    vanishes; returns the free-variable index set and any violations.
-    """
-    n_dim = 2**p.n
-    violations = []
-    if p.coeffs.get(frozenset(), Fraction(0)) != Fraction(1, n_dim):
-        violations.append(("empty", frozenset()))
-    for s, c in p.coeffs.items():
-        if not s:
-            continue
-        if len(s) % 2 == 1 and c != 0:
-            violations.append(("odd_size", s))
-        elif _xor_of(s) == 0 and c != 0:
-            violations.append(("zero_xor", s))
-    free = [
-        frozenset(s)
-        for size in range(2, p.deg_cap + 1, 2)
-        for s in itertools.combinations(range(n_dim), size)
-        if _xor_of(s) != 0
-    ]
-    return {"feasible": not violations, "violations": violations, "free_set": free}
-
-
-def objective_coefficients(n: int) -> dict:
-    """The objective weights k_S: 1 at S = empty, 2/N at |S| = 2, else 0.
-
-    Cross-checked against the defining enumeration
-    k_S = (N/2^N) sum_f f-hat(0)^2 prod_(x in S) f(x) for n within the cap.
-    """
-    n_dim = 2**n
-    out = {frozenset(): Fraction(1)}
-    for s in itertools.combinations(range(n_dim), 2):
-        out[frozenset(s)] = Fraction(2, n_dim)
-    if n <= 3:
-        for size in range(3):
-            for s in itertools.combinations(range(n_dim), size):
-                val = enumerate_objective_coefficient(n, s)
-                if val != out.get(frozenset(s), Fraction(0)):
-                    raise CrossCheckError(f"objective weight k_{sorted(s)}: enumeration gives {val}")
-    return out
-
-
-def enumerate_objective_coefficient(n: int, s) -> Fraction:
-    """k_S by direct enumeration over all sign tables (independent of closed form)."""
-    n_dim = 2**n
-    tables = _all_sign_tables(n)
-    sq = tables.sum(axis=1).astype(np.int64) ** 2
-    prod = np.ones(len(tables), dtype=np.int64)
-    for x in s:
-        prod *= tables[:, x]
-    return Fraction(n_dim * int(np.dot(sq, prod)), 2**n_dim * n_dim**2)
-
-
-def lp_objective(p: MonomialPoly) -> Fraction:
-    """Objective value sum_S k_S c_S of a symmetrized polynomial (equals b/N)."""
-    ks = objective_coefficients(p.n)
-    return sum((ks.get(s, Fraction(0)) * c for s, c in p.coeffs.items()), Fraction(0))
 
 
 @dataclass
@@ -381,7 +227,7 @@ def solve_primal_numeric(lp: LpInstance):
 
     n_dim = 2**lp.n
     nvars = len(lp.variables)
-    c = -np.full(nvars, 2.0 / n_dim)
+    c = -np.array(lp.objective, dtype=float)
     a_ub = -lp.constraint_matrix.astype(float)
     b_ub = np.full(lp.constraint_matrix.shape[0], 1.0 / n_dim)
     res = linprog(c, A_ub=a_ub, b_ub=b_ub, bounds=[(None, None)] * nvars, method="highs")

@@ -19,6 +19,11 @@ ATOL = 1e-10
 
 MAX_QUBITS = 14
 MAX_DIM = 2**MAX_QUBITS
+# checked before any per-trial array is allocated: 2^25 trials keep a float64 array
+# (xhog's scores, verify uprep's distances) at 256 MiB, verify simplex's maxima twice
+# over (the chunks and their concatenation), and xhog --csv adds two int32 arrays, z
+# and queries, of 128 MiB each (k is capped at MAX_DIM copies, so both fit)
+MAX_TRIALS = 2**25
 
 
 class DimensionError(ValueError):
@@ -146,14 +151,9 @@ def _as_rng(seed):
 
 @dataclass(frozen=True)
 class PureState:
-    """A unit complex amplitude vector over a finite computational basis.
-
-    If ``has_bot`` is set, the last index encodes the flag state orthogonal to
-    every n-qubit basis state, and indices 0..dim-2 are the computational basis.
-    """
+    """A unit complex amplitude vector over a finite computational basis."""
 
     amps: np.ndarray
-    has_bot: bool = False
 
     def __post_init__(self):
         amps = np.asarray(self.amps, dtype=complex)
@@ -166,33 +166,8 @@ class PureState:
     def dim(self) -> int:
         return len(self.amps)
 
-    @property
-    def n_qubits(self) -> int:
-        n_dim = self.dim - 1 if self.has_bot else self.dim
-        n = n_dim.bit_length() - 1
-        if 2**n != n_dim:
-            raise ValueError("dimension is not a power of two")
-        return n
-
     def probabilities(self) -> np.ndarray:
         return np.abs(self.amps) ** 2
-
-    def with_bot(self) -> "PureState":
-        """Embed into the (N+1)-dimensional space with zero amplitude on the flag."""
-        if self.has_bot:
-            return self
-        return PureState(np.append(self.amps, 0.0), has_bot=True)
-
-
-def basis_state(dim, index, has_bot=False) -> PureState:
-    v = np.zeros(dim, dtype=complex)
-    v[index] = 1.0
-    return PureState(v, has_bot=has_bot)
-
-
-def bot_state(n: int) -> PureState:
-    """The flag state on the extended (2^n + 1)-dimensional space."""
-    return basis_state(2**n + 1, 2**n, has_bot=True)
 
 
 def _unitarity_error(m) -> float:
@@ -279,13 +254,6 @@ class DensityMatrix:
         return self.mat.shape[0]
 
 
-def haar_state(n: int, seed) -> PureState:
-    """Haar-random n-qubit state: normalized i.i.d. complex Gaussian amplitudes."""
-    if not 1 <= n <= MAX_QUBITS:
-        raise DimensionError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
-    return PureState(haar_state_amps(2**n, _as_rng(seed)))
-
-
 def haar_state_amps(dim: int, rng) -> np.ndarray:
     """Bare amplitude vector of a Haar-random state (hot path, no wrapper).
 
@@ -298,17 +266,6 @@ def haar_state_amps(dim: int, rng) -> np.ndarray:
     z.imag = g[dim:]
     z /= np.linalg.norm(z)
     return z
-
-
-def haar_unitary(dim: int, seed) -> UnitaryOp:
-    """Haar-random unitary via the Ginibre + QR construction.
-
-    The diagonal phase correction makes the distribution exactly Haar, not
-    merely unitary.
-    """
-    if not 1 <= dim <= MAX_DIM:
-        raise DimensionError(f"dimension {dim} outside [1, {MAX_DIM}]")
-    return UnitaryOp(haar_unitary_mat(dim, _as_rng(seed)))
 
 
 def haar_unitary_mat(dim: int, rng) -> np.ndarray:
@@ -403,13 +360,6 @@ def born_sample(probs: np.ndarray, rng, size=None):
     cdf = np.cumsum(p / p.sum())
     cdf /= cdf[-1]
     return cdf.searchsorted(rng.random(size), side="right")
-
-
-def trace_distance(a: DensityMatrix, b: DensityMatrix) -> float:
-    if a.dim != b.dim:
-        raise DimensionError("dimension mismatch")
-    sv = np.linalg.svd(a.mat - b.mat, compute_uv=False)
-    return 0.5 * float(sv.sum())
 
 
 def distance_to_eigenvalue_hull(eigs: np.ndarray) -> float:

@@ -147,21 +147,12 @@ class OracleHandle:
         return self._unitary
 
 
-def reflection_about(psi: PureState) -> UnitaryOp:
-    """I - 2 |psi><psi|: psi is a -1 eigenvector, its complement is fixed."""
-    if psi.has_bot:
-        raise ValueError("expected a state without the flag extension")
-    return UnitaryOp.from_update(psi.amps[:, None], [[-1.0]])
-
-
 def canonical_oracle(psi: PureState, sealed=False) -> OracleHandle:
     """The reflection about (|psi> - |bot>)/sqrt(2) on the extended space.
 
     Acts as |bot> -> |psi>, |psi> -> |bot>, and fixes everything orthogonal
     to both.
     """
-    if psi.has_bot:
-        raise ValueError("expected a state without the flag extension")
     v = np.empty(psi.dim + 1, dtype=complex)
     np.multiply(psi.amps, HALF_SQRT2, out=v[:-1])
     v[-1] = -HALF_SQRT2
@@ -192,8 +183,6 @@ def random_prep_oracle(psi: PureState, seed, sealed=False) -> OracleHandle:
     choice of V by Haar invariance.  V is applied matrix-free, with W sampled
     lazily.
     """
-    if psi.has_bot:
-        raise ValueError("expected a state without the flag extension")
     haar = LazyHaarComplement(psi.dim, _as_rng(seed))
     phase, u = householder_vector(psi.amps)
     return OracleHandle("random_prep", psi.dim, psi, rank1_vec=u, haar=haar, phase=phase, sealed=sealed)
@@ -240,11 +229,6 @@ def fourier_coefficients_float(f: SignFunction) -> np.ndarray:
     return fwht(f.table.astype(float)) / 2**f.n
 
 
-def fourier_sampling_state(f: SignFunction) -> PureState:
-    """The output state of H^(x)n U_f H^(x)n on |0^n>: amplitude f-hat(z) on z."""
-    return PureState(fourier_coefficients_float(f).astype(complex))
-
-
 def reflect_about_state(oracle: OracleHandle, amps) -> np.ndarray:
     """I - 2|psi><psi| as O (I - 2|start><start|) O^dagger with O|start> = |psi>: two queries."""
     amps = oracle.apply_adjoint(amps)
@@ -272,15 +256,6 @@ def embed_extended_to_ancilla(amps_ext: np.ndarray) -> np.ndarray:
     out = np.zeros((2 * n_dim, *np.shape(amps_ext)[1:]), dtype=complex)
     out[1::2] = amps_ext[:n_dim]
     out[0] = amps_ext[n_dim]
-    return out
-
-
-def project_ancilla_to_extended(amps_anc: np.ndarray) -> np.ndarray:
-    """Inverse of the encoding isomorphism (projects onto the encoded subspace)."""
-    n_dim = len(amps_anc) // 2
-    out = np.empty(n_dim + 1, dtype=complex)
-    out[:n_dim] = amps_anc[1::2]
-    out[n_dim] = amps_anc[0]
     return out
 
 

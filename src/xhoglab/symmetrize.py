@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, DimensionError, PureState, _as_rng, born_sample, check_unit_trace
+from .linalg import DensityMatrix, DimensionError, PureState, check_unit_trace
 
 # sum over the multiset groups of |G|^2, the block entries the verifier compares;
 # it also bounds (N+1)^k, the length of |R>
@@ -110,15 +110,9 @@ def check_dense_cap(n_dim, k):
         raise DimensionError(f"(N+1)^k = {n_dim + 1}^{k} exceeds the dense cap {DENSE_CAP_DIM}")
 
 
-def _check_resource(psi, spec):
-    if psi.has_bot:
-        raise ValueError("psi must not carry the flag extension")
-    check_block_cap(psi.dim, spec.k)
-
-
 def build_R(psi: PureState, spec: ResourceSpec) -> PureState:
     """Tensor product of the k factors alpha_j |psi> + beta_j |bot>."""
-    _check_resource(psi, spec)
+    check_block_cap(psi.dim, spec.k)
     vec = np.array([1.0 + 0j])
     for a, b in spec.coeffs:
         factor = np.append(a * psi.amps, b)
@@ -228,7 +222,7 @@ def sigma_R_exact(psi: PureState, spec: ResourceSpec) -> DensityMatrix:
     Entry (x, y) equals <x|R><R|y> when the digit strings of x and y are
     reorderings of each other, and is exactly zero otherwise.
     """
-    _check_resource(psi, spec)
+    check_block_cap(psi.dim, spec.k)
     check_dense_cap(psi.dim, spec.k)
     r = build_R(psi, spec).amps
     return _dense(group_layout(psi.dim + 1, spec.k), lambda ids, idx: _outer(r[idx]))
@@ -241,28 +235,12 @@ def rho_R_protocol_exact(psi: PureState, spec: ResourceSpec) -> DensityMatrix:
     extended strings by multiset, and mixes the resulting superpositions with
     their outcome probabilities.
     """
-    _check_resource(psi, spec)
+    check_block_cap(psi.dim, spec.k)
     check_dense_cap(psi.dim, spec.k)
     layout = group_layout(psi.dim + 1, spec.k)
     gamma, prob = _protocol_amplitudes(layout, psi.probabilities(), spec)
     coef = _rho_weights(layout, gamma, prob)
     return _dense(layout, lambda ids, idx: _rho_blocks(gamma, coef, ids, idx))
-
-
-def rho_R_sample(psi: PureState, spec: ResourceSpec, seed) -> PureState:
-    """One protocol execution: measure k copies, run the flag lottery, output zeta."""
-    _check_resource(psi, spec)
-    rng = _as_rng(seed)
-    base = psi.dim + 1
-    probs_psi = psi.probabilities()
-    xs = born_sample(probs_psi, rng, size=spec.k)
-    index = 0
-    for (_, b), x in zip(spec.coeffs, xs):
-        index = index * base + (base - 1 if rng.random() < abs(b) ** 2 else int(x))
-    layout = group_layout(base, spec.k)
-    gamma, _ = _protocol_amplitudes(layout, probs_psi, spec)
-    vec = np.where(layout.gid == layout.gid[index], gamma, 0.0)
-    return PureState(vec / np.linalg.norm(vec))
 
 
 def verify_symmetrization(psi: PureState, spec: ResourceSpec) -> float:
@@ -273,7 +251,7 @@ def verify_symmetrization(psi: PureState, spec: ResourceSpec) -> float:
     nonnegative weight, hence Hermitian and PSD; only the unit trace of each
     side is checked.
     """
-    _check_resource(psi, spec)
+    check_block_cap(psi.dim, spec.k)
     layout = group_layout(psi.dim + 1, spec.k)  # before |R>: its build's temporaries are freed
     gamma, prob = _protocol_amplitudes(layout, psi.probabilities(), spec)
     coef = _rho_weights(layout, gamma, prob)

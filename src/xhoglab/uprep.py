@@ -20,6 +20,7 @@ import numpy as np
 
 from .linalg import (
     MAX_QUBITS,
+    MAX_TRIALS,
     DimensionError,
     LazyHaarComplement,
     PureState,
@@ -179,8 +180,8 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
     distance by convexity; the report states the margin against
     (10t+4)/2^(n/2).
     """
-    if not (1 <= n <= MAX_QUBITS and 0 <= t <= 4 and trials >= 1):
-        raise DimensionError(f"caps: 1 <= n <= {MAX_QUBITS}, 0 <= t <= 4, trials >= 1")
+    if not (1 <= n <= MAX_QUBITS and 0 <= t <= 4 and 1 <= trials <= MAX_TRIALS):
+        raise DimensionError(f"caps: 1 <= n <= {MAX_QUBITS}, 0 <= t <= 4, 1 <= trials <= {MAX_TRIALS}")
     dim = 2**n
     dists = np.empty(trials)
     for i, rng in enumerate(trial_streams(seed, 0, trials)):

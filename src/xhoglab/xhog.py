@@ -21,6 +21,7 @@ from . import SCHEMA_VERSION
 from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
+    MAX_TRIALS,
     PureState,
     born_sample,
     haar_state_amps,
@@ -41,11 +42,6 @@ from .oracles import (
 
 STRATEGIES = ("uniform", "naive", "k_copy_mode", "collision_amplify", "argmax")
 FAMILIES = ("canonical", "random_prep", "fourier")
-
-# checked before run_experiment allocates: 2^25 trials keep the per-trial
-# scores array at 256 MiB, and xhog --csv (keep_trials) adds two int32 arrays, z and
-# queries, of 128 MiB each (k is capped at linalg.MAX_DIM copies, so both fit int32)
-MAX_TRIALS = 2**25
 
 
 @dataclass(frozen=True)
@@ -117,13 +113,6 @@ def strategy_k_copy_mode(oracle: OracleHandle, k: int, rng) -> StrategyOutcome:
     counts = np.bincount(sample_oracle_output(oracle, rng, k))
     z = int(np.argmax(counts))
     return StrategyOutcome(z, oracle.calls - before, {"counts_max": int(counts.max())})
-
-
-def posterior_expectation(m: int, n: int, k: int) -> Fraction:
-    """Posterior mean of an output probability observed m times in k samples."""
-    if not 0 <= m <= k:
-        raise ValueError("need 0 <= m <= k")
-    return Fraction(1 + m, 2**n + k)
 
 
 def fixed_grover_iterations(n: int, k: int) -> int:
@@ -363,22 +352,6 @@ def posterior_mc(n, k, m, trials, seed, chunk=100_000):
     if len(vals) < 2:
         raise ValueError(f"{len(vals)} of {trials} rows see string 0 exactly {m} times")
     return float(vals.mean()), float(vals.std(ddof=1) / math.sqrt(len(vals))), len(vals)
-
-
-def chernoff_mass_rate(n, k, trials, seed, chunk=50_000):
-    """Empirical rate of the measured-mass event sum_i p_(z_i) >= k/2^(n+2)."""
-    rng = trial_rng(seed, 0)
-    threshold = k / 2 ** (n + 2)
-    hits = 0
-    for probs in _exponential_chunks(2**n, trials, rng, chunk):
-        probs /= probs.sum(axis=1, keepdims=True)
-        cdf = _row_cdf(probs.copy())
-        mass = np.zeros(len(probs))
-        for _ in range(k):
-            z = _draw_rows(cdf, rng.random(len(cdf)))
-            mass += np.take_along_axis(probs, z[:, None], 1)[:, 0]
-        hits += int(np.sum(mass >= threshold))
-    return hits / trials
 
 
 def max_xeb_mc(n_dim, trials, seed, chunk=2048):

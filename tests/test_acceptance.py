@@ -155,8 +155,8 @@ def test_criterion_06_swap_and_channel_distance():
         plan = decompose_phi(psi, phi)
         s, _ = swap_via_canonical(psi, plan.psi_perp)
         dev = max(
-            np.max(np.abs(s.mat @ psi.with_bot().amps - plan.psi_perp.with_bot().amps)),
-            np.max(np.abs(s.mat @ plan.psi_perp.with_bot().amps - psi.with_bot().amps)),
+            np.max(np.abs(s.mat @ np.append(psi.amps, 0) - np.append(plan.psi_perp.amps, 0))),
+            np.max(np.abs(s.mat @ np.append(plan.psi_perp.amps, 0) - np.append(psi.amps, 0))),
         )
         ok = ok and dev <= 1e-10
     # rotation channel distance equals 2|<psi|phi>| on 100 instances

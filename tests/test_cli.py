@@ -12,7 +12,7 @@ import pytest
 # loaded here, so no tracemalloc peak below counts an import
 from xhoglab import fourier_lp, uprep, xhog  # noqa: F401
 from xhoglab.cli import main
-from xhoglab.linalg import MAX_DIM, UnitaryOp
+from xhoglab.linalg import MAX_DIM, MAX_TRIALS, UnitaryOp
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -311,6 +311,10 @@ def test_verify_unknown_suite(capsys):
     ["oracles", "-n", "15"],  # over linalg.MAX_QUBITS
     ["oracles", "-n", "64"],  # 2^64 amplitudes, rejected before any allocation
     ["oracles", "--cases", "0"],
+    ["uprep", "--trials", str(MAX_TRIALS + 1)],  # over linalg.MAX_TRIALS
+    ["uprep", "--trials", "1000000000000"],  # a 7.3 TiB distance array
+    ["simplex", "--trials", str(MAX_TRIALS + 1)],
+    ["simplex", "--trials", "1000000000000"],  # 14.6 TiB of maxima
 ])
 def test_verify_bad_size_is_usage_error(argv, capsys):
     tracemalloc.start()

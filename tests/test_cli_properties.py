@@ -2,12 +2,13 @@
 
 Each flag is drawn from a small window around each of its bounds.  The
 accepted top of a range is left out where one run there takes seconds: xhog's
--k 2^14 (k queries of a 2^14-dimensional random-prep oracle) and --trials
-2^25, and lp solve -n 4 (a 32768-row LP).  verify uprep's -n 14 is drawn: its
-rotations are checked on their rank-2 factors, so a run there takes ~0.1 s.
-Their rejected sides are drawn.  A rejected xhog argv is run again at
---trials 2^25, unless --trials itself was the fault, so a check that comes
-after the per-trial arrays are allocated shows as a tracemalloc peak.
+-k 2^14 (k queries of a 2^14-dimensional random-prep oracle), the --trials cap
+2^25 of xhog, verify uprep and verify simplex, and lp solve -n 4 (a 32768-row
+LP).  verify uprep's -n 14 is drawn: its rotations are checked on their rank-2
+factors, so a run there takes ~0.1 s.  Their rejected sides are drawn.  A
+rejected xhog argv is run again at --trials 2^25, unless --trials itself was
+the fault, so a check that comes after the per-trial arrays are allocated
+shows as a tracemalloc peak.
 """
 
 import tracemalloc
@@ -22,7 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 # loaded here, so no tracemalloc peak below counts an import
 from xhoglab import fourier_lp, xhog  # noqa: E402,F401
 from xhoglab.cli import main  # noqa: E402
-from xhoglab.linalg import MAX_DIM, MAX_QUBITS  # noqa: E402
+from xhoglab.linalg import MAX_DIM, MAX_QUBITS, MAX_TRIALS  # noqa: E402
 
 REJECTED_PEAK = 2**20
 
@@ -35,8 +36,12 @@ WINDOWS = {
         "--cases": (-1, 0, 1, 2),
     },
     "oracles": {"-n": (-1, 0, 1, 2, 15, 14), "--cases": (-1, 0, 1, 2)},
-    "uprep": {"-n": (-1, 0, 1, 2, 15, 14), "-T": (-1, 0, 1, 4, 5), "--trials": (-1, 0, 1, 2)},
-    "simplex": {"-N": (-1, 0, 1, 2, 16384, 16385), "--trials": (-1, 0, 1, 99, 100, 101)},
+    "uprep": {
+        "-n": (-1, 0, 1, 2, 15, 14),
+        "-T": (-1, 0, 1, 4, 5),
+        "--trials": (-1, 0, 1, 2, MAX_TRIALS + 1),
+    },
+    "simplex": {"-N": (-1, 0, 1, 2, 16384, 16385), "--trials": (-1, 0, 1, 99, 100, 101, MAX_TRIALS + 1)},
 }
 
 XHOG_WINDOWS = {

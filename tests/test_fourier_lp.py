@@ -10,54 +10,49 @@ from xhoglab.fourier_lp import (
     CertificateError,
     CrossCheckError,
     DualCertificate,
-    MonomialPoly,
     build_primal,
     dual_certificate,
-    enumerate_objective_coefficient,
-    family_objective_exact,
-    fourier_coefficient,
     halfN_fourier_coefficient,
     halfN_fourier_enumeration,
-    lp_objective,
-    naive_family,
     naive_fourier_value,
     naive_primal_point,
-    objective_coefficients,
     primal_objective,
-    reduce_equality_constraints,
     solve_primal_numeric,
-    symmetrize_family,
     verify_dual_feasibility,
 )
 from xhoglab.linalg import trial_rng
-from xhoglab.oracles import SignFunction
+from xhoglab.oracles import SignFunction, _hadamard, fwht
 
 GOLDEN = Path(__file__).parent / "golden"
 
 
+def _pair_products(tables, pairs):
+    """f(x) f(y) for every sign table (row) and pair (column)."""
+    return np.column_stack([tables[:, x] * tables[:, y] for x, y in pairs])
+
+
 def test_fourier_coefficient_characters():
-    # f(x) = (-1)^(x.y) has a single unit coefficient at z = y
+    # f(x) = (-1)^(x.y) has a single coefficient N at z = y in the unnormalized transform,
+    # whose sums of +-1 entries are exact
     for n in (1, 2, 3):
         for y in range(2**n):
             table = np.array([(-1) ** bin(x & y).count("1") for x in range(2**n)])
-            f = SignFunction(n, table)
-            for z in range(2**n):
-                want = Fraction(1) if z == y else Fraction(0)
-                assert fourier_coefficient(f, z) == want
+            want = np.zeros(2**n, dtype=np.int64)
+            want[y] = 2**n
+            assert np.array_equal(fwht(SignFunction(n, table).table), want)
 
 
 def test_fourier_coefficient_hand_example():
+    # f-hat(0) = 1/2 and f-hat(3) = -1/2, times N = 4
     f = SignFunction(2, np.array([1, 1, 1, -1]))
-    assert fourier_coefficient(f, 0) == Fraction(1, 2)
-    assert fourier_coefficient(f, 3) == Fraction(-1, 2)
+    assert np.array_equal(fwht(f.table), [2, 2, 2, -2])
 
 
 def test_parseval_exact():
     rng = trial_rng(1, 0)
     for n in (1, 2, 3):
         f = SignFunction.random(n, rng)
-        total = sum(fourier_coefficient(f, z) ** 2 for z in range(2**n))
-        assert total == 1
+        assert int(np.sum(fwht(f.table) ** 2)) == 4**n
 
 
 def test_naive_fourier_values():
@@ -67,94 +62,91 @@ def test_naive_fourier_values():
     assert naive_fourier_value(4) == Fraction(23, 8)
 
 
-def test_monomial_poly_validation_and_eval():
-    with pytest.raises(ValueError):
-        MonomialPoly(2, 1, {frozenset((0, 1)): 1})
-    p = MonomialPoly(1, 2, {frozenset(): Fraction(1, 2), frozenset((0, 1)): Fraction(1, 4)})
-    f = SignFunction(1, np.array([1, -1]))
-    assert p.evaluate(f) == Fraction(1, 4)
-
-
 def test_naive_family_is_a_distribution():
+    # the naive point c_S = 2/N^2 gives p_0(f) = 1/N + sum_S c_S prod_(x in S) f(x) = f-hat(0)^2,
+    # and p_z(f) = p_0(f chi_z) = f-hat(z)^2 by shift covariance: N^2 p_z is an integer
     for n in (1, 2):
-        fam = naive_family(n)
-        rng = trial_rng(2, n)
-        for _ in range(5):
-            f = SignFunction.random(n, rng)
-            vals = [fam[z].evaluate(f) for z in range(2**n)]
-            assert all(v >= 0 for v in vals)
-            assert sum(vals) == 1
-            # p_z(f) = f-hat(z)^2 by construction
-            for z in range(2**n):
-                assert vals[z] == fourier_coefficient(f, z) ** 2
+        n_dim = 2**n
+        tables = fourier_lp._all_sign_tables(n)
+        lp = build_primal(n)
+        c = naive_primal_point(n)
+        scaled = np.array([int(c[s] * n_dim**2) for s in lp.variables])
+        pairs = [tuple(sorted(s)) for s in lp.variables]
+        vals = np.column_stack([
+            n_dim + _pair_products(tables * _hadamard(n)[z].astype(np.int64), pairs) @ scaled
+            for z in range(n_dim)
+        ])
+        assert np.array_equal(vals, (tables @ _hadamard(n).astype(np.int64)) ** 2)
+        assert vals.min() >= 0 and np.all(vals.sum(axis=1) == n_dim**2)
 
 
 def test_symmetrize_naive_family_fixed_point():
-    # the naive family is shift-covariant, so symmetrizing returns p_0
-    for n in (1, 2):
-        fam = naive_family(n)
-        p = symmetrize_family(fam)
-        assert p.coeffs == fam[0].coeffs
+    # the naive family is shift-covariant, so its symmetrization is p_0 = f-hat(0)^2:
+    # on every row of the LP, N^2 (1/N + A c) is the integer transform's f-hat(0)^2 N^2
+    for n in (1, 2, 3):
+        n_dim = 2**n
+        lp = build_primal(n)
+        c = naive_primal_point(n)
+        tables = fourier_lp._all_sign_tables(n)[: len(lp.constraint_matrix)]
+        lhs = [n_dim**2 * (Fraction(1, n_dim) + sum(int(a) * c[s] for a, s in zip(row, lp.variables)))
+               for row in lp.constraint_matrix]
+        assert lhs == [int(fwht(t)[0]) ** 2 for t in tables]
 
 
 def test_symmetrize_preserves_objective():
     rng = trial_rng(3, 0)
     n, n_dim = 2, 4
-    # random degree-2 families (not necessarily distributions)
+    pairs = list(itertools.combinations(range(n_dim), 2))
+    tables = fourier_lp._all_sign_tables(n)
+    prods = _pair_products(tables, pairs)
+    h = _hadamard(n).astype(np.int64)
+    fhat2 = (tables @ h) ** 2  # N^2 f-hat(z)^2
+    signs = h[:, [x ^ y for x, y in pairs]]  # (-1)^((xor S).y), one row per y
+    # random degree-2 families (not necessarily distributions): p_z(f) = c0[z]/4 + sum_S cs[z, S]/8 f_S
     for _ in range(3):
-        fam = {}
-        for z in range(n_dim):
-            coeffs = {frozenset(): Fraction(int(rng.integers(0, 5)), 4)}
-            for s in itertools.combinations(range(n_dim), 2):
-                coeffs[frozenset(s)] = Fraction(int(rng.integers(-3, 4)), 8)
-            fam[z] = MonomialPoly(n, 2, coeffs)
-        before = family_objective_exact(fam)
-        p = symmetrize_family(fam)
-        # the symmetrized objective is N * E_f[p(f) f-hat(0)^2]
-        after = Fraction(0)
-        for mask in range(2**n_dim):
-            f = SignFunction.from_index(n, mask)
-            after += p.evaluate(f) * fourier_coefficient(f, 0) ** 2
-        after = n_dim * after / 2**n_dim
+        rows = np.array([[rng.integers(0, 5)] + [rng.integers(-3, 4) for _ in pairs] for _ in range(n_dim)])
+        c0, cs = rows[:, 0], rows[:, 1:]
+        p8 = 2 * c0 + prods @ cs.T  # 8 p_z(f), one column per z
+        before = Fraction(int(np.sum(p8 * fhat2)), 8 * 2**n_dim * n_dim**2)
+        # p'_0(f) = (1/N) sum_y p_y(f chi_y) multiplies c_(y,S) by (-1)^((xor S).y)
+        sym8n = 2 * c0.sum() + prods @ np.sum(signs * cs, axis=0)  # 8 N p'_0(f)
+        # the symmetrized objective is N * E_f[p'_0(f) f-hat(0)^2]
+        after = Fraction(n_dim * int(sym8n @ fhat2[:, 0]), 8 * n_dim * 2**n_dim * n_dim**2)
         assert before == after
 
 
 def test_symmetrized_objective_via_weights():
-    for n in (1, 2):
-        p = symmetrize_family(naive_family(n))
-        assert lp_objective(p) == Fraction(naive_fourier_value(n), 2**n)
+    for n in (1, 2, 3, 4):
+        assert primal_objective(n, naive_primal_point(n)) == Fraction(naive_fourier_value(n), 2**n)
 
 
 def test_reduce_equality_constraints_naive():
+    # after symmetrization the free variables are the pairs (the XOR of a pair is nonzero),
+    # and the naive point sits on exactly those
     for n in (1, 2):
-        p = symmetrize_family(naive_family(n))
-        out = reduce_equality_constraints(p)
-        assert out["feasible"]
-        want_free = {
-            frozenset(s) for s in itertools.combinations(range(2**n), 2)
-        }
-        assert set(out["free_set"]) == want_free
-
-
-def test_reduce_equality_constraints_violations():
-    bad = MonomialPoly(1, 2, {frozenset(): Fraction(1, 2), frozenset((0,)): Fraction(1, 4)})
-    out = reduce_equality_constraints(bad)
-    assert not out["feasible"]
-    kinds = {k for k, _ in out["violations"]}
-    assert kinds == {"odd_size"}
-    const = MonomialPoly(2, 2, {frozenset(): Fraction(1, 4)})
-    assert reduce_equality_constraints(const)["feasible"]
+        want_free = {frozenset(s) for s in itertools.combinations(range(2**n), 2)}
+        lp = build_primal(n)
+        assert len(lp.variables) == len(want_free) and set(lp.variables) == want_free
+        assert set(naive_primal_point(n)) == want_free
 
 
 def test_objective_coefficients_closed_form_and_enum():
+    # k_S = (N/2^N) sum_f f-hat(0)^2 prod_(x in S) f(x), by enumeration: the LP's weight 2/N
+    # on each pair, 1 at S = empty and 0 on single points and 4-subsets
     for n in (1, 2, 3):
-        ks = objective_coefficients(n)
-        assert ks[frozenset()] == 1
-        for s in itertools.combinations(range(2**n), 2):
-            assert ks[frozenset(s)] == Fraction(2, 2**n)
-    # size-4 coefficients vanish at n = 2
-    assert enumerate_objective_coefficient(2, (0, 1, 2, 3)) == 0
-    assert enumerate_objective_coefficient(2, (0,)) == 0
+        n_dim = 2**n
+        tables = fourier_lp._all_sign_tables(n)
+        sq = tables.sum(axis=1) ** 2  # N^2 f-hat(0)^2
+
+        def k(s):
+            prod = np.prod(tables[:, list(s)], axis=1)
+            return Fraction(n_dim * int(sq @ prod), 2**n_dim * n_dim**2)
+
+        lp = build_primal(n)
+        assert [k(sorted(s)) for s in lp.variables] == lp.objective
+        assert k(()) == 1 and k((0,)) == 0
+        if n_dim >= 4:
+            assert k((0, 1, 2, 3)) == 0
 
 
 def test_all_sign_tables_match_column_stack():
@@ -174,8 +166,6 @@ def test_cross_checks_raise_on_mismatch(monkeypatch):
     monkeypatch.setattr(fourier_lp, "_all_sign_tables", lambda n: np.ones_like(real(n)))
     with pytest.raises(CrossCheckError):
         naive_fourier_value(2)
-    with pytest.raises(CrossCheckError):
-        objective_coefficients(2)
 
 
 def test_build_primal_shapes():

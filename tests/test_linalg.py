@@ -11,11 +11,9 @@ from xhoglab.linalg import (
     LazyHaarComplement,
     PureState,
     UnitaryOp,
-    basis_state,
     expected_max_simplex,
-    haar_state,
-    haar_unitary,
-    trace_distance,
+    haar_state_amps,
+    haar_unitary_mat,
     trial_rng,
     trial_streams,
     unitary_channel_diamond_distance,
@@ -24,18 +22,20 @@ from xhoglab.xhog import _exponential_chunks
 
 
 def test_haar_state_norm_and_determinism():
-    s1 = haar_state(3, 42)
-    s2 = haar_state(3, 42)
+    s1 = PureState(haar_state_amps(8, np.random.default_rng(42)))
+    s2 = PureState(haar_state_amps(8, np.random.default_rng(42)))
     assert abs(np.vdot(s1.amps, s1.amps).real - 1.0) < 1e-12
     assert np.array_equal(s1.amps, s2.amps)
-    assert not np.array_equal(s1.amps, haar_state(3, 43).amps)
+    assert not np.array_equal(s1.amps, haar_state_amps(8, np.random.default_rng(43)))
 
 
 def test_haar_state_range_check():
-    with pytest.raises(DimensionError):
-        haar_state(0, 1)
-    with pytest.raises(DimensionError):
-        haar_state(15, 1)
+    # the runner checks the qubit count before it draws any Haar state
+    from xhoglab.xhog import run_experiment
+
+    for n in (0, 15):
+        with pytest.raises(ValueError, match="qubit count"):
+            run_experiment("naive", "canonical", n, 1, 1)
 
 
 def test_haar_state_first_moment():
@@ -52,14 +52,14 @@ def test_haar_state_first_moment():
 
 def test_haar_unitary_is_unitary_and_deterministic():
     for dim in (1, 2, 5, 8):
-        u = haar_unitary(dim, 3)
+        u = UnitaryOp(haar_unitary_mat(dim, np.random.default_rng(3)))
         assert np.max(np.abs(u.mat @ u.mat.conj().T - np.eye(dim))) < 1e-10
-        v = haar_unitary(dim, 3)
+        v = UnitaryOp(haar_unitary_mat(dim, np.random.default_rng(3)))
         assert np.array_equal(u.mat, v.mat)
 
 
 def test_haar_unitary_dim1_is_phase():
-    u = haar_unitary(1, 9)
+    u = UnitaryOp(haar_unitary_mat(1, np.random.default_rng(9)))
     assert abs(abs(u.mat[0, 0]) - 1.0) < 1e-12
 
 
@@ -162,7 +162,7 @@ def test_trial_streams_match_trial_rng(capsys):
 
 
 def test_measure_computational_point_mass():
-    assert linalg.born_sample(basis_state(8, 5).probabilities(), trial_rng(0, 0)) == 5
+    assert linalg.born_sample(PureState(np.eye(8)[5]).probabilities(), trial_rng(0, 0)) == 5
 
 
 def test_born_sample_is_generator_choice():
@@ -182,16 +182,6 @@ def test_measure_computational_born_rule():
     hits = int(np.sum(linalg.born_sample(state.probabilities(), trial_rng(13, 0), size=100_000) == 0))
     p = hits / 100000
     assert abs(p - 0.09) < 3 * math.sqrt(0.09 * 0.91 / 100000)
-
-
-def test_trace_distance_examples():
-    rho0, rho1, plus = (
-        DensityMatrix(np.outer(v, v.conj()))
-        for v in (np.eye(2)[0], np.eye(2)[1], np.array([1, 1]) / math.sqrt(2))
-    )
-    assert trace_distance(rho0, rho0) == 0
-    assert abs(trace_distance(rho0, rho1) - 1.0) < 1e-12
-    assert abs(trace_distance(rho0, plus) - 1 / math.sqrt(2)) < 1e-12
 
 
 def test_diamond_distance_examples():
@@ -222,7 +212,7 @@ def test_from_update_matches_dense_formulas():
         # a rank-2 rotation block and a Haar block of rank 3, against I + B (E - I) B^dagger
         for r in (2, 3):
             b = _orthonormal(dim, min(r, dim), rng)
-            e = haar_unitary(b.shape[1], rng).mat
+            e = UnitaryOp(haar_unitary_mat(b.shape[1], rng)).mat
             want = np.eye(dim) + b @ (e - np.eye(len(e))) @ b.conj().T
             op = UnitaryOp.from_update(b, e)
             assert np.max(np.abs(op.mat - want)) < 1e-14
@@ -290,6 +280,9 @@ def test_simplex_max_monte_carlo():
 
 
 def test_bot_state_layout():
-    b = linalg.bot_state(2)
-    assert b.has_bot and b.dim == 5 and b.amps[4] == 1.0
-    assert b.n_qubits == 2
+    # the flag is the last basis index of the extended space, the canonical oracle's input
+    from xhoglab.oracles import canonical_oracle, preparation_input
+
+    psi = PureState(haar_state_amps(4, trial_rng(5, 0)))
+    b = preparation_input(canonical_oracle(psi))
+    assert len(b) == 5 and np.array_equal(b, np.eye(5)[4])

@@ -4,29 +4,28 @@ import numpy as np
 import pytest
 
 from xhoglab import oracles
-from xhoglab.linalg import (
-    PureState,
-    UnitaryOp,
-    basis_state,
-    born_sample,
-    bot_state,
-    haar_state,
-    trial_rng,
-)
+from xhoglab.linalg import PureState, UnitaryOp, born_sample, haar_state_amps, trial_rng
 from xhoglab.oracles import (
     OracleSealedError,
     SignFunction,
     canonical_from_prep,
     canonical_oracle,
     embed_extended_to_ancilla,
+    fourier_coefficients_float,
     fourier_phase_oracle,
-    fourier_sampling_state,
-    project_ancilla_to_extended,
     random_prep_oracle,
     reflect_about_state,
-    reflection_about,
     refl_from_prep,
 )
+
+
+def _haar_state(n, seed):
+    return PureState(haar_state_amps(2**n, np.random.default_rng(seed)))
+
+
+def _reflection(amps):
+    """Dense I - 2 |v><v|."""
+    return UnitaryOp.from_update(np.asarray(amps, dtype=complex)[:, None], [[-1]]).mat
 
 
 def test_sign_function_validation():
@@ -50,21 +49,22 @@ def test_sign_function_hex_msb_convention():
 
 
 def test_reflection_about_examples():
-    assert np.allclose(reflection_about(basis_state(2, 0)).mat, np.diag([-1, 1]))
+    assert np.allclose(_reflection(np.eye(2)[0]), np.diag([-1, 1]))
     plus = PureState(np.array([1, 1]) / math.sqrt(2))
-    assert np.allclose(reflection_about(plus).mat, [[0, -1], [-1, 0]])
-    psi = haar_state(2, 5)
-    r = reflection_about(psi).mat
+    assert np.allclose(_reflection(plus.amps), [[0, -1], [-1, 0]])
+    psi = _haar_state(2, 5)
+    r = _reflection(psi.amps)
     assert np.max(np.abs(r @ r - np.eye(4))) < 1e-12
 
 
 def test_canonical_oracle_defining_actions():
-    psi = haar_state(3, 7)
+    psi = _haar_state(3, 7)
     o = canonical_oracle(psi)
-    got = o.apply(bot_state(3).amps)
-    assert np.max(np.abs(got - psi.with_bot().amps)) < 1e-10
+    bot = np.eye(9, dtype=complex)[8]
+    got = o.apply(bot)
+    assert np.max(np.abs(got - np.append(psi.amps, 0))) < 1e-10
     back = o.apply(got)
-    assert np.max(np.abs(back - bot_state(3).amps)) < 1e-10
+    assert np.max(np.abs(back - bot)) < 1e-10
     # a state orthogonal to psi and the flag is fixed
     rng = trial_rng(7, 1)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
@@ -74,12 +74,12 @@ def test_canonical_oracle_defining_actions():
 
 
 def test_canonical_oracle_small_matrix():
-    o = canonical_oracle(basis_state(2, 0)).unitary.mat
+    o = canonical_oracle(PureState(np.eye(2)[0])).unitary.mat
     assert np.allclose(o, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
 def test_oracle_ledger_and_sealing():
-    psi = haar_state(2, 3)
+    psi = _haar_state(2, 3)
     o = canonical_oracle(psi, sealed=True)
     assert o.calls == 0
     state = np.zeros(5, dtype=complex)
@@ -93,7 +93,7 @@ def test_oracle_ledger_and_sealing():
 
 
 def test_oracle_adjoint_inverts():
-    psi = haar_state(2, 9)
+    psi = _haar_state(2, 9)
     o = random_prep_oracle(psi, 11)
     rng = trial_rng(9, 0)
     v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
@@ -101,23 +101,23 @@ def test_oracle_adjoint_inverts():
 
 
 def test_controlled_application():
-    psi = haar_state(1, 2)
+    psi = _haar_state(1, 2)
     o = canonical_oracle(psi)
     state = np.zeros(6, dtype=complex)
     state[2 + 3] = 1.0  # control set, flag index in the lower block
     out = o.apply_controlled(state)
-    assert np.max(np.abs(out[3:] - psi.with_bot().amps)) < 1e-10
+    assert np.max(np.abs(out[3:] - np.append(psi.amps, 0))) < 1e-10
     assert o.calls == 1
 
 
 def test_random_prep_first_column():
-    psi = haar_state(3, 13)
+    psi = _haar_state(3, 13)
     o = random_prep_oracle(psi, 17)
     assert np.max(np.abs(o.unitary.mat[:, 0] - psi.amps)) < 1e-10
 
 
 def test_random_prep_queries_match_dense():
-    psi = haar_state(3, 14)
+    psi = _haar_state(3, 14)
     o = random_prep_oracle(psi, 18)
     rng = trial_rng(18, 0)
     xs = [rng.standard_normal(8) + 1j * rng.standard_normal(8) for _ in range(3)]
@@ -130,7 +130,7 @@ def test_random_prep_queries_match_dense():
 
 
 def test_random_prep_n1_phase():
-    o = random_prep_oracle(basis_state(2, 0), 19)
+    o = random_prep_oracle(PureState(np.eye(2)[0]), 19)
     m = o.unitary.mat
     assert abs(m[0, 0] - 1.0) < 1e-10 and abs(m[1, 0]) < 1e-12
     assert abs(abs(m[1, 1]) - 1.0) < 1e-10
@@ -138,7 +138,7 @@ def test_random_prep_n1_phase():
 
 def test_householder_matrix_matches_dense_formula():
     for n in (1, 3, 5):
-        phase, u = oracles.householder_vector(haar_state(n, 21 + n).amps)
+        phase, u = oracles.householder_vector(_haar_state(n, 21 + n).amps)
         want = phase * (np.eye(2**n) - 2.0 * np.outer(u, u.conj()))
         assert np.max(np.abs(oracles.householder_matrix(phase, u) - want)) < 1e-14
     # psi = |0>: u = 0, and V is the phase times the identity
@@ -150,7 +150,7 @@ def test_householder_matrix_matches_dense_formula():
 def test_random_prep_completion_invariance():
     # U|1> is uniform on the complement of psi whatever completion prepares psi, so
     # E|U_01|^2 = (1 - |psi_0|^2) / (N - 1)
-    psi = haar_state(2, 23)
+    psi = _haar_state(2, 23)
     trials = 3000
     vals = np.empty(trials)
     for i in range(trials):
@@ -161,7 +161,7 @@ def test_random_prep_completion_invariance():
 
 def test_block_query_is_one_call_acting_column_by_column():
     rng = trial_rng(31, 0)
-    psi = haar_state(3, rng)
+    psi = _haar_state(3, rng)
     block = rng.standard_normal((8, 3)) + 1j * rng.standard_normal((8, 3))
     pairs = [
         (lambda: random_prep_oracle(psi, trial_rng(31, 1)), block),
@@ -179,25 +179,25 @@ def test_block_query_is_one_call_acting_column_by_column():
 
 def test_reflect_about_state_is_two_queries():
     rng = trial_rng(32, 0)
-    psi = haar_state(3, rng)
+    psi = _haar_state(3, rng)
     x = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
-    for o, v in ((canonical_oracle(psi, sealed=True), psi.with_bot().amps),
+    for o, v in ((canonical_oracle(psi, sealed=True), np.append(psi.amps, 0)),
                  (random_prep_oracle(psi, rng, sealed=True), psi.amps)):
         got = reflect_about_state(o, x[: o.dim])
         assert o.calls == 2
-        assert np.max(np.abs(got - reflection_about(PureState(v)).mat @ x[: o.dim])) < 1e-12
+        assert np.max(np.abs(got - _reflection(v) @ x[: o.dim])) < 1e-12
 
 
 def test_refl_from_prep_identity_prep():
     # a prep of |0^n> itself: the simulated reflection is diag(-1, 1, 1, 1)
-    copy, out = refl_from_prep(random_prep_oracle(basis_state(4, 0), 30, sealed=True), 1, np.eye(4))
+    copy, out = refl_from_prep(random_prep_oracle(PureState(np.eye(4)[0]), 30, sealed=True), 1, np.eye(4))
     assert np.allclose(copy, np.eye(4)[0])
-    assert np.allclose(out, reflection_about(basis_state(4, 0)).mat)
+    assert np.allclose(out, _reflection(np.eye(4)[0]))
 
 
 def test_refl_from_prep_ledger():
-    psi = haar_state(2, 31)
-    r = reflection_about(psi).mat
+    psi = _haar_state(2, 31)
+    r = _reflection(psi.amps)
     for t in (1, 2, 3):
         prep = random_prep_oracle(psi, trial_rng(31, t), sealed=True)
         copy, out = refl_from_prep(prep, t, np.eye(4))
@@ -207,7 +207,7 @@ def test_refl_from_prep_ledger():
 
 
 def test_canonical_from_prep_ledger():
-    psi = haar_state(2, 41)
+    psi = _haar_state(2, 41)
     for t in (1, 2, 3):
         prep = random_prep_oracle(psi, trial_rng(41, t), sealed=True)
         canonical_from_prep(prep, t, np.eye(8))
@@ -216,7 +216,7 @@ def test_canonical_from_prep_ledger():
 
 def test_canonical_from_prep_identity_prep():
     # a prep of |0^n> itself; t = 0 runs only the reference preparation
-    target, _ = canonical_from_prep(random_prep_oracle(basis_state(2, 0), 42), 0, np.zeros(4))
+    target, _ = canonical_from_prep(random_prep_oracle(PureState(np.eye(2)[0]), 42), 0, np.zeros(4))
     want = np.zeros(4, dtype=complex)
     want[0 * 2 + 1] = 1 / math.sqrt(2)   # |0>|1>
     want[0 * 2 + 0] = -1 / math.sqrt(2)  # -|0>|0>
@@ -234,7 +234,7 @@ def _canonical_target(psi):
 def test_canonical_prep_target_on_haar_preps():
     for n in range(1, 7):
         rng = trial_rng(53, n)
-        psi = haar_state(n, rng)
+        psi = _haar_state(n, rng)
         prep = random_prep_oracle(psi, rng, sealed=True)
         target, _ = canonical_from_prep(prep, 0, np.zeros(2 ** (n + 1)))
         assert np.max(np.abs(target - _canonical_target(psi))) < 1e-12
@@ -248,14 +248,14 @@ def test_canonical_prep_target_on_haar_preps():
 
 
 def test_canonical_from_prep_matches_canonical_oracle():
-    psi = haar_state(2, 43)
+    psi = _haar_state(2, 43)
     direct = canonical_oracle(psi).unitary.mat
     for t in (1, 2, 3):
         prep = random_prep_oracle(psi, trial_rng(43, t), sealed=True)
         copy, sim = canonical_from_prep(prep, t, embed_extended_to_ancilla(np.eye(5)))
         assert np.max(np.abs(copy - _canonical_target(psi))) < 1e-12
         want = np.linalg.matrix_power(direct, t)
-        got = np.column_stack([project_ancilla_to_extended(c) for c in sim.T])
+        got = np.vstack([sim[1::2], sim[:1]])  # back to the appended-index encoding
         assert np.max(np.abs(got - want)) < 1e-10
         # the simulated oracle is a unitary on the whole 2N-dimensional ancilla space
         _, full = canonical_from_prep(prep, t, np.eye(8))
@@ -265,7 +265,9 @@ def test_canonical_from_prep_matches_canonical_oracle():
 def test_encoding_isomorphism_roundtrip():
     rng = trial_rng(47, 0)
     v = rng.standard_normal(9) + 1j * rng.standard_normal(9)
-    assert np.array_equal(project_ancilla_to_extended(embed_extended_to_ancilla(v)), v)
+    e = embed_extended_to_ancilla(v)
+    assert np.array_equal(np.append(e[1::2], e[0]), v)
+    assert not e[2::2].any()  # |x>|0> for x != 0^n is outside the encoded subspace
 
 
 def test_fourier_phase_oracle():
@@ -280,8 +282,9 @@ def test_fourier_phase_oracle():
 
 
 def test_fourier_sampling_state():
-    assert np.allclose(fourier_sampling_state(SignFunction(2, np.ones(4, dtype=int))).amps, np.eye(4)[0])
-    assert np.allclose(fourier_sampling_state(SignFunction(1, np.array([1, -1]))).amps, [0, 1])
+    # the amplitudes f-hat(z) of H^(x)n U_f H^(x)n |0^n>
+    assert np.allclose(fourier_coefficients_float(SignFunction(2, np.ones(4, dtype=int))), np.eye(4)[0])
+    assert np.allclose(fourier_coefficients_float(SignFunction(1, np.array([1, -1]))), [0, 1])
 
 
 def test_fourier_sampling_matches_dense_circuit():
@@ -290,7 +293,7 @@ def test_fourier_sampling_matches_dense_circuit():
     rng = trial_rng(59, 0)
     f = SignFunction.random(3, rng)
     dense = hn @ np.diag(f.table.astype(complex)) @ hn @ np.eye(8)[0]
-    assert np.max(np.abs(dense - fourier_sampling_state(f).amps)) < 1e-12
+    assert np.max(np.abs(dense - fourier_coefficients_float(f))) < 1e-12
 
 
 def test_fwht_matches_the_hadamard_matrix():
@@ -318,7 +321,7 @@ def test_fwht_squares_to_n_times_identity():
 
 
 def _sampling_oracles(n, rng):
-    psi = haar_state(n, rng)
+    psi = _haar_state(n, rng)
     return (canonical_oracle(psi), random_prep_oracle(psi, rng),
             fourier_phase_oracle(SignFunction.random(n, rng)))
 
@@ -335,7 +338,7 @@ def test_sampled_copies_match_single_copies(k):
             assert single.calls == k
             assert mine.random() == twin.random()
     with pytest.raises(ValueError):
-        oracles.sample_oracle_output(canonical_oracle(haar_state(1, 0)), trial_rng(73, 0), 0)
+        oracles.sample_oracle_output(canonical_oracle(_haar_state(1, 0)), trial_rng(73, 0), 0)
 
 
 def test_fourier_sampler_draws_from_the_squared_coefficients():

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from xhoglab.linalg import DimensionError, PureState, basis_state, haar_state_amps, trace_distance, trial_rng
+from xhoglab.linalg import DimensionError, PureState, haar_state_amps, trial_rng
 from xhoglab.symmetrize import (
     BLOCK_CAP,
     ResourceSpec,
@@ -13,7 +13,6 @@ from xhoglab.symmetrize import (
     check_block_cap,
     group_layout,
     rho_R_protocol_exact,
-    rho_R_sample,
     sigma_R_exact,
     verify_symmetrization,
 )
@@ -42,13 +41,13 @@ def test_build_R_single_factor():
     psi = haar_state_amps(4, trial_rng(1, 0))
     psi = PureState(psi)
     r = build_R(psi, ResourceSpec(((1, 0),)))
-    assert np.max(np.abs(r.amps - psi.with_bot().amps)) < 1e-12
+    assert np.max(np.abs(r.amps - np.append(psi.amps, 0))) < 1e-12
     r = build_R(psi, ResourceSpec(((0, 1),)))
     assert np.max(np.abs(r.amps - np.eye(5)[4])) < 1e-12
 
 
 def test_build_R_hand_tensor():
-    psi = basis_state(2, 0)
+    psi = PureState(np.eye(2)[0])
     a = 1 / math.sqrt(2)
     r = build_R(psi, ResourceSpec(((a, a), (a, a))))
     # nonzero entries 1/2 at digit strings (0,0), (0,2), (2,0), (2,2) in base 3
@@ -100,27 +99,12 @@ def test_rho_hand_enumeration_block():
 
 
 def test_rho_all_bot_spec():
+    # every factor is the flag, so every run outputs the all-flag string
     psi = PureState(haar_state_amps(2, trial_rng(4, 0)))
-    out = rho_R_sample(psi, ResourceSpec(((0, 1), (0, 1))), 5)
+    rho = rho_R_protocol_exact(psi, ResourceSpec(((0, 1), (0, 1))))
     want = np.zeros(9)
     want[index_of((2, 2), 3)] = 1.0
-    assert np.max(np.abs(out.amps - want)) < 1e-12
-
-
-def test_rho_sample_converges_to_exact():
-    rng = trial_rng(6, 0)
-    psi = PureState(haar_state_amps(2, rng))
-    spec = ResourceSpec.random(2, rng)
-    exact = rho_R_protocol_exact(psi, spec)
-    acc = np.zeros((9, 9), dtype=complex)
-    draws = 20000
-    for i in range(draws):
-        z = rho_R_sample(psi, spec, rng)
-        acc += np.outer(z.amps, z.amps.conj())
-    acc /= draws
-    from xhoglab.linalg import DensityMatrix
-
-    assert trace_distance(DensityMatrix(acc), exact) < 0.02
+    assert np.max(np.abs(rho.mat - np.outer(want, want))) < 1e-12
 
 
 def test_verify_symmetrization_randomized():

@@ -7,7 +7,6 @@ from xhoglab.linalg import (
     LazyHaarComplement,
     PureState,
     UnitaryOp,
-    basis_state,
     haar_state_amps,
     rank2_update_distance,
     trial_rng,
@@ -37,15 +36,15 @@ def _pair(dim, seed):
 
 
 def test_decompose_orthogonal_case():
-    psi = basis_state(4, 0)
-    phi = basis_state(4, 2)
+    psi = PureState(np.eye(4)[0])
+    phi = PureState(np.eye(4)[2])
     plan = decompose_phi(psi, phi)
     assert plan.alpha == 1.0 and plan.beta == 0
     assert np.max(np.abs(plan.psi_perp.amps - phi.amps)) < 1e-12
 
 
 def test_decompose_n1_plus_state():
-    plan = decompose_phi(basis_state(2, 0), PureState(np.array([1, 1]) / math.sqrt(2)))
+    plan = decompose_phi(PureState(np.eye(2)[0]), PureState(np.array([1, 1]) / math.sqrt(2)))
     assert abs(plan.alpha - 1 / math.sqrt(2)) < 1e-12
     assert abs(plan.beta - 1 / math.sqrt(2)) < 1e-12
     assert abs(plan.theta - math.pi / 4) < 1e-12
@@ -62,7 +61,7 @@ def test_decompose_reconstruction_and_beta():
 
 
 def test_decompose_degenerate_rejected():
-    psi = basis_state(4, 1)
+    psi = PureState(np.eye(4)[1])
     with pytest.raises(DegenerateStateError):
         decompose_phi(psi, PureState(psi.amps * np.exp(0.25j)))
 
@@ -93,8 +92,8 @@ def test_rotation_eigenvalues_and_block():
 
 
 def test_rotation_identity_when_already_perp():
-    psi = basis_state(4, 0)
-    plan = decompose_phi(psi, basis_state(4, 3))
+    psi = PureState(np.eye(4)[0])
+    plan = decompose_phi(psi, PureState(np.eye(4)[3]))
     assert np.max(np.abs(rotation_R(plan).mat - np.eye(4))) < 1e-12
 
 
@@ -120,7 +119,7 @@ def test_rank2_rotation_distance_matches_dense():
             assert abs(d - dense) < 1e-12
             assert residual == 0.0  # a 2 x 2 block has no third singular value
     # basis-state instance: R = I, a block of I, distance 0
-    r = rotation_R(decompose_phi(basis_state(4, 0), basis_state(4, 3)))
+    r = rotation_R(decompose_phi(PureState(np.eye(4)[0]), PureState(np.eye(4)[3])))
     assert rank2_update_distance(r.basis, r.block) == (0.0, 0.0)
     assert unitary_channel_diamond_distance(r, UnitaryOp(np.eye(4))) == 0.0
 
@@ -155,13 +154,13 @@ def test_swap_via_canonical():
     plan = decompose_phi(psi, phi)
     s, calls = swap_via_canonical(psi, plan.psi_perp)
     assert calls == (2, 1)  # O_psi, O_psi_perp: the sealed handles' counts
-    assert np.max(np.abs(s.mat @ psi.with_bot().amps - plan.psi_perp.with_bot().amps)) < 1e-10
-    assert np.max(np.abs(s.mat @ plan.psi_perp.with_bot().amps - psi.with_bot().amps)) < 1e-10
+    assert np.max(np.abs(s.mat @ np.append(psi.amps, 0) - np.append(plan.psi_perp.amps, 0))) < 1e-10
+    assert np.max(np.abs(s.mat @ np.append(plan.psi_perp.amps, 0) - np.append(psi.amps, 0))) < 1e-10
     bot = np.eye(5)[4]
     assert np.max(np.abs(s.mat @ bot - bot)) < 1e-10
     assert np.max(np.abs(s.mat @ s.mat - np.eye(5))) < 1e-10
     # n=1 basis-state instance is the plain 0<->1 permutation
-    s01, _ = swap_via_canonical(basis_state(2, 0), basis_state(2, 1))
+    s01, _ = swap_via_canonical(PureState(np.eye(2)[0]), PureState(np.eye(2)[1]))
     assert np.allclose(s01.mat, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         swap_via_canonical(psi, phi)
