@@ -74,7 +74,7 @@ def naive_fourier_value(n: int) -> Fraction:
 @dataclass
 class LpInstance:
     n: int
-    variables: list  # frozensets S, |S| = 2
+    variables: list  # the pairs (x, y), x < y: column j of constraint_matrix is pair j
     # one row per sign table with f(0) = +1, entries prod_(x in S) f(x); -f gives the same row
     constraint_matrix: np.ndarray
     objective: list  # Fraction per variable
@@ -94,21 +94,20 @@ def build_primal(n: int) -> LpInstance:
     cols = [tables[:, x] * tables[:, y] for x, y in pairs]
     a = np.column_stack(cols) if cols else np.zeros((len(tables), 0), dtype=np.int64)
     objective = [Fraction(2, n_dim)] * len(pairs)
-    return LpInstance(n, [frozenset(s) for s in pairs], a, objective)
+    return LpInstance(n, pairs, a, objective)
 
 
-def naive_primal_point(n: int) -> dict:
-    """The feasible point from the naive strategy: c_S = 2/N^2 on every pair."""
+def naive_primal_point(n: int) -> list:
+    """The feasible point from the naive strategy: c_S = 2/N^2 on every pair, one entry
+    per ``LpInstance.variables`` pair, in that order."""
     n_dim = 2**n
-    return dict.fromkeys(
-        map(frozenset, itertools.combinations(range(n_dim), 2)), Fraction(2, n_dim**2)
-    )
+    return [Fraction(2, n_dim**2)] * math.comb(n_dim, 2)
 
 
-def primal_objective(n: int, point: dict) -> Fraction:
-    """1/N + (2/N) sum_S c_S, summed exactly over the coefficients' common denominator."""
+def primal_objective(n: int, cs) -> Fraction:
+    """1/N + (2/N) sum_S c_S over a sequence of pair coefficients, summed exactly over
+    their common denominator."""
     n_dim = 2**n
-    cs = point.values()
     den = math.lcm(*{c.denominator for c in cs})
     num = sum(c.numerator * (den // c.denominator) for c in cs)
     return Fraction(1, n_dim) + Fraction(2 * num, n_dim * den)
@@ -147,7 +146,6 @@ class DualCertificate:
     n: int
     kappa: Fraction
     b: Fraction
-    support: str = "Half_N"
 
 
 def dual_certificate(n: int) -> DualCertificate:

@@ -30,9 +30,17 @@ class DimensionError(ValueError):
     """Raised when a dimension is out of range or two operands disagree."""
 
 
+def _seed(master_seed) -> int:
+    """The master seed as an int; SeedSequence takes no negative entropy."""
+    seed = int(master_seed)
+    if seed < 0:
+        raise ValueError(f"seed {seed} is negative")
+    return seed
+
+
 def trial_rng(master_seed, trial=0):
     """Counter-based RNG derivation: one independent stream per (seed, trial)."""
-    return np.random.default_rng(np.random.SeedSequence((int(master_seed), int(trial))))
+    return np.random.default_rng(np.random.SeedSequence((_seed(master_seed), int(trial))))
 
 
 # numpy.random.SeedSequence's hash: uint32 words, a pool of four
@@ -117,12 +125,9 @@ def trial_streams(master_seed, start, stop):
     a stream is valid only until the next one is drawn.  Ranges are checked
     here, before anything is allocated.
     """
-    seed = int(master_seed)
-    if seed < 0:
-        raise ValueError(f"seed {seed} is negative")
     if not (0 <= start and stop <= TRIAL_INDEX_END):
         raise ValueError(f"trial range [{start}, {stop}) is outside [0, 2^32)")
-    return _streams(_entropy_words(seed), start, stop)
+    return _streams(_entropy_words(_seed(master_seed)), start, stop)
 
 
 def _streams(seed_words, start, stop):
@@ -141,12 +146,6 @@ def _streams(seed_words, start, stop):
                 "uinteger": 0,
             }
             yield rng
-
-
-def _as_rng(seed):
-    if isinstance(seed, np.random.Generator):
-        return seed
-    return np.random.default_rng(seed)
 
 
 @dataclass(frozen=True)
@@ -379,18 +378,20 @@ def distance_to_eigenvalue_hull(eigs: np.ndarray) -> float:
 
 
 def unitary_channel_diamond_distance(v: UnitaryOp, w: UnitaryOp) -> float:
-    """Diamond distance between the channels of two unitaries.
-
-    Computed from the eigenvalues of VW^dagger: with d the distance from the
-    origin to their convex hull, the distance is 2 sqrt(1 - d^2).
-    """
+    """Diamond distance between the channels of two unitaries: that of VW^dagger from
+    the identity channel."""
     if v.dim != w.dim:
         raise DimensionError("dimension mismatch")
-    eigs = np.linalg.eigvals(v.mat @ w.mat.conj().T)
-    return unitary_eigs_to_diamond(eigs)
+    return block_diamond_distance(v.mat @ w.mat.conj().T, v.dim)
 
 
-def unitary_eigs_to_diamond(eigs: np.ndarray) -> float:
+def block_diamond_distance(block, dim) -> float:
+    """Diamond distance from the identity channel of a unitary on C^dim that acts as the
+    r x r ``block`` on an r-dimensional subspace and fixes its complement: 2 sqrt(1 - d^2),
+    d the distance from 0 to the hull of the block's eigenvalues and, if r < dim, of 1."""
+    eigs = np.linalg.eigvals(block)
+    if dim > len(block):
+        eigs = np.append(eigs, 1.0)
     d = distance_to_eigenvalue_hull(eigs)
     return 2 * math.sqrt(max(0.0, 1.0 - d * d))
 
@@ -399,25 +400,6 @@ def orth_basis(cols, tol=1e-12):
     """Orthonormal basis of the column span, dropping directions below tol (relative)."""
     u, sv, _ = np.linalg.svd(cols, full_matrices=False)
     return u[:, sv > tol * max(1.0, sv[0])]
-
-
-def _block_diamond_distance(block, dim) -> float:
-    """Diamond distance from the identity channel of a unitary that acts as the r x r
-    ``block`` on an r-dimensional subspace of C^dim and fixes its complement."""
-    eigs = np.linalg.eigvals(block)
-    if dim > len(block):
-        eigs = np.append(eigs, 1.0)
-    return unitary_eigs_to_diamond(eigs)
-
-
-def subspace_diamond_distance(q, uq) -> float:
-    """Diamond distance from the identity channel of a unitary U that maps span(q)
-    onto itself and fixes its orthogonal complement.
-
-    q is an orthonormal basis (dim x r) and uq = U q; only the r x r block
-    q^dagger U q is diagonalized, plus one eigenvalue 1 for the complement.
-    """
-    return _block_diamond_distance(q.conj().T @ uq, q.shape[0])
 
 
 def rank2_update_distance(basis, block):
@@ -434,7 +416,7 @@ def rank2_update_distance(basis, block):
     """
     e = np.asarray(block, dtype=complex)
     sv = np.linalg.svd(e - np.eye(len(e)), compute_uv=False)
-    return _block_diamond_distance(e, len(basis)), float(np.sqrt(np.sum(sv[2:] ** 2)))
+    return block_diamond_distance(e, len(basis)), float(np.sqrt(np.sum(sv[2:] ** 2)))
 
 
 def harmonic_number(n: int) -> Fraction:

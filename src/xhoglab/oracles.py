@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LazyHaarComplement, PureState, UnitaryOp, _as_rng, born_sample
+from .linalg import LazyHaarComplement, PureState, UnitaryOp, born_sample
 
 HALF_SQRT2 = 1.0 / math.sqrt(2)
 # the basis vector that one query maps to the hidden state: the flag, or |0^n>
@@ -87,7 +87,7 @@ class OracleHandle:
     program's only query count, by one.  Queries are matrix-free: rank-one,
     diagonal, or (random prep) a rank-one Householder after a lazily sampled
     Haar complement.  A (dim, m) block is one query of oracle (x) I_m, served
-    column by column.  ``unitary`` builds the dense operator once, on request.
+    column by column.  No dense matrix of the oracle is ever built.
     """
 
     def __init__(self, kind, dim, metadata, rank1_vec=None, diag=None, haar=None, phase=1.0,
@@ -97,7 +97,6 @@ class OracleHandle:
         self.calls = 0
         self.sealed = sealed
         self._metadata = metadata
-        self._unitary = None
         self._rank1_vec = rank1_vec
         self._diag = diag
         self._haar = haar
@@ -138,14 +137,6 @@ class OracleHandle:
         amps[self.dim:] = self._apply_mat(amps[self.dim:], False)
         return amps
 
-    @property
-    def unitary(self) -> UnitaryOp:
-        """The dense operator, for tests and cross-checks: an uncounted query of the
-        identity block, so later queries agree with it."""
-        if self._unitary is None:
-            self._unitary = UnitaryOp(self._apply_mat(np.eye(self.dim, dtype=complex), False))
-        return self._unitary
-
 
 def canonical_oracle(psi: PureState, sealed=False) -> OracleHandle:
     """The reflection about (|psi> - |bot>)/sqrt(2) on the extended space.
@@ -175,15 +166,15 @@ def householder_matrix(phase, u) -> np.ndarray:
     return phase * UnitaryOp.from_update(basis, -np.eye(basis.shape[1])).mat
 
 
-def random_prep_oracle(psi: PureState, seed, sealed=False) -> OracleHandle:
+def random_prep_oracle(psi: PureState, rng, sealed=False) -> OracleHandle:
     """A unitary with U|0^n> = |psi>, Haar-random on the complement of |0^n>.
 
     Built as V W: V is the Householder completion preparing psi, W is Haar on
     the subspace orthogonal to |0^n>.  The distribution is independent of the
     choice of V by Haar invariance.  V is applied matrix-free, with W sampled
-    lazily.
+    lazily from the Generator ``rng``.
     """
-    haar = LazyHaarComplement(psi.dim, _as_rng(seed))
+    haar = LazyHaarComplement(psi.dim, rng)
     phase, u = householder_vector(psi.amps)
     return OracleHandle("random_prep", psi.dim, psi, rank1_vec=u, haar=haar, phase=phase, sealed=sealed)
 
@@ -194,14 +185,11 @@ def fourier_phase_oracle(f: SignFunction, sealed=False) -> OracleHandle:
 
 
 @functools.lru_cache(maxsize=None)
-def _hadamard(m: int, pairs: bool = False) -> np.ndarray:
-    """Sylvester Hadamard matrix of order 2^m, read-only because it is cached; with
-    ``pairs``, H (x) I_2, which acts on the float view of a complex vector."""
+def _hadamard(m: int) -> np.ndarray:
+    """Sylvester Hadamard matrix of order 2^m, read-only because it is cached."""
     h = np.ones((1, 1))
     for _ in range(m):
         h = np.block([[h, h], [h, -h]])
-    if pairs:
-        h = np.kron(h, np.eye(2))
     h.flags.writeable = False
     return h
 
@@ -219,9 +207,6 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     if len(v) != 2**n:
         raise ValueError(f"length {len(v)} is not a power of two")
     a = (n + 1) // 2
-    if v.dtype.kind == "c":
-        x = np.ascontiguousarray(v, dtype=complex).view(float).reshape(2**a, -1)
-        return (_hadamard(a) @ x @ _hadamard(n - a, pairs=True)).reshape(-1).view(complex)
     return (_hadamard(a) @ v.reshape(2**a, -1) @ _hadamard(n - a)).reshape(-1)
 
 
@@ -311,23 +296,23 @@ def preparation_input(oracle: OracleHandle) -> np.ndarray:
     return start
 
 
-def sample_oracle_output(oracle: OracleHandle, rng, copies=None):
+def sample_oracle_output(oracle: OracleHandle, rng, copies=1) -> np.ndarray:
     """Prepare copies of the hidden state, one query each, and measure them.
 
     For the Fourier family the query sits between Hadamard layers; its exact
-    transform over N gives the amplitudes f-hat(z).  Every copy is the same
-    state, so one Born CDF serves all of them, and the indices are those of
-    ``copies`` single-copy calls on the same rng.  Returns an int when
-    ``copies`` is None (one copy), else an array of ``copies`` indices.
+    transform over N gives the amplitudes f-hat(z).  The query maps the
+    all-ones input to the real sign table, so only the real part is
+    transformed.  Every copy is the same state, so one Born CDF serves all of
+    them.  Returns an array of ``copies`` indices, the same as from that many
+    one-copy calls on the same rng.
     """
-    if copies is not None and copies < 1:
+    if copies < 1:
         raise ValueError("copies must be >= 1")
     start = preparation_input(oracle)
-    for _ in range(copies or 1):
+    for _ in range(copies):
         out = oracle.apply(start)
     if oracle.kind == "canonical":
         out = out[:-1]
     elif oracle.kind == "fourier_phase":
-        out = fwht(out) / oracle.dim
-    z = born_sample(np.abs(out) ** 2, rng, copies)
-    return int(z) if copies is None else z
+        out = fwht(out.real) / oracle.dim
+    return born_sample(np.abs(out) ** 2, rng, copies)

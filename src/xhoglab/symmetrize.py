@@ -134,7 +134,6 @@ class GroupLayout:
     indices are int32, which holds every base^k <= ``BLOCK_CAP``.
     """
 
-    base: int
     digits: np.ndarray
     gid: np.ndarray
     classes: tuple
@@ -162,7 +161,7 @@ def group_layout(base, k) -> GroupLayout:
         classes.append((ids, order[starts[ids][:, None] + np.arange(size)]))
     for arr in (digits, gid, *(a for c in classes for a in c)):
         arr.flags.writeable = False
-    return GroupLayout(base, digits, gid, tuple(classes))
+    return GroupLayout(digits, gid, tuple(classes))
 
 
 def _slices(layout):

@@ -13,7 +13,6 @@ average over phi.
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,11 +24,10 @@ from .linalg import (
     LazyHaarComplement,
     PureState,
     UnitaryOp,
-    _as_rng,
+    block_diamond_distance,
     haar_state_amps,
     haar_unitary_mat,  # noqa: F401  unused here; xbench/test_xbench.py checks its tracer wraps this binding
     orth_basis,
-    subspace_diamond_distance,
     trial_streams,
 )
 from .oracles import _reflect, canonical_oracle, householder_matrix, householder_vector
@@ -51,14 +49,14 @@ class RotationPlan:
     phi: PureState
     alpha: float
     beta: complex
-    theta: float
     psi_perp: PureState
 
     @property
     def block(self) -> np.ndarray:
         """The rotation on (psi_perp, psi): [[alpha, conj(beta)], [-beta, alpha]].
 
-        It has determinant 1, trace 2 cos(theta), and eigenvalues e^(+-i theta).
+        It has determinant 1, trace 2 alpha, and eigenvalues e^(+-i theta) with
+        cos(theta) = alpha.
         """
         return np.array([[self.alpha, np.conj(self.beta)], [-self.beta, self.alpha]])
 
@@ -73,7 +71,7 @@ def decompose_phi(psi: PureState, phi: PureState) -> RotationPlan:
     rem = phi.amps - beta * psi.amps
     alpha = float(np.linalg.norm(rem))
     psi_perp = PureState(rem / alpha)
-    return RotationPlan(psi, phi, alpha, beta, math.acos(min(1.0, alpha)), psi_perp)
+    return RotationPlan(psi, phi, alpha, beta, psi_perp)
 
 
 def rotation_R(plan: RotationPlan) -> UnitaryOp:
@@ -113,14 +111,14 @@ def draw_plan(psi: PureState, rng) -> RotationPlan:
             log.info("resampled a degenerate helper state at dim %d", psi.dim)
 
 
-def simulate_U_psi(psi: PureState, seed, mode="ideal", t=1):
+def simulate_U_psi(psi: PureState, rng, mode="ideal", t=1):
     """The t-query composition of the simulated random prep oracle.
 
     ideal mode uses the corrected prep V' = RV (maps zeros to psi exactly and
     is distributed as a fresh random prep oracle); approximate mode substitutes
-    the available V.  Returns the dense composition and its O_psi query count.
+    the available V.  Draws from the Generator ``rng``; returns the dense
+    composition and its O_psi query count.
     """
-    rng = _as_rng(seed)
     plan = draw_plan(psi, rng)
     return _simulated_composition(plan, LazyHaarComplement(psi.dim, rng).materialize(), mode, t)
 
@@ -170,7 +168,7 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
     y = q
     for cj in reversed(cs):
         y = y + cj @ (e @ (cj.conj().T @ y))
-    return subspace_diamond_distance(q, y)
+    return block_diamond_distance(q.conj().T @ y, len(q))
 
 
 def channel_distance_bound_report(n, t, trials, seed) -> dict:

@@ -101,7 +101,7 @@ def strategy_uniform(n: int, rng) -> StrategyOutcome:
 def strategy_naive_sample(oracle: OracleHandle, rng) -> StrategyOutcome:
     """Prepare one copy of the hidden state, measure, output the result."""
     before = oracle.calls
-    z = sample_oracle_output(oracle, rng)
+    z = int(sample_oracle_output(oracle, rng)[0])
     return StrategyOutcome(z, oracle.calls - before)
 
 
@@ -162,27 +162,27 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
     return StrategyOutcome(z, oracle.calls - before, aux)
 
 
-def strategy_argmax(psi: PureState) -> StrategyOutcome:
-    """Reference (not query-legal): the most likely string of the hidden state."""
-    z = int(np.argmax(psi.probabilities()))
+def strategy_argmax(probs: np.ndarray) -> StrategyOutcome:
+    """Reference (not query-legal): the most likely string, read off the probabilities."""
+    z = int(np.argmax(probs))
     return StrategyOutcome(z, 0, {"query_model": False})
 
 
 def _hidden_instance(family, n, rng):
-    """Fresh hidden state, oracle handle, and scoring probabilities for one trial."""
+    """Fresh sealed oracle over a hidden state, and its scoring probabilities, for one trial."""
     if family == "fourier":
         f = SignFunction.random(n, rng)
-        return fourier_phase_oracle(f, sealed=True), fourier_coefficients_float(f) ** 2, None
+        return fourier_phase_oracle(f, sealed=True), fourier_coefficients_float(f) ** 2
     psi_amps = haar_state_amps(2**n, rng)
     psi = PureState(psi_amps)
     if family == "canonical":
-        return canonical_oracle(psi, sealed=True), np.abs(psi_amps) ** 2, psi
+        return canonical_oracle(psi, sealed=True), np.abs(psi_amps) ** 2
     if family == "random_prep":
-        return random_prep_oracle(psi, rng, sealed=True), np.abs(psi_amps) ** 2, psi
+        return random_prep_oracle(psi, rng, sealed=True), np.abs(psi_amps) ** 2
     raise ValueError(f"unknown family {family!r}")
 
 
-def _run_strategy(strategy, params, oracle, probs, psi, n, rng):
+def _run_strategy(strategy, params, oracle, probs, n, rng):
     if strategy == "uniform":
         return strategy_uniform(n, rng)
     if strategy == "naive":
@@ -194,9 +194,7 @@ def _run_strategy(strategy, params, oracle, probs, psi, n, rng):
             oracle, params.get("k", 2), rng, params.get("schedule", "fixed")
         )
     if strategy == "argmax":
-        if psi is None:
-            psi = PureState(np.sqrt(probs).astype(complex))
-        return strategy_argmax(psi)
+        return strategy_argmax(probs)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -257,8 +255,8 @@ def run_experiment(
     queries = np.empty(trials, dtype=np.int32) if keep_trials else None
     n_dim = 2**n
     for i, rng in enumerate(streams):
-        oracle, probs, psi = _hidden_instance(family, n, rng)
-        outcome = _run_strategy(strategy, params, oracle, probs, psi, n, rng)
+        oracle, probs = _hidden_instance(family, n, rng)
+        outcome = _run_strategy(strategy, params, oracle, probs, n, rng)
         scores[i] = n_dim * probs[outcome.z]
         total_queries += outcome.queries_used
         if keep_trials:

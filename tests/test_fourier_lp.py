@@ -69,11 +69,9 @@ def test_naive_family_is_a_distribution():
         n_dim = 2**n
         tables = fourier_lp._all_sign_tables(n)
         lp = build_primal(n)
-        c = naive_primal_point(n)
-        scaled = np.array([int(c[s] * n_dim**2) for s in lp.variables])
-        pairs = [tuple(sorted(s)) for s in lp.variables]
+        scaled = np.array([int(c * n_dim**2) for c in naive_primal_point(n)])
         vals = np.column_stack([
-            n_dim + _pair_products(tables * _hadamard(n)[z].astype(np.int64), pairs) @ scaled
+            n_dim + _pair_products(tables * _hadamard(n)[z].astype(np.int64), lp.variables) @ scaled
             for z in range(n_dim)
         ])
         assert np.array_equal(vals, (tables @ _hadamard(n).astype(np.int64)) ** 2)
@@ -88,7 +86,7 @@ def test_symmetrize_naive_family_fixed_point():
         lp = build_primal(n)
         c = naive_primal_point(n)
         tables = fourier_lp._all_sign_tables(n)[: len(lp.constraint_matrix)]
-        lhs = [n_dim**2 * (Fraction(1, n_dim) + sum(int(a) * c[s] for a, s in zip(row, lp.variables)))
+        lhs = [n_dim**2 * (Fraction(1, n_dim) + sum(int(a) * cs for a, cs in zip(row, c)))
                for row in lp.constraint_matrix]
         assert lhs == [int(fwht(t)[0]) ** 2 for t in tables]
 
@@ -122,12 +120,12 @@ def test_symmetrized_objective_via_weights():
 
 def test_reduce_equality_constraints_naive():
     # after symmetrization the free variables are the pairs (the XOR of a pair is nonzero),
-    # and the naive point sits on exactly those
+    # in the constraint matrix's column order, and the naive point has one entry per pair
     for n in (1, 2):
-        want_free = {frozenset(s) for s in itertools.combinations(range(2**n), 2)}
+        want_free = list(itertools.combinations(range(2**n), 2))
         lp = build_primal(n)
-        assert len(lp.variables) == len(want_free) and set(lp.variables) == want_free
-        assert set(naive_primal_point(n)) == want_free
+        assert lp.variables == want_free and lp.constraint_matrix.shape[1] == len(want_free)
+        assert len(naive_primal_point(n)) == len(want_free)
 
 
 def test_objective_coefficients_closed_form_and_enum():
@@ -181,7 +179,7 @@ def test_naive_primal_point_feasible_and_value():
     for n in (1, 2, 3):
         lp = build_primal(n)
         point = naive_primal_point(n)
-        x = np.array([float(point[s]) for s in lp.variables])
+        x = np.array([float(c) for c in point])
         slack = 1.0 / 2**n + lp.constraint_matrix.astype(float) @ x
         assert slack.min() >= -1e-12
         assert primal_objective(n, point) == Fraction(3 * 2**n - 2, 4**n)
@@ -191,11 +189,9 @@ def test_naive_primal_point_feasible_and_value():
 def test_primal_objective_mixed_denominators():
     # the common-denominator sum against the plain Fraction sum
     n = 2
-    pairs = list(itertools.combinations(range(4), 2))
     values = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 12), Fraction(0), Fraction(7), Fraction(-3, 8)]
-    point = {frozenset(s): c for s, c in zip(pairs, values)}
     want = Fraction(1, 4) + sum(Fraction(2, 4) * c for c in values)
-    assert primal_objective(n, point) == want
+    assert primal_objective(n, values) == want
 
 
 def test_halfN_formula_matches_enumeration():
@@ -270,5 +266,5 @@ def test_weak_duality_on_feasible_mixtures():
         naive = naive_primal_point(n)
         cap = Fraction(naive_fourier_value(n), 2**n)
         for lam in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-            point = {s: lam * c for s, c in naive.items()}
+            point = [lam * c for c in naive]
             assert primal_objective(n, point) <= cap

@@ -47,7 +47,7 @@ def test_decompose_n1_plus_state():
     plan = decompose_phi(PureState(np.eye(2)[0]), PureState(np.array([1, 1]) / math.sqrt(2)))
     assert abs(plan.alpha - 1 / math.sqrt(2)) < 1e-12
     assert abs(plan.beta - 1 / math.sqrt(2)) < 1e-12
-    assert abs(plan.theta - math.pi / 4) < 1e-12
+    assert abs(math.acos(plan.alpha) - math.pi / 4) < 1e-12
 
 
 def test_decompose_reconstruction_and_beta():
@@ -80,15 +80,16 @@ def test_rotation_maps_phi_and_fixes_complement():
 def test_rotation_eigenvalues_and_block():
     psi, phi, _ = _pair(4, 7)
     plan = decompose_phi(psi, phi)
+    theta = math.acos(plan.alpha)
     r = rotation_R(plan)
     eigs = np.linalg.eigvals(r.mat)
     angles = np.sort(np.abs(np.angle(eigs)))
     assert np.max(np.abs(angles[:-2])) < 1e-8
-    assert abs(angles[-1] - plan.theta) < 1e-8 and abs(angles[-2] - plan.theta) < 1e-8
+    assert abs(angles[-1] - theta) < 1e-8 and abs(angles[-2] - theta) < 1e-8
     basis = np.column_stack([plan.psi_perp.amps, psi.amps])
     block = basis.conj().T @ r.mat @ basis
     assert abs(np.linalg.det(block) - 1.0) < 1e-10
-    assert abs(np.trace(block).real - 2 * math.cos(plan.theta)) < 1e-10
+    assert abs(np.trace(block).real - 2 * plan.alpha) < 1e-10
 
 
 def test_rotation_identity_when_already_perp():
@@ -134,7 +135,7 @@ def test_rank2_residual_exposes_a_third_direction():
     # a phase inside the rotation's arc leaves the eigenvalue hull, hence the distance, unchanged
     block = np.eye(3, dtype=complex)
     block[:2, :2] = plan.block
-    block[2, 2] = np.exp(0.5j * plan.theta)
+    block[2, 2] = np.exp(0.5j * math.acos(plan.alpha))
     u = UnitaryOp.from_update(np.column_stack([plan.psi_perp.amps, psi.amps, v]), block)
     dense = unitary_channel_diamond_distance(u, UnitaryOp(np.eye(8)))
     assert abs(dense - 2 * abs(plan.beta)) < 1e-12

@@ -111,6 +111,14 @@ def test_collision_rate_mc():
     assert abs(rate - 2 / (16 * 17)) < 3 * se
 
 
+def test_monte_carlo_helpers_name_a_negative_seed():
+    # they seed through trial_rng, which shares trial_streams' check of the seed
+    for call in (lambda: collision_rate_mc(4, 10, -1), lambda: posterior_mc(2, 2, 1, 10, -1),
+                 lambda: xhog.max_xeb_mc(8, 10, -1)):
+        with pytest.raises(ValueError, match="^seed -1 is negative$"):
+            call()
+
+
 def test_fixed_grover_schedule():
     assert fixed_grover_iterations(9, 8) == math.ceil(math.pi / 4 * 16)
 
@@ -234,7 +242,7 @@ def test_mc_helpers_match_a_per_draw_loop(n):
 
 
 def test_strategy_argmax():
-    out = strategy_argmax(PureState(np.eye(8)[3]))
+    out = strategy_argmax(PureState(np.eye(8)[3]).probabilities())
     assert out.z == 3
     assert out.auxiliary == {"query_model": False}
 
@@ -294,8 +302,8 @@ def _reference_loop(strategy, family, n, trials, seed, params):
     zs, scores, queries = [], [], []
     for i in range(trials):
         rng = trial_rng(seed, i)
-        oracle, probs, psi = xhog._hidden_instance(family, n, rng)
-        outcome = xhog._run_strategy(strategy, params, oracle, probs, psi, n, rng)
+        oracle, probs = xhog._hidden_instance(family, n, rng)
+        outcome = xhog._run_strategy(strategy, params, oracle, probs, n, rng)
         zs.append(outcome.z)
         scores.append(2**n * probs[outcome.z])
         queries.append(outcome.queries_used)
