@@ -22,7 +22,6 @@ from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
     MAX_TRIALS,
-    PureState,
     expected_max_simplex,
     haar_state_amps,
     rank2_update_distance,
@@ -31,6 +30,9 @@ from .linalg import (
 )
 
 SIMPLEX_MIN_TRIALS = 100
+# --cases of verify symmetrize and verify oracles: each case holds ~0.5-0.9 KB of checks in
+# memory until the report is written, so the cap keeps them under 1 MiB
+MAX_CASES = 2**10
 
 # exception -> (exit code, stderr prefix); main uses the entry nearest in the exception's
 # MRO, so a CertificateError, which is a ValueError, exits 1
@@ -72,11 +74,13 @@ def _check(checks, name, value, bound):
 def _verify_symmetrize(args, checks):
     from .symmetrize import ResourceSpec, check_block_cap, verify_symmetrization
 
-    if not (1 <= args.n <= MAX_QUBITS and args.k >= 1 and args.cases >= 1):
-        raise ValueError(f"symmetrize needs 1 <= -n <= {MAX_QUBITS}, -k >= 1 and --cases >= 1")
+    if not (1 <= args.n <= MAX_QUBITS and args.k >= 1 and 1 <= args.cases <= MAX_CASES):
+        raise ValueError(
+            f"symmetrize needs 1 <= -n <= {MAX_QUBITS}, -k >= 1 and 1 <= --cases <= {MAX_CASES}"
+        )
     check_block_cap(2**args.n, args.k)
     for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
-        psi = PureState(haar_state_amps(2**args.n, rng))
+        psi = haar_state_amps(2**args.n, rng)
         spec = ResourceSpec.random(args.k, rng)
         dev = verify_symmetrization(psi, spec)
         _check(checks, f"case_{i}_max_entry_deviation", dev, 1e-10)
@@ -86,33 +90,33 @@ def _verify_oracles(args, checks):
     from .oracles import HALF_SQRT2, _reflect, canonical_from_prep, canonical_oracle, refl_from_prep
     from .oracles import embed_extended_to_ancilla as embed, preparation_input, random_prep_oracle
 
-    if not (1 <= args.n <= MAX_QUBITS and args.cases >= 1):
-        raise ValueError(f"oracles needs 1 <= -n <= {MAX_QUBITS} and --cases >= 1")
+    if not (1 <= args.n <= MAX_QUBITS and 1 <= args.cases <= MAX_CASES):
+        raise ValueError(f"oracles needs 1 <= -n <= {MAX_QUBITS} and 1 <= --cases <= {MAX_CASES}")
     for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
-        psi = PureState(haar_state_amps(2**args.n, rng))
+        psi = haar_state_amps(2**args.n, rng)
         o = canonical_oracle(psi)
         bot = preparation_input(o)  # the flag
         got = o.apply(bot)
-        _check(checks, f"case_{i}_flag_to_psi", np.max(np.abs(got - np.append(psi.amps, 0))), 1e-10)
+        _check(checks, f"case_{i}_flag_to_psi", np.max(np.abs(got - np.append(psi, 0))), 1e-10)
         _check(checks, f"case_{i}_involution", np.max(np.abs(o.apply(got) - bot)), 1e-10)
-    # each simulation circuit runs against a sealed random prep oracle, which counts its calls
+    # each simulation circuit runs against a fresh random prep oracle, which counts its calls
     rng = trial_rng(args.seed, args.cases)
-    psi = PureState(haar_state_amps(2**args.n, rng))
+    psi = haar_state_amps(2**args.n, rng)
     ext = np.column_stack([haar_state_amps(2**args.n + 1, rng) for _ in range(2)])  # probes
     reflected, oracled = ext[:-1], ext
     o = canonical_oracle(psi)
     for t in (1, 2, 3):
-        reflected = np.column_stack([_reflect(psi.amps, c) for c in reflected.T])
+        reflected = np.column_stack([_reflect(psi, c) for c in reflected.T])
         oracled = o.apply(oracled)
-        prep = random_prep_oracle(psi, rng, sealed=True)
+        prep = random_prep_oracle(psi, rng)
         copy, got = refl_from_prep(prep, t, ext[:-1])
         _check(checks, f"refl_ledger_T{t}", abs(prep.calls - (2 * t + 1)), 0)
-        dev = max(np.max(np.abs(copy - psi.amps)), np.max(np.abs(got - reflected)))
+        dev = max(np.max(np.abs(copy - psi)), np.max(np.abs(got - reflected)))
         _check(checks, f"refl_action_T{t}", dev, 1e-10)
-        prep = random_prep_oracle(psi, rng, sealed=True)
+        prep = random_prep_oracle(psi, rng)
         copy, got = canonical_from_prep(prep, t, embed(ext))
         _check(checks, f"canonical_ledger_T{t}", abs(prep.calls - (4 * t + 2)), 0)
-        want = embed(np.append(psi.amps, -1.0) * HALF_SQRT2)
+        want = embed(np.append(psi, -1.0) * HALF_SQRT2)
         dev = max(np.max(np.abs(copy - want)), np.max(np.abs(got - embed(oracled))))
         _check(checks, f"canonical_action_T{t}", dev, 1e-10)
 
@@ -123,14 +127,12 @@ def _verify_uprep(args, checks):
     rep = channel_distance_bound_report(args.n, args.T, args.trials, args.seed)
     _check(checks, f"mean_distance_T{args.T}", rep["mean_distance"], rep["bound"])
     for i, rng in enumerate(trial_streams(args.seed, 10**6, 10**6 + 8)):
-        psi = PureState(haar_state_amps(2**args.n, rng))
-        phi = PureState(haar_state_amps(2**args.n, rng))
-        plan = decompose_phi(psi, phi)
+        plan = decompose_phi(haar_state_amps(2**args.n, rng), haar_state_amps(2**args.n, rng))
         # R is I + B (E - I) B^dagger; the residual certifies that E moves at most two
         # directions, and R phi = psi_perp tells R from R^dagger, whose eigenvalues agree
         r = rotation_R(plan)
         dist, residual = rank2_update_distance(r.basis, r.block)
-        miss = np.max(np.abs(r.apply(plan.phi.amps) - plan.psi_perp.amps))
+        miss = np.max(np.abs(r.apply(plan.phi) - plan.psi_perp))
         dev = max(abs(dist - 2 * abs(plan.beta)), residual, miss)
         _check(checks, f"case_{i}_rotation_distance_equality", dev, 1e-8)
 
@@ -226,7 +228,7 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--trials", type=int, default=1000)
     px.add_argument("--seed", type=int)
     px.add_argument("-k", type=int, default=2)
-    px.add_argument("--schedule", choices=["fixed", "adaptive"], default="fixed")
+    px.add_argument("--schedule", choices=xhog.SCHEDULES, default="fixed")
     px.add_argument("--exact", action="store_true")
     px.add_argument("--out")
     px.add_argument("--csv")

@@ -148,27 +148,6 @@ def _streams(seed_words, start, stop):
             yield rng
 
 
-@dataclass(frozen=True)
-class PureState:
-    """A unit complex amplitude vector over a finite computational basis."""
-
-    amps: np.ndarray
-
-    def __post_init__(self):
-        amps = np.asarray(self.amps, dtype=complex)
-        object.__setattr__(self, "amps", amps)
-        norm = np.vdot(amps, amps).real
-        if abs(norm - 1.0) > 1e-8:
-            raise ValueError(f"state norm {norm} is not 1")
-
-    @property
-    def dim(self) -> int:
-        return len(self.amps)
-
-    def probabilities(self) -> np.ndarray:
-        return np.abs(self.amps) ** 2
-
-
 def _unitarity_error(m) -> float:
     """max |m^dagger m - I| over the entries; 0 for an empty matrix."""
     return float(np.max(np.abs(m.conj().T @ m - np.eye(m.shape[1])), initial=0.0))
@@ -254,7 +233,7 @@ class DensityMatrix:
 
 
 def haar_state_amps(dim: int, rng) -> np.ndarray:
-    """Bare amplitude vector of a Haar-random state (hot path, no wrapper).
+    """Amplitude vector of a Haar-random state, the form every hidden state takes.
 
     One ``standard_normal(2 dim)`` call, split into real and imaginary parts:
     the same draws as two ``standard_normal(dim)`` calls.

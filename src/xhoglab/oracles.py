@@ -11,8 +11,9 @@ Three oracle families are provided:
 Two encodings of the flag state coexist: matrix-level oracles append an
 (N+1)-th basis index, while circuit-level constructions use an ancilla qubit
 (|psi> encoded as |psi>|1>, the flag as |0^n>|0>).  ``embed_extended_to_ancilla``
-is the verified isomorphism between them.  The reductions run as circuits on
-sealed handles, so a query count is always a handle's ``calls``.
+is the verified isomorphism between them.  A handle exposes only its queries and
+their count, so the reductions run as circuits on handles and a query count is
+always a handle's ``calls``.
 """
 
 from __future__ import annotations
@@ -23,15 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import LazyHaarComplement, PureState, UnitaryOp, born_sample
+from .linalg import LazyHaarComplement, UnitaryOp, born_sample
 
 HALF_SQRT2 = 1.0 / math.sqrt(2)
 # the basis vector that one query maps to the hidden state: the flag, or |0^n>
 _START_INDEX = {"canonical": -1, "random_prep": 0}
-
-
-class OracleSealedError(RuntimeError):
-    """A strategy attempted to read the hidden state behind an oracle."""
 
 
 @dataclass(frozen=True)
@@ -49,30 +46,9 @@ class SignFunction:
         if not np.all(np.abs(table) == 1):
             raise ValueError("sign table entries must be +-1")
 
-    def to_hex(self) -> str:
-        """Serialize as lowercase hex: bit=1 means -1, MSB is x = 0^n."""
-        bits = 0
-        size = 2**self.n
-        for x, s in enumerate(self.table):
-            if s == -1:
-                bits |= 1 << (size - 1 - x)
-        width = max(1, (size + 3) // 4)
-        return format(bits, f"0{width}x")
-
-    @classmethod
-    def from_hex(cls, n: int, text: str) -> "SignFunction":
-        return cls.from_index(n, int(text, 16))
-
     @classmethod
     def random(cls, n: int, rng) -> "SignFunction":
         return cls(n, 1 - 2 * rng.integers(0, 2, size=2**n))
-
-    @classmethod
-    def from_index(cls, n: int, index: int) -> "SignFunction":
-        """The index-th function in the enumeration of all 2^(2^n) sign tables."""
-        size = 2**n
-        table = [(-1 if (index >> (size - 1 - x)) & 1 else 1) for x in range(size)]
-        return cls(n, np.array(table))
 
 
 def _reflect(v, amps):
@@ -81,7 +57,8 @@ def _reflect(v, amps):
 
 
 class OracleHandle:
-    """A queryable unitary whose hidden state is sealed from strategies.
+    """A queryable unitary: its public members are ``kind``, ``dim``, ``calls`` and
+    the three query methods, so a strategy learns the hidden state only by querying.
 
     Every forward/adjoint/controlled application increments ``calls``, the
     program's only query count, by one.  Queries are matrix-free: rank-one,
@@ -90,23 +67,14 @@ class OracleHandle:
     column by column.  No dense matrix of the oracle is ever built.
     """
 
-    def __init__(self, kind, dim, metadata, rank1_vec=None, diag=None, haar=None, phase=1.0,
-                 sealed=False):
+    def __init__(self, kind, dim, rank1_vec=None, diag=None, haar=None, phase=1.0):
         self.kind = kind
         self.dim = dim
         self.calls = 0
-        self.sealed = sealed
-        self._metadata = metadata
         self._rank1_vec = rank1_vec
         self._diag = diag
         self._haar = haar
         self._phase = phase
-
-    def peek_metadata(self):
-        """Hidden state, for scoring/verification only.  Raises when sealed."""
-        if self.sealed:
-            raise OracleSealedError("oracle metadata is sealed")
-        return self._metadata
 
     def _apply_mat(self, amps, adjoint):
         if amps.ndim == 2:
@@ -138,16 +106,16 @@ class OracleHandle:
         return amps
 
 
-def canonical_oracle(psi: PureState, sealed=False) -> OracleHandle:
+def canonical_oracle(psi: np.ndarray) -> OracleHandle:
     """The reflection about (|psi> - |bot>)/sqrt(2) on the extended space.
 
     Acts as |bot> -> |psi>, |psi> -> |bot>, and fixes everything orthogonal
-    to both.
+    to both.  ``psi`` is a unit amplitude vector.
     """
-    v = np.empty(psi.dim + 1, dtype=complex)
-    np.multiply(psi.amps, HALF_SQRT2, out=v[:-1])
+    v = np.empty(len(psi) + 1, dtype=complex)
+    np.multiply(psi, HALF_SQRT2, out=v[:-1])
     v[-1] = -HALF_SQRT2
-    return OracleHandle("canonical", psi.dim + 1, psi, rank1_vec=v, sealed=sealed)
+    return OracleHandle("canonical", len(psi) + 1, rank1_vec=v)
 
 
 def householder_vector(psi_amps: np.ndarray):
@@ -166,7 +134,7 @@ def householder_matrix(phase, u) -> np.ndarray:
     return phase * UnitaryOp.from_update(basis, -np.eye(basis.shape[1])).mat
 
 
-def random_prep_oracle(psi: PureState, rng, sealed=False) -> OracleHandle:
+def random_prep_oracle(psi: np.ndarray, rng) -> OracleHandle:
     """A unitary with U|0^n> = |psi>, Haar-random on the complement of |0^n>.
 
     Built as V W: V is the Householder completion preparing psi, W is Haar on
@@ -174,14 +142,14 @@ def random_prep_oracle(psi: PureState, rng, sealed=False) -> OracleHandle:
     choice of V by Haar invariance.  V is applied matrix-free, with W sampled
     lazily from the Generator ``rng``.
     """
-    haar = LazyHaarComplement(psi.dim, rng)
-    phase, u = householder_vector(psi.amps)
-    return OracleHandle("random_prep", psi.dim, psi, rank1_vec=u, haar=haar, phase=phase, sealed=sealed)
+    haar = LazyHaarComplement(len(psi), rng)
+    phase, u = householder_vector(psi)
+    return OracleHandle("random_prep", len(psi), rank1_vec=u, haar=haar, phase=phase)
 
 
-def fourier_phase_oracle(f: SignFunction, sealed=False) -> OracleHandle:
+def fourier_phase_oracle(f: SignFunction) -> OracleHandle:
     """The phase oracle U_f |x> = f(x) |x>."""
-    return OracleHandle("fourier_phase", 2**f.n, f, diag=f.table.astype(complex), sealed=sealed)
+    return OracleHandle("fourier_phase", 2**f.n, diag=f.table.astype(complex))
 
 
 @functools.lru_cache(maxsize=None)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, DimensionError, PureState, check_unit_trace
+from .linalg import DensityMatrix, DimensionError, check_unit_trace
 
 # sum over the multiset groups of |G|^2, the block entries the verifier compares;
 # it also bounds (N+1)^k, the length of |R>
@@ -110,14 +110,14 @@ def check_dense_cap(n_dim, k):
         raise DimensionError(f"(N+1)^k = {n_dim + 1}^{k} exceeds the dense cap {DENSE_CAP_DIM}")
 
 
-def build_R(psi: PureState, spec: ResourceSpec) -> PureState:
-    """Tensor product of the k factors alpha_j |psi> + beta_j |bot>."""
-    check_block_cap(psi.dim, spec.k)
+def build_R(psi: np.ndarray, spec: ResourceSpec) -> np.ndarray:
+    """Amplitudes of the tensor product of the k factors alpha_j |psi> + beta_j |bot>."""
+    check_block_cap(len(psi), spec.k)
     vec = np.array([1.0 + 0j])
     for a, b in spec.coeffs:
-        factor = np.append(a * psi.amps, b)
+        factor = np.append(a * psi, b)
         vec = np.outer(vec, factor).ravel()
-    return PureState(vec)
+    return vec
 
 
 @dataclass(frozen=True)
@@ -215,34 +215,34 @@ def _dense(layout, blocks) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def sigma_R_exact(psi: PureState, spec: ResourceSpec) -> DensityMatrix:
+def sigma_R_exact(psi: np.ndarray, spec: ResourceSpec) -> DensityMatrix:
     """The diagonal-phase average of |R><R|, evaluated analytically (dense).
 
     Entry (x, y) equals <x|R><R|y> when the digit strings of x and y are
     reorderings of each other, and is exactly zero otherwise.
     """
-    check_block_cap(psi.dim, spec.k)
-    check_dense_cap(psi.dim, spec.k)
-    r = build_R(psi, spec).amps
-    return _dense(group_layout(psi.dim + 1, spec.k), lambda ids, idx: _outer(r[idx]))
+    check_block_cap(len(psi), spec.k)
+    check_dense_cap(len(psi), spec.k)
+    r = build_R(psi, spec)
+    return _dense(group_layout(len(psi) + 1, spec.k), lambda ids, idx: _outer(r[idx]))
 
 
-def rho_R_protocol_exact(psi: PureState, spec: ResourceSpec) -> DensityMatrix:
+def rho_R_protocol_exact(psi: np.ndarray, spec: ResourceSpec) -> DensityMatrix:
     """Exact output mixture of the measure-and-resuperpose protocol (dense).
 
     Enumerates every outcome string over [N] plus the flag lottery, groups the
     extended strings by multiset, and mixes the resulting superpositions with
     their outcome probabilities.
     """
-    check_block_cap(psi.dim, spec.k)
-    check_dense_cap(psi.dim, spec.k)
-    layout = group_layout(psi.dim + 1, spec.k)
-    gamma, prob = _protocol_amplitudes(layout, psi.probabilities(), spec)
+    check_block_cap(len(psi), spec.k)
+    check_dense_cap(len(psi), spec.k)
+    layout = group_layout(len(psi) + 1, spec.k)
+    gamma, prob = _protocol_amplitudes(layout, np.abs(psi) ** 2, spec)
     coef = _rho_weights(layout, gamma, prob)
     return _dense(layout, lambda ids, idx: _rho_blocks(gamma, coef, ids, idx))
 
 
-def verify_symmetrization(psi: PureState, spec: ResourceSpec) -> float:
+def verify_symmetrization(psi: np.ndarray, spec: ResourceSpec) -> float:
     """Max-entry deviation between the analytic average and the protocol mixture.
 
     Both are compared over the multiset groups, every group of one size in one
@@ -250,11 +250,11 @@ def verify_symmetrization(psi: PureState, spec: ResourceSpec) -> float:
     nonnegative weight, hence Hermitian and PSD; only the unit trace of each
     side is checked.
     """
-    check_block_cap(psi.dim, spec.k)
-    layout = group_layout(psi.dim + 1, spec.k)  # before |R>: its build's temporaries are freed
-    gamma, prob = _protocol_amplitudes(layout, psi.probabilities(), spec)
+    check_block_cap(len(psi), spec.k)
+    layout = group_layout(len(psi) + 1, spec.k)  # before |R>: its build's temporaries are freed
+    gamma, prob = _protocol_amplitudes(layout, np.abs(psi) ** 2, spec)
     coef = _rho_weights(layout, gamma, prob)
-    r = build_R(psi, spec).amps
+    r = build_R(psi, spec)
     dev = tr_sigma = tr_rho = 0.0
     for ids, idx in _slices(layout):
         sigma, rho = _outer(r[idx]), _rho_blocks(gamma, coef, ids, idx)

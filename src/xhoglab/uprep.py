@@ -22,7 +22,6 @@ from .linalg import (
     MAX_TRIALS,
     DimensionError,
     LazyHaarComplement,
-    PureState,
     UnitaryOp,
     block_diamond_distance,
     haar_state_amps,
@@ -43,13 +42,14 @@ class DegenerateStateError(ValueError):
 
 @dataclass(frozen=True)
 class RotationPlan:
-    """The decomposition phi = alpha psi_perp + beta psi with alpha real >= 0."""
+    """The decomposition phi = alpha psi_perp + beta psi with alpha real >= 0, of
+    unit amplitude vectors."""
 
-    psi: PureState
-    phi: PureState
+    psi: np.ndarray
+    phi: np.ndarray
     alpha: float
     beta: complex
-    psi_perp: PureState
+    psi_perp: np.ndarray
 
     @property
     def block(self) -> np.ndarray:
@@ -61,57 +61,55 @@ class RotationPlan:
         return np.array([[self.alpha, np.conj(self.beta)], [-self.beta, self.alpha]])
 
 
-def decompose_phi(psi: PureState, phi: PureState) -> RotationPlan:
+def decompose_phi(psi: np.ndarray, phi: np.ndarray) -> RotationPlan:
     """Split phi into its psi component and a normalized orthogonal remainder."""
-    if psi.dim != phi.dim:
+    if len(psi) != len(phi):
         raise DimensionError("dimension mismatch")
-    beta = complex(np.vdot(psi.amps, phi.amps))
+    beta = complex(np.vdot(psi, phi))
     if abs(beta) >= 1.0 - DEGENERATE_TOL:
         raise DegenerateStateError(f"|<psi|phi>| = {abs(beta)} is degenerate")
-    rem = phi.amps - beta * psi.amps
+    rem = phi - beta * psi
     alpha = float(np.linalg.norm(rem))
-    psi_perp = PureState(rem / alpha)
-    return RotationPlan(psi, phi, alpha, beta, psi_perp)
+    return RotationPlan(psi, phi, alpha, beta, rem / alpha)
 
 
 def rotation_R(plan: RotationPlan) -> UnitaryOp:
     """The rotation with R phi = psi_perp, identity outside span{psi, psi_perp},
     acting as ``plan.block`` in the ordered basis (psi_perp, psi)."""
-    return UnitaryOp.from_update(np.column_stack([plan.psi_perp.amps, plan.psi.amps]), plan.block)
+    return UnitaryOp.from_update(np.column_stack([plan.psi_perp, plan.psi]), plan.block)
 
 
-def swap_via_canonical(psi: PureState, psi_perp: PureState):
+def swap_via_canonical(psi: np.ndarray, psi_perp: np.ndarray):
     """O_psi O_{psi_perp} O_psi on the extended space: swaps psi and psi_perp.
 
     Fixes the flag state and everything orthogonal to all three.  Built by
-    applying sealed canonical-oracle handles to an identity block; returns the
+    applying canonical-oracle handles to an identity block; returns the
     matrix and the handles' call counts (2 to O_psi, 1 to O_{psi_perp}).
     """
-    if abs(np.vdot(psi.amps, psi_perp.amps)) > 1e-10:
+    if abs(np.vdot(psi, psi_perp)) > 1e-10:
         raise ValueError("psi and psi_perp are not orthogonal")
-    o_psi, o_perp = canonical_oracle(psi, sealed=True), canonical_oracle(psi_perp, sealed=True)
-    out = o_psi.apply(o_perp.apply(o_psi.apply(np.eye(psi.dim + 1))))
+    o_psi, o_perp = canonical_oracle(psi), canonical_oracle(psi_perp)
+    out = o_psi.apply(o_perp.apply(o_psi.apply(np.eye(len(psi) + 1))))
     return UnitaryOp(out), (o_psi.calls, o_perp.calls)
 
 
 def _swap(plan: RotationPlan, x):
     """The n-qubit restriction of the three-reflection swap applied to x: for orthonormal
     psi and psi_perp it is the reflection I - d d^dagger, d = psi - psi_perp."""
-    d = plan.psi.amps - plan.psi_perp.amps
+    d = plan.psi - plan.psi_perp
     return x - np.multiply.outer(d, d.conj() @ x)
 
 
-def draw_plan(psi: PureState, rng) -> RotationPlan:
+def draw_plan(psi: np.ndarray, rng) -> RotationPlan:
     """Haar-random phi, resampling the measure-zero degenerate case with a log line."""
     while True:
-        phi = PureState(haar_state_amps(psi.dim, rng))
         try:
-            return decompose_phi(psi, phi)
+            return decompose_phi(psi, haar_state_amps(len(psi), rng))
         except DegenerateStateError:
-            log.info("resampled a degenerate helper state at dim %d", psi.dim)
+            log.info("resampled a degenerate helper state at dim %d", len(psi))
 
 
-def simulate_U_psi(psi: PureState, rng, mode="ideal", t=1):
+def simulate_U_psi(psi: np.ndarray, rng, mode="ideal", t=1):
     """The t-query composition of the simulated random prep oracle.
 
     ideal mode uses the corrected prep V' = RV (maps zeros to psi exactly and
@@ -120,18 +118,18 @@ def simulate_U_psi(psi: PureState, rng, mode="ideal", t=1):
     composition and its O_psi query count.
     """
     plan = draw_plan(psi, rng)
-    return _simulated_composition(plan, LazyHaarComplement(psi.dim, rng).materialize(), mode, t)
+    return _simulated_composition(plan, LazyHaarComplement(len(psi), rng).materialize(), mode, t)
 
 
 def _simulated_composition(plan: RotationPlan, w, mode, t):
     """(S V W)^t and its O_psi query count, with the swap S run as O_psi O_{psi_perp} O_psi
-    on sealed canonical-oracle handles: 2 O_psi queries per simulated query."""
-    v = householder_matrix(*householder_vector(plan.phi.amps))
+    on canonical-oracle handles: 2 O_psi queries per simulated query."""
+    v = householder_matrix(*householder_vector(plan.phi))
     if mode == "ideal":
         v = rotation_R(plan).apply(v)
     elif mode != "approximate":
         raise ValueError(f"unknown mode {mode!r}")
-    o_psi, o_perp = (canonical_oracle(p, sealed=True) for p in (plan.psi, plan.psi_perp))
+    o_psi, o_perp = canonical_oracle(plan.psi), canonical_oracle(plan.psi_perp)
     x = np.eye(len(w) + 1, len(w), dtype=complex)  # the n-qubit space; the flag row stays ~0
     for _ in range(t):
         x[:-1] = v @ (w @ x[:-1])
@@ -151,11 +149,11 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
     if t == 0:
         return 0.0
     e = plan.block - np.eye(2)
-    s_b = np.column_stack([plan.psi.amps, plan.psi_perp.amps])  # = swap @ (psi_perp, psi)
+    s_b = np.column_stack([plan.psi, plan.psi_perp])  # = swap @ (psi_perp, psi)
     if t == 1:
         # W and the swap cancel: the mismatch is the bare rotation, distance 2|beta|
         return 2.0 * abs(plan.beta)
-    phase, u = householder_vector(plan.phi.amps)
+    phase, u = householder_vector(plan.phi)
 
     def approximate_query(x):  # S V W x, matrix-free
         y = w.apply(x)
@@ -183,8 +181,7 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
     dim = 2**n
     dists = np.empty(trials)
     for i, rng in enumerate(trial_streams(seed, 0, trials)):
-        psi = PureState(haar_state_amps(dim, rng))
-        plan = draw_plan(psi, rng)
+        plan = draw_plan(haar_state_amps(dim, rng), rng)
         w = LazyHaarComplement(dim, rng) if t >= 2 else None
         dists[i] = t_composed_diamond(plan, w, t)
     bound = (10 * t + 4) / 2 ** (n / 2)

@@ -22,7 +22,6 @@ from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
     MAX_TRIALS,
-    PureState,
     born_sample,
     haar_state_amps,
     trial_rng,
@@ -42,6 +41,7 @@ from .oracles import (
 
 STRATEGIES = ("uniform", "naive", "k_copy_mode", "collision_amplify", "argmax")
 FAMILIES = ("canonical", "random_prep", "fourier")
+SCHEDULES = ("fixed", "adaptive")
 
 
 @dataclass(frozen=True)
@@ -169,16 +169,15 @@ def strategy_argmax(probs: np.ndarray) -> StrategyOutcome:
 
 
 def _hidden_instance(family, n, rng):
-    """Fresh sealed oracle over a hidden state, and its scoring probabilities, for one trial."""
+    """Fresh oracle over a hidden state, and its scoring probabilities, for one trial."""
     if family == "fourier":
         f = SignFunction.random(n, rng)
-        return fourier_phase_oracle(f, sealed=True), fourier_coefficients_float(f) ** 2
-    psi_amps = haar_state_amps(2**n, rng)
-    psi = PureState(psi_amps)
+        return fourier_phase_oracle(f), fourier_coefficients_float(f) ** 2
+    psi = haar_state_amps(2**n, rng)
     if family == "canonical":
-        return canonical_oracle(psi, sealed=True), np.abs(psi_amps) ** 2
+        return canonical_oracle(psi), np.abs(psi) ** 2
     if family == "random_prep":
-        return random_prep_oracle(psi, rng, sealed=True), np.abs(psi_amps) ** 2
+        return random_prep_oracle(psi, rng), np.abs(psi) ** 2
     raise ValueError(f"unknown family {family!r}")
 
 
@@ -230,6 +229,8 @@ def run_experiment(
         k_min = 1 if strategy == "k_copy_mode" else 2
         if not k_min <= k <= MAX_DIM:
             raise ValueError(f"{strategy} needs {k_min} <= k <= {MAX_DIM} copies, got k = {k}")
+    if strategy == "collision_amplify" and params.get("schedule", "fixed") not in SCHEDULES:
+        raise ValueError(f"unknown schedule {params['schedule']!r}")
     if strategy == "collision_amplify" and family == "fourier":
         raise ValueError("collision_amplify needs a state reflection, which the fourier oracle lacks")
     t0 = time.perf_counter()

@@ -20,7 +20,6 @@ from xhoglab.fourier_lp import (
     verify_dual_feasibility,
 )
 from xhoglab.linalg import (
-    PureState,
     UnitaryOp,
     expected_max_simplex,
     haar_state_amps,
@@ -82,7 +81,7 @@ def test_criterion_04_symmetrization():
         for k in (1, 2, 3):
             for case in range(100):
                 rng = trial_rng(1000 * n + 100 * k, case)
-                psi = PureState(haar_state_amps(2**n, rng))
+                psi = haar_state_amps(2**n, rng)
                 spec = ResourceSpec.random(k, rng)
                 worst = max(worst, verify_symmetrization(psi, spec))
     ok = worst <= 1e-10 and (time.perf_counter() - t0) <= 120.0
@@ -90,16 +89,16 @@ def test_criterion_04_symmetrization():
 
 
 def test_criterion_05_query_ledgers():
-    # every count is a sealed handle's calls; the circuits are looked up on their
+    # every count is an oracle handle's calls; the circuits are looked up on their
     # modules, so the one-query mutations below reach them
-    psi = PureState(haar_state_amps(8, trial_rng(5, 1)))
+    psi = haar_state_amps(8, trial_rng(5, 1))
     probes = np.eye(9, 2, -3, dtype=complex)
     ok = True
     for t in (1, 2, 3):
-        prep = random_prep_oracle(psi, trial_rng(5, 0), sealed=True)
+        prep = random_prep_oracle(psi, trial_rng(5, 0))
         oracles.refl_from_prep(prep, t, probes[:-1])
         ok = ok and prep.calls == 2 * t + 1
-        prep = random_prep_oracle(psi, trial_rng(5, 0), sealed=True)
+        prep = random_prep_oracle(psi, trial_rng(5, 0))
         oracles.canonical_from_prep(prep, t, embed_extended_to_ancilla(probes))
         ok = ok and prep.calls == 4 * t + 2
         _, calls = uprep.simulate_U_psi(psi, trial_rng(5, 2), "ideal", t=t)
@@ -150,23 +149,23 @@ def test_criterion_06_swap_and_channel_distance():
     # exact swap through the extended-space reflections
     for i in range(20):
         rng = trial_rng(6, i)
-        psi = PureState(haar_state_amps(16, rng))
-        phi = PureState(haar_state_amps(16, rng))
+        psi = haar_state_amps(16, rng)
+        phi = haar_state_amps(16, rng)
         plan = decompose_phi(psi, phi)
         s, _ = swap_via_canonical(psi, plan.psi_perp)
         dev = max(
-            np.max(np.abs(s.mat @ np.append(psi.amps, 0) - np.append(plan.psi_perp.amps, 0))),
-            np.max(np.abs(s.mat @ np.append(plan.psi_perp.amps, 0) - np.append(psi.amps, 0))),
+            np.max(np.abs(s.mat @ np.append(psi, 0) - np.append(plan.psi_perp, 0))),
+            np.max(np.abs(s.mat @ np.append(plan.psi_perp, 0) - np.append(psi, 0))),
         )
         ok = ok and dev <= 1e-10
     # rotation channel distance equals 2|<psi|phi>| on 100 instances
     for i in range(100):
         rng = trial_rng(60, i)
-        psi = PureState(haar_state_amps(8, rng))
-        phi = PureState(haar_state_amps(8, rng))
+        psi = haar_state_amps(8, rng)
+        phi = haar_state_amps(8, rng)
         plan = decompose_phi(psi, phi)
         d = unitary_channel_diamond_distance(rotation_R(plan), UnitaryOp(np.eye(8)))
-        ok = ok and abs(d - 2 * abs(np.vdot(psi.amps, phi.amps))) <= 1e-8
+        ok = ok and abs(d - 2 * abs(np.vdot(psi, phi))) <= 1e-8
     # T-composed simulation distance against (10T+4)/2^(n/2)
     for n in (6, 8):
         for t in (1, 2):

@@ -11,7 +11,7 @@ import pytest
 
 # loaded here, so no tracemalloc peak below counts an import
 from xhoglab import fourier_lp, uprep, xhog  # noqa: F401
-from xhoglab.cli import main
+from xhoglab.cli import MAX_CASES, main
 from xhoglab.linalg import MAX_DIM, MAX_TRIALS, UnitaryOp
 
 jsonschema = pytest.importorskip("jsonschema")
@@ -230,7 +230,7 @@ def test_verify_uprep_passes_on_correct_code(n, seeds, capsys):
 
 @pytest.mark.parametrize("argv, dense_checks", [
     (["uprep", "-n", "8", "-T", "2", "--trials", "2"], 0),  # rotations are built by from_update
-    (["oracles", "-n", "8", "--cases", "3"], 0),  # the circuits run on sealed handles
+    (["oracles", "-n", "8", "--cases", "3"], 0),  # the circuits run on oracle handles
 ])
 def test_verify_runs_the_dense_unitarity_check_only_where_needed(argv, dense_checks, monkeypatch,
                                                                   capsys):
@@ -252,7 +252,7 @@ def _with_third_direction(rotation_R):
         # a phase of 1e-5 on a direction orthogonal to psi and psi_perp: the dense distance
         # is unchanged and R phi = psi_perp still holds, so only the residual (~1e-5) sees it
         r = rotation_R(plan)
-        v = np.eye(plan.psi.dim)[-1] - r.basis @ (r.basis.conj().T[:, -1])
+        v = np.eye(len(plan.psi))[-1] - r.basis @ (r.basis.conj().T[:, -1])
         v /= np.linalg.norm(v)
         block = np.eye(3, dtype=complex)
         block[:2, :2], block[2, 2] = r.block, np.exp(1e-5j)
@@ -334,6 +334,17 @@ def test_verify_bad_size_is_usage_error(argv, capsys):
     assert peak < 2**20
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("suite, checks_per_case", [(["symmetrize", "-k", "1"], 1), (["oracles"], 2)])
+def test_verify_caps_the_cases(suite, checks_per_case, capsys):
+    # one cap for both suites, named in the usage error and checked before the first draw
+    argv = ["verify", *suite, "-n", "1", "--seed", "1", "--cases"]
+    assert main([*argv, str(MAX_CASES)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len([ln for ln in lines if ln.startswith("case_")]) == checks_per_case * MAX_CASES
+    assert main([*argv, str(MAX_CASES + 1)]) == 2
+    assert f"1 <= --cases <= {MAX_CASES}" in capsys.readouterr().err
 
 
 def test_verify_simplex_accepts_the_dimension_cap(monkeypatch, capsys):

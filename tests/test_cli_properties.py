@@ -3,8 +3,9 @@
 Each flag is drawn from a small window around each of its bounds.  The
 accepted top of a range is left out where one run there takes seconds: xhog's
 -k 2^14 (k queries of a 2^14-dimensional random-prep oracle), the --trials cap
-2^25 of xhog, verify uprep and verify simplex, and lp solve -n 4 (a 32768-row
-LP).  verify uprep's -n 14 is drawn: its rotations are checked on their rank-2
+2^25 of xhog, verify uprep and verify simplex, the --cases cap 2^10 of verify
+symmetrize and verify oracles (tests/test_cli.py runs it once at -n 1), and lp
+solve -n 4 (a 32768-row LP).  verify uprep's -n 14 is drawn: its rotations are checked on their rank-2
 factors, so a run there takes ~0.1 s.  Their rejected sides are drawn.  A
 rejected xhog argv is run again at --trials 2^25, unless --trials itself was
 the fault, so a check that comes after the per-trial arrays are allocated
@@ -22,7 +23,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 # loaded here, so no tracemalloc peak below counts an import
 from xhoglab import fourier_lp, xhog  # noqa: E402,F401
-from xhoglab.cli import main  # noqa: E402
+from xhoglab.cli import MAX_CASES, main  # noqa: E402
 from xhoglab.linalg import MAX_DIM, MAX_QUBITS, MAX_TRIALS  # noqa: E402
 
 REJECTED_PEAK = 2**20
@@ -33,9 +34,9 @@ WINDOWS = {
         # n = 11 on, and k <= 8 at n = 1 and k <= 6 at n = 2
         "-n": (-1, 0, 1, 2, 10, 11, 14, 15),
         "-k": (-1, 0, 1, 2, 6, 7, 8, 9),
-        "--cases": (-1, 0, 1, 2),
+        "--cases": (-1, 0, 1, 2, MAX_CASES + 1),
     },
-    "oracles": {"-n": (-1, 0, 1, 2, 15, 14), "--cases": (-1, 0, 1, 2)},
+    "oracles": {"-n": (-1, 0, 1, 2, 15, 14), "--cases": (-1, 0, 1, 2, MAX_CASES + 1)},
     "uprep": {
         "-n": (-1, 0, 1, 2, 15, 14),
         "-T": (-1, 0, 1, 4, 5),

@@ -9,7 +9,6 @@ from xhoglab.linalg import (
     DensityMatrix,
     DimensionError,
     LazyHaarComplement,
-    PureState,
     UnitaryOp,
     expected_max_simplex,
     haar_state_amps,
@@ -22,11 +21,11 @@ from xhoglab.xhog import _exponential_chunks
 
 
 def test_haar_state_norm_and_determinism():
-    s1 = PureState(haar_state_amps(8, np.random.default_rng(42)))
-    s2 = PureState(haar_state_amps(8, np.random.default_rng(42)))
-    assert abs(np.vdot(s1.amps, s1.amps).real - 1.0) < 1e-12
-    assert np.array_equal(s1.amps, s2.amps)
-    assert not np.array_equal(s1.amps, haar_state_amps(8, np.random.default_rng(43)))
+    s1 = haar_state_amps(8, np.random.default_rng(42))
+    s2 = haar_state_amps(8, np.random.default_rng(42))
+    assert abs(np.vdot(s1, s1).real - 1.0) < 1e-12
+    assert np.array_equal(s1, s2)
+    assert not np.array_equal(s1, haar_state_amps(8, np.random.default_rng(43)))
 
 
 def test_haar_state_range_check():
@@ -162,7 +161,7 @@ def test_trial_streams_match_trial_rng(capsys):
 
 
 def test_measure_computational_point_mass():
-    assert linalg.born_sample(PureState(np.eye(8)[5]).probabilities(), trial_rng(0, 0)) == 5
+    assert linalg.born_sample(np.eye(8)[5] ** 2, trial_rng(0, 0)) == 5
 
 
 def test_born_sample_is_generator_choice():
@@ -177,9 +176,9 @@ def test_born_sample_is_generator_choice():
 
 
 def test_measure_computational_born_rule():
-    state = PureState(np.array([math.sqrt(0.09), math.sqrt(0.91)]))
+    state = np.array([math.sqrt(0.09), math.sqrt(0.91)])
     # one batched draw takes the same uniforms as 10^5 scalar draws
-    hits = int(np.sum(linalg.born_sample(state.probabilities(), trial_rng(13, 0), size=100_000) == 0))
+    hits = int(np.sum(linalg.born_sample(np.abs(state) ** 2, trial_rng(13, 0), size=100_000) == 0))
     p = hits / 100000
     assert abs(p - 0.09) < 3 * math.sqrt(0.09 * 0.91 / 100000)
 
@@ -283,6 +282,6 @@ def test_bot_state_layout():
     # the flag is the last basis index of the extended space, the canonical oracle's input
     from xhoglab.oracles import canonical_oracle, preparation_input
 
-    psi = PureState(haar_state_amps(4, trial_rng(5, 0)))
+    psi = haar_state_amps(4, trial_rng(5, 0))
     b = preparation_input(canonical_oracle(psi))
     assert len(b) == 5 and np.array_equal(b, np.eye(5)[4])

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from xhoglab import oracles
-from xhoglab.linalg import PureState, UnitaryOp, born_sample, haar_state_amps, trial_rng
+from xhoglab.linalg import UnitaryOp, born_sample, haar_state_amps, trial_rng
 from xhoglab.oracles import (
-    OracleSealedError,
     SignFunction,
     canonical_from_prep,
     canonical_oracle,
@@ -20,7 +19,7 @@ from xhoglab.oracles import (
 
 
 def _haar_state(n, seed):
-    return PureState(haar_state_amps(2**n, np.random.default_rng(seed)))
+    return haar_state_amps(2**n, np.random.default_rng(seed))
 
 
 def _dense(o):
@@ -41,25 +40,12 @@ def test_sign_function_validation():
         SignFunction(1, np.array([1, 2]))
 
 
-def test_sign_function_hex_roundtrip():
-    rng = trial_rng(1, 0)
-    for n in (1, 2, 3, 4):
-        f = SignFunction.random(n, rng)
-        assert np.array_equal(SignFunction.from_hex(n, f.to_hex()).table, f.table)
-
-
-def test_sign_function_hex_msb_convention():
-    # only x = 0^n maps to -1: the most significant bit of the hex string
-    f = SignFunction(2, np.array([-1, 1, 1, 1]))
-    assert f.to_hex() == "8"
-
-
 def test_reflection_about_examples():
     assert np.allclose(_reflection(np.eye(2)[0]), np.diag([-1, 1]))
-    plus = PureState(np.array([1, 1]) / math.sqrt(2))
-    assert np.allclose(_reflection(plus.amps), [[0, -1], [-1, 0]])
+    plus = np.array([1, 1]) / math.sqrt(2)
+    assert np.allclose(_reflection(plus), [[0, -1], [-1, 0]])
     psi = _haar_state(2, 5)
-    r = _reflection(psi.amps)
+    r = _reflection(psi)
     assert np.max(np.abs(r @ r - np.eye(4))) < 1e-12
 
 
@@ -68,34 +54,31 @@ def test_canonical_oracle_defining_actions():
     o = canonical_oracle(psi)
     bot = np.eye(9, dtype=complex)[8]
     got = o.apply(bot)
-    assert np.max(np.abs(got - np.append(psi.amps, 0))) < 1e-10
+    assert np.max(np.abs(got - np.append(psi, 0))) < 1e-10
     back = o.apply(got)
     assert np.max(np.abs(back - bot)) < 1e-10
     # a state orthogonal to psi and the flag is fixed
     rng = trial_rng(7, 1)
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    v -= psi.amps * np.vdot(psi.amps, v)
+    v -= psi * np.vdot(psi, v)
     v = np.append(v / np.linalg.norm(v), 0.0)
     assert np.max(np.abs(o.apply(v) - v)) < 1e-10
 
 
 def test_canonical_oracle_small_matrix():
-    o = _dense(canonical_oracle(PureState(np.eye(2)[0]))).mat
+    o = _dense(canonical_oracle(np.eye(2)[0])).mat
     assert np.allclose(o, [[0, 0, 1], [0, 1, 0], [1, 0, 0]])
 
 
-def test_oracle_ledger_and_sealing():
+def test_oracle_ledger():
     psi = _haar_state(2, 3)
-    o = canonical_oracle(psi, sealed=True)
+    o = canonical_oracle(psi)
     assert o.calls == 0
     state = np.zeros(5, dtype=complex)
     state[4] = 1.0
     o.apply(state)
     o.apply_adjoint(state)
     assert o.calls == 2
-    with pytest.raises(OracleSealedError):
-        o.peek_metadata()
-    assert canonical_oracle(psi).peek_metadata() is psi
 
 
 def test_oracle_adjoint_inverts():
@@ -112,14 +95,14 @@ def test_controlled_application():
     state = np.zeros(6, dtype=complex)
     state[2 + 3] = 1.0  # control set, flag index in the lower block
     out = o.apply_controlled(state)
-    assert np.max(np.abs(out[3:] - np.append(psi.amps, 0))) < 1e-10
+    assert np.max(np.abs(out[3:] - np.append(psi, 0))) < 1e-10
     assert o.calls == 1
 
 
 def test_random_prep_first_column():
     psi = _haar_state(3, 13)
     o = random_prep_oracle(psi, np.random.default_rng(17))
-    assert np.max(np.abs(_dense(o).mat[:, 0] - psi.amps)) < 1e-10
+    assert np.max(np.abs(_dense(o).mat[:, 0] - psi)) < 1e-10
 
 
 def test_random_prep_queries_match_dense():
@@ -136,7 +119,7 @@ def test_random_prep_queries_match_dense():
 
 
 def test_random_prep_n1_phase():
-    o = random_prep_oracle(PureState(np.eye(2)[0]), np.random.default_rng(19))
+    o = random_prep_oracle(np.eye(2)[0], np.random.default_rng(19))
     m = _dense(o).mat
     assert abs(m[0, 0] - 1.0) < 1e-10 and abs(m[1, 0]) < 1e-12
     assert abs(abs(m[1, 1]) - 1.0) < 1e-10
@@ -144,7 +127,7 @@ def test_random_prep_n1_phase():
 
 def test_householder_matrix_matches_dense_formula():
     for n in (1, 3, 5):
-        phase, u = oracles.householder_vector(_haar_state(n, 21 + n).amps)
+        phase, u = oracles.householder_vector(_haar_state(n, 21 + n))
         want = phase * (np.eye(2**n) - 2.0 * np.outer(u, u.conj()))
         assert np.max(np.abs(oracles.householder_matrix(phase, u) - want)) < 1e-14
     # psi = |0>: u = 0, and V is the phase times the identity
@@ -161,7 +144,7 @@ def test_random_prep_completion_invariance():
     vals = np.empty(trials)
     for i in range(trials):
         vals[i] = abs(_dense(random_prep_oracle(psi, trial_rng(29, i))).mat[0, 1]) ** 2
-    exact = (1 - abs(psi.amps[0]) ** 2) / (psi.dim - 1)
+    exact = (1 - abs(psi[0]) ** 2) / (len(psi) - 1)
     assert abs(vals.mean() - exact) < 3 * vals.std(ddof=1) / math.sqrt(trials)
 
 
@@ -187,8 +170,8 @@ def test_reflect_about_state_is_two_queries():
     rng = trial_rng(32, 0)
     psi = _haar_state(3, rng)
     x = rng.standard_normal((9, 2)) + 1j * rng.standard_normal((9, 2))
-    for o, v in ((canonical_oracle(psi, sealed=True), np.append(psi.amps, 0)),
-                 (random_prep_oracle(psi, rng, sealed=True), psi.amps)):
+    for o, v in ((canonical_oracle(psi), np.append(psi, 0)),
+                 (random_prep_oracle(psi, rng), psi)):
         got = reflect_about_state(o, x[: o.dim])
         assert o.calls == 2
         assert np.max(np.abs(got - _reflection(v) @ x[: o.dim])) < 1e-12
@@ -196,7 +179,7 @@ def test_reflect_about_state_is_two_queries():
 
 def test_refl_from_prep_identity_prep():
     # a prep of |0^n> itself: the simulated reflection is diag(-1, 1, 1, 1)
-    prep = random_prep_oracle(PureState(np.eye(4)[0]), np.random.default_rng(30), sealed=True)
+    prep = random_prep_oracle(np.eye(4)[0], np.random.default_rng(30))
     copy, out = refl_from_prep(prep, 1, np.eye(4))
     assert np.allclose(copy, np.eye(4)[0])
     assert np.allclose(out, _reflection(np.eye(4)[0]))
@@ -204,26 +187,26 @@ def test_refl_from_prep_identity_prep():
 
 def test_refl_from_prep_ledger():
     psi = _haar_state(2, 31)
-    r = _reflection(psi.amps)
+    r = _reflection(psi)
     for t in (1, 2, 3):
-        prep = random_prep_oracle(psi, trial_rng(31, t), sealed=True)
+        prep = random_prep_oracle(psi, trial_rng(31, t))
         copy, out = refl_from_prep(prep, t, np.eye(4))
         assert prep.calls == 2 * t + 1
-        assert np.max(np.abs(copy - psi.amps)) < 1e-12
+        assert np.max(np.abs(copy - psi)) < 1e-12
         assert np.max(np.abs(out - np.linalg.matrix_power(r, t))) < 1e-12
 
 
 def test_canonical_from_prep_ledger():
     psi = _haar_state(2, 41)
     for t in (1, 2, 3):
-        prep = random_prep_oracle(psi, trial_rng(41, t), sealed=True)
+        prep = random_prep_oracle(psi, trial_rng(41, t))
         canonical_from_prep(prep, t, np.eye(8))
         assert prep.calls == 4 * t + 2
 
 
 def test_canonical_from_prep_identity_prep():
     # a prep of |0^n> itself; t = 0 runs only the reference preparation
-    prep = random_prep_oracle(PureState(np.eye(2)[0]), np.random.default_rng(42))
+    prep = random_prep_oracle(np.eye(2)[0], np.random.default_rng(42))
     target, _ = canonical_from_prep(prep, 0, np.zeros(4))
     want = np.zeros(4, dtype=complex)
     want[0 * 2 + 1] = 1 / math.sqrt(2)   # |0>|1>
@@ -233,8 +216,8 @@ def test_canonical_from_prep_identity_prep():
 
 def _canonical_target(psi):
     """(|psi>|1> - |0^n>|0>)/sqrt(2) in the ancilla encoding."""
-    want = np.zeros(2 * psi.dim, dtype=complex)
-    want[1::2] = psi.amps / math.sqrt(2)  # |psi>|1>
+    want = np.zeros(2 * len(psi), dtype=complex)
+    want[1::2] = psi / math.sqrt(2)  # |psi>|1>
     want[0] -= 1 / math.sqrt(2)  # -|0^n>|0>
     return want
 
@@ -243,7 +226,7 @@ def test_canonical_prep_target_on_haar_preps():
     for n in range(1, 7):
         rng = trial_rng(53, n)
         psi = _haar_state(n, rng)
-        prep = random_prep_oracle(psi, rng, sealed=True)
+        prep = random_prep_oracle(psi, rng)
         target, _ = canonical_from_prep(prep, 0, np.zeros(2 ** (n + 1)))
         assert np.max(np.abs(target - _canonical_target(psi))) < 1e-12
         assert prep.calls == 2
@@ -259,7 +242,7 @@ def test_canonical_from_prep_matches_canonical_oracle():
     psi = _haar_state(2, 43)
     direct = _dense(canonical_oracle(psi)).mat
     for t in (1, 2, 3):
-        prep = random_prep_oracle(psi, trial_rng(43, t), sealed=True)
+        prep = random_prep_oracle(psi, trial_rng(43, t))
         copy, sim = canonical_from_prep(prep, t, embed_extended_to_ancilla(np.eye(5)))
         assert np.max(np.abs(copy - _canonical_target(psi))) < 1e-12
         want = np.linalg.matrix_power(direct, t)

@@ -5,7 +5,6 @@ import pytest
 
 from xhoglab.linalg import (
     LazyHaarComplement,
-    PureState,
     UnitaryOp,
     haar_state_amps,
     rank2_update_distance,
@@ -29,22 +28,22 @@ from xhoglab.uprep import (
 def _pair(dim, seed):
     rng = trial_rng(seed, 0)
     return (
-        PureState(haar_state_amps(dim, rng)),
-        PureState(haar_state_amps(dim, rng)),
+        haar_state_amps(dim, rng),
+        haar_state_amps(dim, rng),
         rng,
     )
 
 
 def test_decompose_orthogonal_case():
-    psi = PureState(np.eye(4)[0])
-    phi = PureState(np.eye(4)[2])
+    psi = np.eye(4)[0]
+    phi = np.eye(4)[2]
     plan = decompose_phi(psi, phi)
     assert plan.alpha == 1.0 and plan.beta == 0
-    assert np.max(np.abs(plan.psi_perp.amps - phi.amps)) < 1e-12
+    assert np.max(np.abs(plan.psi_perp - phi)) < 1e-12
 
 
 def test_decompose_n1_plus_state():
-    plan = decompose_phi(PureState(np.eye(2)[0]), PureState(np.array([1, 1]) / math.sqrt(2)))
+    plan = decompose_phi(np.eye(2)[0], np.array([1, 1]) / math.sqrt(2))
     assert abs(plan.alpha - 1 / math.sqrt(2)) < 1e-12
     assert abs(plan.beta - 1 / math.sqrt(2)) < 1e-12
     assert abs(math.acos(plan.alpha) - math.pi / 4) < 1e-12
@@ -54,25 +53,25 @@ def test_decompose_reconstruction_and_beta():
     psi, phi, _ = _pair(8, 3)
     plan = decompose_phi(psi, phi)
     assert plan.alpha >= 0
-    recon = plan.alpha * plan.psi_perp.amps + plan.beta * psi.amps
-    assert np.max(np.abs(recon - phi.amps)) < 1e-10
-    assert abs(plan.beta - np.vdot(psi.amps, phi.amps)) < 1e-12
-    assert abs(np.vdot(psi.amps, plan.psi_perp.amps)) < 1e-10
+    recon = plan.alpha * plan.psi_perp + plan.beta * psi
+    assert np.max(np.abs(recon - phi)) < 1e-10
+    assert abs(plan.beta - np.vdot(psi, phi)) < 1e-12
+    assert abs(np.vdot(psi, plan.psi_perp)) < 1e-10
 
 
 def test_decompose_degenerate_rejected():
-    psi = PureState(np.eye(4)[1])
+    psi = np.eye(4)[1]
     with pytest.raises(DegenerateStateError):
-        decompose_phi(psi, PureState(psi.amps * np.exp(0.25j)))
+        decompose_phi(psi, psi * np.exp(0.25j))
 
 
 def test_rotation_maps_phi_and_fixes_complement():
     psi, phi, rng = _pair(8, 5)
     plan = decompose_phi(psi, phi)
     r = rotation_R(plan)
-    assert np.max(np.abs(r.mat @ phi.amps - plan.psi_perp.amps)) < 1e-10
+    assert np.max(np.abs(r.mat @ phi - plan.psi_perp)) < 1e-10
     v = rng.standard_normal(8) + 1j * rng.standard_normal(8)
-    for b in (psi.amps, plan.psi_perp.amps):
+    for b in (psi, plan.psi_perp):
         v -= b * np.vdot(b, v)
     assert np.max(np.abs(r.mat @ v - v)) < 1e-10
 
@@ -86,23 +85,23 @@ def test_rotation_eigenvalues_and_block():
     angles = np.sort(np.abs(np.angle(eigs)))
     assert np.max(np.abs(angles[:-2])) < 1e-8
     assert abs(angles[-1] - theta) < 1e-8 and abs(angles[-2] - theta) < 1e-8
-    basis = np.column_stack([plan.psi_perp.amps, psi.amps])
+    basis = np.column_stack([plan.psi_perp, psi])
     block = basis.conj().T @ r.mat @ basis
     assert abs(np.linalg.det(block) - 1.0) < 1e-10
     assert abs(np.trace(block).real - 2 * plan.alpha) < 1e-10
 
 
 def test_rotation_identity_when_already_perp():
-    psi = PureState(np.eye(4)[0])
-    plan = decompose_phi(psi, PureState(np.eye(4)[3]))
+    psi = np.eye(4)[0]
+    plan = decompose_phi(psi, np.eye(4)[3])
     assert np.max(np.abs(rotation_R(plan).mat - np.eye(4))) < 1e-12
 
 
 def test_rotation_channel_distance_equality():
     for i in range(10):
         rng = trial_rng(11, i)
-        psi = PureState(haar_state_amps(4, rng))
-        phi = PureState(haar_state_amps(4, rng))
+        psi = haar_state_amps(4, rng)
+        phi = haar_state_amps(4, rng)
         plan = decompose_phi(psi, phi)
         d = unitary_channel_diamond_distance(rotation_R(plan), UnitaryOp(np.eye(4)))
         assert abs(d - 2 * abs(plan.beta)) < 1e-8
@@ -112,15 +111,15 @@ def test_rank2_rotation_distance_matches_dense():
     for n in range(1, 9):
         for i in range(3):
             rng = trial_rng(37, 100 * n + i)
-            plan = decompose_phi(PureState(haar_state_amps(2**n, rng)),
-                                 PureState(haar_state_amps(2**n, rng)))
+            plan = decompose_phi(haar_state_amps(2**n, rng),
+                                 haar_state_amps(2**n, rng))
             r = rotation_R(plan)
             d, residual = rank2_update_distance(r.basis, r.block)
             dense = unitary_channel_diamond_distance(r, UnitaryOp(np.eye(2**n)))
             assert abs(d - dense) < 1e-12
             assert residual == 0.0  # a 2 x 2 block has no third singular value
     # basis-state instance: R = I, a block of I, distance 0
-    r = rotation_R(decompose_phi(PureState(np.eye(4)[0]), PureState(np.eye(4)[3])))
+    r = rotation_R(decompose_phi(np.eye(4)[0], np.eye(4)[3]))
     assert rank2_update_distance(r.basis, r.block) == (0.0, 0.0)
     assert unitary_channel_diamond_distance(r, UnitaryOp(np.eye(4))) == 0.0
 
@@ -129,14 +128,14 @@ def test_rank2_residual_exposes_a_third_direction():
     psi, phi, _ = _pair(8, 47)
     plan = decompose_phi(psi, phi)
     v = np.eye(8)[7]
-    for b in (psi.amps, plan.psi_perp.amps):
+    for b in (psi, plan.psi_perp):
         v = v - b * np.vdot(b, v)
     v /= np.linalg.norm(v)
     # a phase inside the rotation's arc leaves the eigenvalue hull, hence the distance, unchanged
     block = np.eye(3, dtype=complex)
     block[:2, :2] = plan.block
     block[2, 2] = np.exp(0.5j * math.acos(plan.alpha))
-    u = UnitaryOp.from_update(np.column_stack([plan.psi_perp.amps, psi.amps, v]), block)
+    u = UnitaryOp.from_update(np.column_stack([plan.psi_perp, psi, v]), block)
     dense = unitary_channel_diamond_distance(u, UnitaryOp(np.eye(8)))
     assert abs(dense - 2 * abs(plan.beta)) < 1e-12
     d, residual = rank2_update_distance(u.basis, u.block)
@@ -154,14 +153,14 @@ def test_swap_via_canonical():
     psi, phi, rng = _pair(4, 13)
     plan = decompose_phi(psi, phi)
     s, calls = swap_via_canonical(psi, plan.psi_perp)
-    assert calls == (2, 1)  # O_psi, O_psi_perp: the sealed handles' counts
-    assert np.max(np.abs(s.mat @ np.append(psi.amps, 0) - np.append(plan.psi_perp.amps, 0))) < 1e-10
-    assert np.max(np.abs(s.mat @ np.append(plan.psi_perp.amps, 0) - np.append(psi.amps, 0))) < 1e-10
+    assert calls == (2, 1)  # O_psi, O_psi_perp: the handles' counts
+    assert np.max(np.abs(s.mat @ np.append(psi, 0) - np.append(plan.psi_perp, 0))) < 1e-10
+    assert np.max(np.abs(s.mat @ np.append(plan.psi_perp, 0) - np.append(psi, 0))) < 1e-10
     bot = np.eye(5)[4]
     assert np.max(np.abs(s.mat @ bot - bot)) < 1e-10
     assert np.max(np.abs(s.mat @ s.mat - np.eye(5))) < 1e-10
     # n=1 basis-state instance is the plain 0<->1 permutation
-    s01, _ = swap_via_canonical(PureState(np.eye(2)[0]), PureState(np.eye(2)[1]))
+    s01, _ = swap_via_canonical(np.eye(2)[0], np.eye(2)[1])
     assert np.allclose(s01.mat, [[0, 1, 0], [1, 0, 0], [0, 0, 1]])
     with pytest.raises(ValueError):
         swap_via_canonical(psi, phi)
@@ -179,18 +178,18 @@ def test_closed_form_swap_matches_the_handle_route():
 
 
 def test_simulate_ideal_first_column_and_ledger():
-    psi = PureState(haar_state_amps(16, trial_rng(17, 0)))
+    psi = haar_state_amps(16, trial_rng(17, 0))
     for t in (1, 2, 3):
         _, calls = simulate_U_psi(psi, trial_rng(17, 1), "ideal", t=t)
         assert calls == 2 * t
     u1, _ = simulate_U_psi(psi, trial_rng(17, 1), "ideal")
-    assert np.max(np.abs(u1.mat[:, 0] - psi.amps)) < 1e-10
+    assert np.max(np.abs(u1.mat[:, 0] - psi)) < 1e-10
     with pytest.raises(ValueError):
         simulate_U_psi(psi, trial_rng(17, 1), "exact")
 
 
 def test_simulate_single_call_distance():
-    psi = PureState(haar_state_amps(16, trial_rng(19, 0)))
+    psi = haar_state_amps(16, trial_rng(19, 0))
     ui, _ = simulate_U_psi(psi, trial_rng(19, 1), "ideal")
     ua, _ = simulate_U_psi(psi, trial_rng(19, 1), "approximate")
     plan = draw_plan(psi, trial_rng(19, 1))
@@ -200,7 +199,7 @@ def test_simulate_single_call_distance():
 
 def test_simulate_ideal_complement_first_moment():
     # entries off the fixed first column should average to ~0 over seeds
-    psi = PureState(haar_state_amps(4, trial_rng(23, 0)))
+    psi = haar_state_amps(4, trial_rng(23, 0))
     trials = 4000
     acc = np.zeros((4, 3), dtype=complex)
     for i in range(trials):
@@ -214,7 +213,7 @@ def test_t_composed_fast_path_matches_dense():
     # the lazy path queries W first; the dense composition uses the same W, materialized
     for i in range(5):
         rng = trial_rng(29, i)
-        psi = PureState(haar_state_amps(16, rng))
+        psi = haar_state_amps(16, rng)
         plan = draw_plan(psi, rng)
         sampler = LazyHaarComplement(16, rng)
         lazy = {t: t_composed_diamond(plan, sampler, t) for t in (1, 2, 3)}
@@ -229,7 +228,7 @@ def _mean_t_composed(n, t, draws, seed, dense):
     dists = np.empty(draws)
     for i in range(draws):
         rng = trial_rng(seed, i)
-        psi = PureState(haar_state_amps(2**n, rng))
+        psi = haar_state_amps(2**n, rng)
         plan = draw_plan(psi, rng)
         w = LazyHaarComplement(2**n, rng)
         if dense:

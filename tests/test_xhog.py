@@ -1,13 +1,13 @@
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from xhoglab import linalg, xhog
-from xhoglab.linalg import MAX_DIM, PureState, haar_state_amps, trial_rng
+from xhoglab.linalg import MAX_DIM, MAX_TRIALS, haar_state_amps, trial_rng
 from xhoglab.oracles import (
-    OracleSealedError,
     SignFunction,
     canonical_oracle,
     fourier_phase_oracle,
@@ -33,7 +33,7 @@ def test_xeb_score_uniform_is_one():
 
 
 def test_xeb_score_point_mass():
-    probs = PureState(np.eye(8)[0]).probabilities()
+    probs = np.abs(np.eye(8)[0]) ** 2
     assert 8 * probs[0] == 8.0
 
 
@@ -55,7 +55,7 @@ def test_strategy_uniform():
 
 
 def test_strategy_naive_point_state():
-    oracle = canonical_oracle(PureState(np.eye(16)[0]))
+    oracle = canonical_oracle(np.eye(16)[0])
     out = strategy_naive_sample(oracle, trial_rng(4, 0))
     assert out.z == 0 and out.queries_used == 1
 
@@ -66,19 +66,25 @@ def test_strategy_naive_all_families():
         assert est.total_queries == 300
 
 
-def test_run_experiment_seals_oracles(monkeypatch):
-    def peeking(oracle, rng):
-        oracle.peek_metadata()
+def test_run_experiment_hands_strategies_only_the_queries(monkeypatch):
+    # no accessor reaches the hidden state: a strategy sees the handle's kind, dim, query
+    # count and the three query methods
+    seen = []
 
-    monkeypatch.setattr(xhog, "strategy_naive_sample", peeking)
+    def inspecting(oracle, rng):
+        seen.append({name for name in dir(oracle) if not name.startswith("_")})
+        return xhog.StrategyOutcome(0, 0)
+
+    monkeypatch.setattr(xhog, "strategy_naive_sample", inspecting)
     for family in xhog.FAMILIES:
-        with pytest.raises(OracleSealedError):
-            run_experiment("naive", family, 2, 1, 5)
+        run_experiment("naive", family, 2, 1, 5)
+    public = {"apply", "apply_adjoint", "apply_controlled", "calls", "dim", "kind"}
+    assert seen == [public] * len(xhog.FAMILIES)
 
 
 def test_k_copy_mode_tie_break_smallest():
     # flat state: all outcomes equally likely, mode of distinct draws is smallest
-    psi = PureState(np.full(4, 0.5))
+    psi = np.full(4, 0.5)
     rng = trial_rng(6, 0)
     out = strategy_k_copy_mode(canonical_oracle(psi), 3, rng)
     assert out.queries_used == 3
@@ -86,7 +92,7 @@ def test_k_copy_mode_tie_break_smallest():
 
 
 def test_k_copy_reduces_to_naive_at_k1():
-    psi = PureState(haar_state_amps(8, trial_rng(7, 0)))
+    psi = haar_state_amps(8, trial_rng(7, 0))
     a = strategy_k_copy_mode(canonical_oracle(psi), 1, trial_rng(7, 1))
     b = strategy_naive_sample(canonical_oracle(psi), trial_rng(7, 1))
     assert a.z == b.z
@@ -125,7 +131,7 @@ def test_fixed_grover_schedule():
 
 def test_collision_amplify_flat_state_adaptive():
     n = 4
-    psi = PureState(np.full(16, 0.25))
+    psi = np.full(16, 0.25)
     out = strategy_collision_amplify(canonical_oracle(psi), 4, trial_rng(10, 0), "adaptive")
     assert 0 <= out.z < 16
     assert out.queries_used <= 4 + 1 + 2 * 64
@@ -135,7 +141,7 @@ def test_collision_amplify_queries_and_validity():
     hits = 0
     for i in range(50):
         rng = trial_rng(11, i)
-        psi = PureState(haar_state_amps(64, rng))
+        psi = haar_state_amps(64, rng)
         out = strategy_collision_amplify(canonical_oracle(psi), 4, rng)
         t = fixed_grover_iterations(6, 4)
         if out.auxiliary.get("collision"):
@@ -148,7 +154,7 @@ def test_collision_amplify_queries_and_validity():
 
 def test_collision_amplify_random_prep_family():
     rng = trial_rng(12, 0)
-    psi = PureState(haar_state_amps(16, rng))
+    psi = haar_state_amps(16, rng)
     out = strategy_collision_amplify(random_prep_oracle(psi, rng), 3, rng)
     assert 0 <= out.z < 16
 
@@ -242,7 +248,7 @@ def test_mc_helpers_match_a_per_draw_loop(n):
 
 
 def test_strategy_argmax():
-    out = strategy_argmax(PureState(np.eye(8)[3]).probabilities())
+    out = strategy_argmax(np.abs(np.eye(8)[3]) ** 2)
     assert out.z == 3
     assert out.auxiliary == {"query_model": False}
 
@@ -251,8 +257,8 @@ def test_argmax_matches_simplex_statistics():
     trials = 20000
     vals = np.empty(trials)
     for i in range(trials):
-        psi = PureState(haar_state_amps(16, trial_rng(15, i)))
-        vals[i] = psi.probabilities().max()
+        psi = haar_state_amps(16, trial_rng(15, i))
+        vals[i] = (np.abs(psi) ** 2).max()
     target = float(sum(Fraction(1, j) for j in range(1, 17)) / 16)
     se = vals.std(ddof=1) / math.sqrt(trials)
     assert abs(vals.mean() - target) < 3 * se
@@ -275,6 +281,20 @@ def test_run_experiment_exact_fourier():
     est = run_experiment("naive", "fourier", 3, 1, 0, exact=True)
     assert est.exact_value == Fraction(11, 4)
     assert est.to_json_dict()["b_exact"] == "11/4"
+
+
+def test_run_experiment_rejects_an_unknown_schedule_before_allocating():
+    # collision_amplify reads the schedule only after its first k samples, once the
+    # per-trial arrays (256 MiB at MAX_TRIALS) are allocated
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="unknown schedule 'bogus'"):
+            run_experiment("collision_amplify", "canonical", 4, MAX_TRIALS, 1,
+                           {"k": 2, "schedule": "bogus"})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
 
 
 def test_run_experiment_rejects_bad_input():
