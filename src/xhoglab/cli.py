@@ -72,7 +72,7 @@ def _check(checks, name, value, bound):
 
 
 def _verify_symmetrize(args, checks):
-    from .symmetrize import ResourceSpec, check_block_cap, verify_symmetrization
+    from .symmetrize import check_block_cap, random_resource, verify_symmetrization
 
     if not (1 <= args.n <= MAX_QUBITS and args.k >= 1 and 1 <= args.cases <= MAX_CASES):
         raise ValueError(
@@ -81,7 +81,7 @@ def _verify_symmetrize(args, checks):
     check_block_cap(2**args.n, args.k)
     for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
         psi = haar_state_amps(2**args.n, rng)
-        spec = ResourceSpec.random(args.k, rng)
+        spec = random_resource(args.k, rng)
         dev = verify_symmetrization(psi, spec)
         _check(checks, f"case_{i}_max_entry_deviation", dev, 1e-10)
 
@@ -229,9 +229,11 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--seed", type=int)
     px.add_argument("-k", type=int, default=2)
     px.add_argument("--schedule", choices=xhog.SCHEDULES, default="fixed")
-    px.add_argument("--exact", action="store_true")
+    # --exact keeps no per-trial rows for --csv to write
+    rows = px.add_mutually_exclusive_group()
+    rows.add_argument("--exact", action="store_true")
+    rows.add_argument("--csv")
     px.add_argument("--out")
-    px.add_argument("--csv")
     px.add_argument("--emit-config", action="store_true")
     px.set_defaults(func=cmd_xhog)
 

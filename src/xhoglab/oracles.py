@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -31,63 +30,39 @@ HALF_SQRT2 = 1.0 / math.sqrt(2)
 _START_INDEX = {"canonical": -1, "random_prep": 0}
 
 
-@dataclass(frozen=True)
-class SignFunction:
-    """A Boolean function f: {0,1}^n -> {-1,+1} stored as a sign table."""
-
-    n: int
-    table: np.ndarray
-
-    def __post_init__(self):
-        table = np.asarray(self.table, dtype=np.int64)
-        object.__setattr__(self, "table", table)
-        if len(table) != 2**self.n:
-            raise ValueError("sign table length is not 2^n")
-        if not np.all(np.abs(table) == 1):
-            raise ValueError("sign table entries must be +-1")
-
-    @classmethod
-    def random(cls, n: int, rng) -> "SignFunction":
-        return cls(n, 1 - 2 * rng.integers(0, 2, size=2**n))
-
-
 def _reflect(v, amps):
     """(I - 2 v v^dagger) amps in O(dim); scaling the overlap by 2 is exact."""
     return amps - v * (2.0 * np.vdot(v, amps))
+
+
+def prep_query(phase, u, haar):
+    """The random-prep query phase (I - 2 u u^dagger) W on one vector, W = ``haar``."""
+    return lambda a: phase * _reflect(u, haar.apply(a))
 
 
 class OracleHandle:
     """A queryable unitary: its public members are ``kind``, ``dim``, ``calls`` and
     the three query methods, so a strategy learns the hidden state only by querying.
 
-    Every forward/adjoint/controlled application increments ``calls``, the
-    program's only query count, by one.  Queries are matrix-free: rank-one,
-    diagonal, or (random prep) a rank-one Householder after a lazily sampled
-    Haar complement.  A (dim, m) block is one query of oracle (x) I_m, served
-    column by column.  No dense matrix of the oracle is ever built.
+    The handle is built from two maps on one amplitude vector, the query and its
+    adjoint, which the family's factory writes matrix-free; no dense matrix of the
+    oracle is ever built.  Every forward/adjoint/controlled application increments
+    ``calls``, the program's only query count, by one.  A (dim, m) block is one
+    query of oracle (x) I_m, served column by column.
     """
 
-    def __init__(self, kind, dim, rank1_vec=None, diag=None, haar=None, phase=1.0):
+    def __init__(self, kind, dim, query, query_adjoint):
         self.kind = kind
         self.dim = dim
         self.calls = 0
-        self._rank1_vec = rank1_vec
-        self._diag = diag
-        self._haar = haar
-        self._phase = phase
+        self._query = query
+        self._query_adjoint = query_adjoint
 
     def _apply_mat(self, amps, adjoint):
+        query = self._query_adjoint if adjoint else self._query
         if amps.ndim == 2:
-            return np.column_stack([self._apply_mat(col, adjoint) for col in amps.T])
-        if self._haar is not None:
-            # phase (I - 2 u u^dagger) W: Householder prep after the lazy Haar complement
-            u = self._rank1_vec
-            if adjoint:
-                return self._haar.apply_adjoint(np.conj(self._phase) * _reflect(u, amps))
-            return self._phase * _reflect(u, self._haar.apply(amps))
-        if self._rank1_vec is not None:
-            return _reflect(self._rank1_vec, amps)
-        return amps * (self._diag.conj() if adjoint else self._diag)
+            return np.column_stack([query(col) for col in amps.T])
+        return query(amps)
 
     def apply(self, amps):
         """One oracle query on an amplitude array."""
@@ -115,7 +90,8 @@ def canonical_oracle(psi: np.ndarray) -> OracleHandle:
     v = np.empty(len(psi) + 1, dtype=complex)
     np.multiply(psi, HALF_SQRT2, out=v[:-1])
     v[-1] = -HALF_SQRT2
-    return OracleHandle("canonical", len(psi) + 1, rank1_vec=v)
+    reflect = functools.partial(_reflect, v)
+    return OracleHandle("canonical", len(psi) + 1, reflect, reflect)
 
 
 def householder_vector(psi_amps: np.ndarray):
@@ -144,12 +120,15 @@ def random_prep_oracle(psi: np.ndarray, rng) -> OracleHandle:
     """
     haar = LazyHaarComplement(len(psi), rng)
     phase, u = householder_vector(psi)
-    return OracleHandle("random_prep", len(psi), rank1_vec=u, haar=haar, phase=phase)
+    return OracleHandle("random_prep", len(psi), prep_query(phase, u, haar),
+                        lambda a: haar.apply_adjoint(np.conj(phase) * _reflect(u, a)))
 
 
-def fourier_phase_oracle(f: SignFunction) -> OracleHandle:
-    """The phase oracle U_f |x> = f(x) |x>."""
-    return OracleHandle("fourier_phase", 2**f.n, diag=f.table.astype(complex))
+def fourier_phase_oracle(table: np.ndarray) -> OracleHandle:
+    """The phase oracle U_f |x> = f(x) |x> of the sign table ``table[x] = f(x)``, a
+    length-2^n array of +-1 integers."""
+    d = table.astype(complex)
+    return OracleHandle("fourier_phase", len(table), lambda a: a * d, lambda a: a * d.conj())
 
 
 @functools.lru_cache(maxsize=None)
@@ -178,8 +157,9 @@ def fwht(vec: np.ndarray) -> np.ndarray:
     return (_hadamard(a) @ v.reshape(2**a, -1) @ _hadamard(n - a)).reshape(-1)
 
 
-def fourier_coefficients_float(f: SignFunction) -> np.ndarray:
-    return fwht(f.table.astype(float)) / 2**f.n
+def fourier_coefficients_float(table: np.ndarray) -> np.ndarray:
+    """The Fourier coefficients f-hat(z) of a sign table."""
+    return fwht(table.astype(float)) / len(table)
 
 
 def reflect_about_state(oracle: OracleHandle, amps) -> np.ndarray:

@@ -34,34 +34,16 @@ DENSE_CAP_DIM = 729
 SLICE_ENTRIES = 2**16
 
 
-@dataclass(frozen=True)
-class ResourceSpec:
-    """The (alpha_j, beta_j) coefficient list, one pair per tensor factor."""
-
-    coeffs: tuple
-
-    def __post_init__(self):
-        coeffs = tuple((complex(a), complex(b)) for a, b in self.coeffs)
-        object.__setattr__(self, "coeffs", coeffs)
-        for j, (a, b) in enumerate(coeffs):
-            nrm = abs(a) ** 2 + abs(b) ** 2
-            if abs(nrm - 1.0) > 1e-12:
-                raise ValueError(f"factor {j}: |alpha|^2 + |beta|^2 = {nrm} != 1")
-
-    @property
-    def k(self) -> int:
-        return len(self.coeffs)
-
-    @classmethod
-    def random(cls, k, rng):
-        pairs = []
-        for _ in range(k):
-            v = rng.standard_normal(4)
-            a = v[0] + 1j * v[1]
-            b = v[2] + 1j * v[3]
-            nrm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
-            pairs.append((a / nrm, b / nrm))
-        return cls(tuple(pairs))
+def random_resource(k, rng) -> tuple:
+    """k random unit (alpha_j, beta_j) pairs of Python complex, one per tensor factor."""
+    pairs = []
+    for _ in range(k):
+        v = rng.standard_normal(4)
+        a = v[0] + 1j * v[1]
+        b = v[2] + 1j * v[3]
+        nrm = np.sqrt(abs(a) ** 2 + abs(b) ** 2)
+        pairs.append((complex(a / nrm), complex(b / nrm)))
+    return tuple(pairs)
 
 
 def _partitions(k, largest):
@@ -110,11 +92,11 @@ def check_dense_cap(n_dim, k):
         raise DimensionError(f"(N+1)^k = {n_dim + 1}^{k} exceeds the dense cap {DENSE_CAP_DIM}")
 
 
-def build_R(psi: np.ndarray, spec: ResourceSpec) -> np.ndarray:
+def build_R(psi: np.ndarray, spec: tuple) -> np.ndarray:
     """Amplitudes of the tensor product of the k factors alpha_j |psi> + beta_j |bot>."""
-    check_block_cap(len(psi), spec.k)
+    check_block_cap(len(psi), len(spec))
     vec = np.array([1.0 + 0j])
-    for a, b in spec.coeffs:
+    for a, b in spec:
         factor = np.append(a * psi, b)
         vec = np.outer(vec, factor).ravel()
     return vec
@@ -188,7 +170,7 @@ def _protocol_amplitudes(layout, probs_psi, spec):
     """
     gamma = np.ones(len(layout.gid), dtype=complex)
     weight = np.ones(len(layout.gid))
-    for col, (a, b) in zip(layout.digits.T, spec.coeffs):
+    for col, (a, b) in zip(layout.digits.T, spec):
         gamma *= np.append(np.full(len(probs_psi), a), b)[col]
         weight *= np.append(abs(a) ** 2 * probs_psi, abs(b) ** 2)[col]
     return gamma, np.bincount(layout.gid, weights=weight)
@@ -215,34 +197,34 @@ def _dense(layout, blocks) -> DensityMatrix:
     return DensityMatrix(mat)
 
 
-def sigma_R_exact(psi: np.ndarray, spec: ResourceSpec) -> DensityMatrix:
+def sigma_R_exact(psi: np.ndarray, spec: tuple) -> DensityMatrix:
     """The diagonal-phase average of |R><R|, evaluated analytically (dense).
 
     Entry (x, y) equals <x|R><R|y> when the digit strings of x and y are
     reorderings of each other, and is exactly zero otherwise.
     """
-    check_block_cap(len(psi), spec.k)
-    check_dense_cap(len(psi), spec.k)
+    check_block_cap(len(psi), len(spec))
+    check_dense_cap(len(psi), len(spec))
     r = build_R(psi, spec)
-    return _dense(group_layout(len(psi) + 1, spec.k), lambda ids, idx: _outer(r[idx]))
+    return _dense(group_layout(len(psi) + 1, len(spec)), lambda ids, idx: _outer(r[idx]))
 
 
-def rho_R_protocol_exact(psi: np.ndarray, spec: ResourceSpec) -> DensityMatrix:
+def rho_R_protocol_exact(psi: np.ndarray, spec: tuple) -> DensityMatrix:
     """Exact output mixture of the measure-and-resuperpose protocol (dense).
 
     Enumerates every outcome string over [N] plus the flag lottery, groups the
     extended strings by multiset, and mixes the resulting superpositions with
     their outcome probabilities.
     """
-    check_block_cap(len(psi), spec.k)
-    check_dense_cap(len(psi), spec.k)
-    layout = group_layout(len(psi) + 1, spec.k)
+    check_block_cap(len(psi), len(spec))
+    check_dense_cap(len(psi), len(spec))
+    layout = group_layout(len(psi) + 1, len(spec))
     gamma, prob = _protocol_amplitudes(layout, np.abs(psi) ** 2, spec)
     coef = _rho_weights(layout, gamma, prob)
     return _dense(layout, lambda ids, idx: _rho_blocks(gamma, coef, ids, idx))
 
 
-def verify_symmetrization(psi: np.ndarray, spec: ResourceSpec) -> float:
+def verify_symmetrization(psi: np.ndarray, spec: tuple) -> float:
     """Max-entry deviation between the analytic average and the protocol mixture.
 
     Both are compared over the multiset groups, every group of one size in one
@@ -250,8 +232,8 @@ def verify_symmetrization(psi: np.ndarray, spec: ResourceSpec) -> float:
     nonnegative weight, hence Hermitian and PSD; only the unit trace of each
     side is checked.
     """
-    check_block_cap(len(psi), spec.k)
-    layout = group_layout(len(psi) + 1, spec.k)  # before |R>: its build's temporaries are freed
+    check_block_cap(len(psi), len(spec))
+    layout = group_layout(len(psi) + 1, len(spec))  # before |R>: its build's temporaries are freed
     gamma, prob = _protocol_amplitudes(layout, np.abs(psi) ** 2, spec)
     coef = _rho_weights(layout, gamma, prob)
     r = build_R(psi, spec)

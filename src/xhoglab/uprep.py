@@ -29,7 +29,7 @@ from .linalg import (
     orth_basis,
     trial_streams,
 )
-from .oracles import _reflect, canonical_oracle, householder_matrix, householder_vector
+from .oracles import canonical_oracle, householder_matrix, householder_vector, prep_query
 
 log = logging.getLogger(__name__)
 
@@ -143,7 +143,8 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
     The two compositions differ by a product of t conjugated rank-2 rotations,
     so the eigenvalues of (ideal)^t (approx)^(-t) are those of a matrix acting
     on an invariant subspace of dimension at most 2t, plus 1s.  Only that small
-    block is diagonalized.  The approximate query S V W is applied matrix-free
+    block is diagonalized.  The approximate query S V W is the swap after the
+    random-prep query V W of ``oracles.prep_query`` for phi, applied matrix-free
     to the 2(t-1) vectors that block needs, so the sampler w draws W only there.
     """
     if t == 0:
@@ -153,15 +154,10 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
     if t == 1:
         # W and the swap cancel: the mismatch is the bare rotation, distance 2|beta|
         return 2.0 * abs(plan.beta)
-    phase, u = householder_vector(plan.phi)
-
-    def approximate_query(x):  # S V W x, matrix-free
-        y = w.apply(x)
-        return _swap(plan, phase * _reflect(u, y))
-
+    prep = prep_query(*householder_vector(plan.phi), w)  # V W
     cs = [s_b]
     for _ in range(t - 1):
-        cs.append(np.column_stack([approximate_query(c) for c in cs[-1].T]))
+        cs.append(np.column_stack([_swap(plan, prep(c)) for c in cs[-1].T]))
     q = orth_basis(np.hstack(cs))
     y = q
     for cj in reversed(cs):
@@ -177,7 +173,8 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
     (10t+4)/2^(n/2).
     """
     if not (1 <= n <= MAX_QUBITS and 0 <= t <= 4 and 1 <= trials <= MAX_TRIALS):
-        raise DimensionError(f"caps: 1 <= n <= {MAX_QUBITS}, 0 <= t <= 4, 1 <= trials <= {MAX_TRIALS}")
+        raise DimensionError(f"uprep needs 1 <= -n <= {MAX_QUBITS}, 0 <= -T <= 4 and"
+                             f" 1 <= --trials <= {MAX_TRIALS}")
     dim = 2**n
     dists = np.empty(trials)
     for i, rng in enumerate(trial_streams(seed, 0, trials)):

@@ -29,7 +29,6 @@ from .linalg import (
 )
 from .oracles import (
     OracleHandle,
-    SignFunction,
     canonical_oracle,
     fourier_coefficients_float,
     fourier_phase_oracle,
@@ -140,8 +139,7 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
         seen.add(z)
 
     good = np.fromiter(sorted(seen), dtype=np.intp)
-    n_dim = oracle.dim - 1 if oracle.kind == "canonical" else oracle.dim
-    n = n_dim.bit_length() - 1
+    n = oracle.dim.bit_length() - 1  # the canonical flag's extra dimension stays below 2^(n+1)
     state = oracle.apply(preparation_input(oracle))
 
     if schedule == "fixed":
@@ -157,7 +155,7 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
     for _ in range(t_iter):
         state[good] *= -1.0
         state = reflect_about_state(oracle, state)
-    z = int(born_sample(np.abs(state[:n_dim]) ** 2, rng))
+    z = int(born_sample(np.abs(state[: 2**n]) ** 2, rng))
     aux = {"collision": False, "grover_iterations": t_iter, "amplified_hit": z in seen}
     return StrategyOutcome(z, oracle.calls - before, aux)
 
@@ -171,8 +169,8 @@ def strategy_argmax(probs: np.ndarray) -> StrategyOutcome:
 def _hidden_instance(family, n, rng):
     """Fresh oracle over a hidden state, and its scoring probabilities, for one trial."""
     if family == "fourier":
-        f = SignFunction.random(n, rng)
-        return fourier_phase_oracle(f), fourier_coefficients_float(f) ** 2
+        table = 1 - 2 * rng.integers(0, 2, size=2**n)  # f(x) = table[x], a uniform sign table
+        return fourier_phase_oracle(table), fourier_coefficients_float(table) ** 2
     psi = haar_state_amps(2**n, rng)
     if family == "canonical":
         return canonical_oracle(psi), np.abs(psi) ** 2
@@ -238,7 +236,10 @@ def run_experiment(
     if exact:
         if family != "fourier" or strategy != "naive":
             raise ValueError("exact mode is only defined for the naive fourier run")
-        from .fourier_lp import naive_fourier_value
+        from .fourier_lp import ENUM_CAP, naive_fourier_value
+
+        if n > ENUM_CAP:
+            raise ValueError(f"--exact enumerates every sign table, so it needs -n <= {ENUM_CAP}")
 
         b = naive_fourier_value(n)
         n_funcs = 2 ** (2**n)
@@ -259,9 +260,9 @@ def run_experiment(
         oracle, probs = _hidden_instance(family, n, rng)
         outcome = _run_strategy(strategy, params, oracle, probs, n, rng)
         scores[i] = n_dim * probs[outcome.z]
-        total_queries += outcome.queries_used
+        total_queries += oracle.calls  # the fresh handle's count, not the strategy's report
         if keep_trials:
-            zs[i], queries[i] = outcome.z, outcome.queries_used
+            zs[i], queries[i] = outcome.z, oracle.calls
     std_err = float(scores.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return XebEstimate(
         strategy, family, n, trials, master_seed, float(scores.mean()), std_err,

@@ -27,7 +27,7 @@ from xhoglab.linalg import (
     unitary_channel_diamond_distance,
 )
 from xhoglab.oracles import OracleHandle, embed_extended_to_ancilla, random_prep_oracle
-from xhoglab.symmetrize import ResourceSpec, verify_symmetrization
+from xhoglab.symmetrize import random_resource, verify_symmetrization
 from xhoglab.uprep import (
     channel_distance_bound_report,
     decompose_phi,
@@ -82,7 +82,7 @@ def test_criterion_04_symmetrization():
             for case in range(100):
                 rng = trial_rng(1000 * n + 100 * k, case)
                 psi = haar_state_amps(2**n, rng)
-                spec = ResourceSpec.random(k, rng)
+                spec = random_resource(k, rng)
                 worst = max(worst, verify_symmetrization(psi, spec))
     ok = worst <= 1e-10 and (time.perf_counter() - t0) <= 120.0
     _report(4, "twirl vs protocol state, 100 cases per (n,k)", ok)

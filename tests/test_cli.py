@@ -3,6 +3,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+from collections import Counter
 from importlib import resources
 from pathlib import Path
 
@@ -91,6 +92,17 @@ def test_xhog_csv_export(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_xhog_exact_with_csv_is_a_usage_error_before_any_work(tmp_path, capsys):
+    # --exact keeps no per-trial rows; the run used to enumerate first and then fail
+    rows, out = tmp_path / "rows.csv", tmp_path / "r.json"
+    rc = main(["xhog", "--strategy", "naive", "--family", "fourier", "-n", "2", "--exact",
+               "--csv", str(rows), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert "--exact" in err and "--csv" in err
+    assert not rows.exists() and not out.exists()
+
+
 def test_xhog_unwritable_out_is_io_error(tmp_path, capsys):
     rc = main(["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2",
                "--trials", "5", "--seed", "3", "--out", str(tmp_path / "no" / "dir.json")])
@@ -115,6 +127,7 @@ def test_xhog_qubit_count_out_of_range_is_usage_error(capsys):
     ["--strategy", "k_copy_mode", "-k", "0", "--trials", str(xhog.MAX_TRIALS)],
     ["--strategy", "collision_amplify", "-k", "1", "--trials", str(xhog.MAX_TRIALS)],
     ["--strategy", "collision_amplify", "--family", "fourier", "--trials", str(xhog.MAX_TRIALS)],
+    ["--strategy", "naive", "--family", "fourier", "-n", "5", "--exact"],  # over ENUM_CAP
 ])
 def test_xhog_oversized_run_is_usage_error(extra, capsys):
     tracemalloc.start()
@@ -127,6 +140,8 @@ def test_xhog_oversized_run_is_usage_error(extra, capsys):
     assert peak < 2**20
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    if "--exact" in extra:
+        assert "--exact" in err and "-n <=" in err
 
 
 def test_xhog_random_prep_at_the_qubit_cap_stays_small(capsys):
@@ -322,6 +337,7 @@ def test_verify_unknown_suite(capsys):
     ["uprep", "--trials", "1000000000000"],  # a 7.3 TiB distance array
     ["simplex", "--trials", str(MAX_TRIALS + 1)],
     ["simplex", "--trials", "1000000000000"],  # 14.6 TiB of maxima
+    ["uprep", "-T", "5"],
 ])
 def test_verify_bad_size_is_usage_error(argv, capsys):
     tracemalloc.start()
@@ -334,6 +350,8 @@ def test_verify_bad_size_is_usage_error(argv, capsys):
     assert peak < 2**20
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    # the message names the flag that is out of range
+    assert all(w in err for w in argv if w[:1] == "-" and w.lstrip("-")[:1].isalpha())
 
 
 @pytest.mark.parametrize("suite, checks_per_case", [(["symmetrize", "-k", "1"], 1), (["oracles"], 2)])
@@ -496,11 +514,19 @@ def test_report_config_is_the_parsed_command_line(case, tmp_path, capsys):
 SEEDED_REPORTS = json.loads((Path(__file__).parent / "golden" / "seeded_reports.json").read_text())
 
 
-def _report_id(case):
-    return "-".join(w for w in case["argv"].split() if not (w.startswith("-") or w.isdigit()))
+def _report_ids(cases):
+    """The argv words that are neither flags nor numbers; the j-th repeat of an id gets the
+    suffix j, so appending a case to the golden file renames no earlier case."""
+    seen = Counter()
+    ids = []
+    for case in cases:
+        base = "-".join(w for w in case["argv"].split() if not (w.startswith("-") or w.isdigit()))
+        ids.append(f"{base}{seen[base]}" if seen[base] else base)
+        seen[base] += 1
+    return ids
 
 
-@pytest.mark.parametrize("case", SEEDED_REPORTS, ids=map(_report_id, SEEDED_REPORTS))
+@pytest.mark.parametrize("case", SEEDED_REPORTS, ids=_report_ids(SEEDED_REPORTS))
 def test_seeded_report_matches_the_golden(case, tmp_path, capsys):
     # small sizes, so no BLAS thread count can reorder a sum; a refactor that keeps the
     # RNG draws must reproduce every value bit for bit

@@ -6,7 +6,6 @@ import pytest
 from xhoglab import oracles
 from xhoglab.linalg import UnitaryOp, born_sample, haar_state_amps, trial_rng
 from xhoglab.oracles import (
-    SignFunction,
     canonical_from_prep,
     canonical_oracle,
     embed_extended_to_ancilla,
@@ -22,6 +21,11 @@ def _haar_state(n, seed):
     return haar_state_amps(2**n, np.random.default_rng(seed))
 
 
+def _sign_table(n, rng):
+    """A uniform +-1 table of length 2^n, drawn as the fourier family draws it."""
+    return 1 - 2 * rng.integers(0, 2, size=2**n)
+
+
 def _dense(o):
     """The dense operator of an oracle handle: an uncounted query of the identity block,
     so later queries agree with it."""
@@ -31,13 +35,6 @@ def _dense(o):
 def _reflection(amps):
     """Dense I - 2 |v><v|."""
     return UnitaryOp.from_update(np.asarray(amps, dtype=complex)[:, None], [[-1]]).mat
-
-
-def test_sign_function_validation():
-    with pytest.raises(ValueError):
-        SignFunction(2, np.array([1, -1, 1]))
-    with pytest.raises(ValueError):
-        SignFunction(1, np.array([1, 2]))
 
 
 def test_reflection_about_examples():
@@ -155,7 +152,7 @@ def test_block_query_is_one_call_acting_column_by_column():
     pairs = [
         (lambda: random_prep_oracle(psi, trial_rng(31, 1)), block),
         (lambda: canonical_oracle(psi), np.vstack([block, np.ones((1, 3))])),
-        (lambda: fourier_phase_oracle(SignFunction.random(3, trial_rng(31, 2))), block),
+        (lambda: fourier_phase_oracle(_sign_table(3, trial_rng(31, 2))), block),
     ]
     for make, x in pairs:
         for adjoint in (False, True):
@@ -262,28 +259,28 @@ def test_encoding_isomorphism_roundtrip():
 
 
 def test_fourier_phase_oracle():
-    f = SignFunction(1, np.array([1, -1]))
+    f = np.array([1, -1])
     assert np.allclose(_dense(fourier_phase_oracle(f)).mat, np.diag([1, -1]))
-    ident = fourier_phase_oracle(SignFunction(2, np.ones(4, dtype=int)))
+    ident = fourier_phase_oracle(np.ones(4, dtype=int))
     assert np.allclose(_dense(ident).mat, np.eye(4))
     rng = trial_rng(53, 0)
-    f3 = SignFunction.random(3, rng)
+    f3 = _sign_table(3, rng)
     u = _dense(fourier_phase_oracle(f3)).mat
     assert np.allclose(u @ u, np.eye(8))
 
 
 def test_fourier_sampling_state():
     # the amplitudes f-hat(z) of H^(x)n U_f H^(x)n |0^n>
-    assert np.allclose(fourier_coefficients_float(SignFunction(2, np.ones(4, dtype=int))), np.eye(4)[0])
-    assert np.allclose(fourier_coefficients_float(SignFunction(1, np.array([1, -1]))), [0, 1])
+    assert np.allclose(fourier_coefficients_float(np.ones(4, dtype=int)), np.eye(4)[0])
+    assert np.allclose(fourier_coefficients_float(np.array([1, -1])), [0, 1])
 
 
 def test_fourier_sampling_matches_dense_circuit():
     h = np.array([[1, 1], [1, -1]]) / math.sqrt(2)
     hn = np.kron(np.kron(h, h), h)
     rng = trial_rng(59, 0)
-    f = SignFunction.random(3, rng)
-    dense = hn @ np.diag(f.table.astype(complex)) @ hn @ np.eye(8)[0]
+    f = _sign_table(3, rng)
+    dense = hn @ np.diag(f.astype(complex)) @ hn @ np.eye(8)[0]
     assert np.max(np.abs(dense - fourier_coefficients_float(f))) < 1e-12
 
 
@@ -314,7 +311,7 @@ def test_fwht_squares_to_n_times_identity():
 def _sampling_oracles(n, rng):
     psi = _haar_state(n, rng)
     return (canonical_oracle(psi), random_prep_oracle(psi, rng),
-            fourier_phase_oracle(SignFunction.random(n, rng)))
+            fourier_phase_oracle(_sign_table(n, rng)))
 
 
 @pytest.mark.parametrize("k", [1, 2, 9])
@@ -335,7 +332,7 @@ def test_sampled_copies_match_single_copies(k):
 
 def test_fourier_sampler_draws_from_the_squared_coefficients():
     for n in (3, 5, 9):
-        f = SignFunction.random(n, trial_rng(79, n))
+        f = _sign_table(n, trial_rng(79, n))
         zs = oracles.sample_oracle_output(fourier_phase_oracle(f), trial_rng(83, n), 50)
         want = born_sample(oracles.fourier_coefficients_float(f) ** 2, trial_rng(83, n), 50)
         assert np.array_equal(zs, want)

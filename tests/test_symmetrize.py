@@ -7,11 +7,11 @@ import pytest
 from xhoglab.linalg import DimensionError, haar_state_amps, trial_rng
 from xhoglab.symmetrize import (
     BLOCK_CAP,
-    ResourceSpec,
     block_entries,
     build_R,
     check_block_cap,
     group_layout,
+    random_resource,
     rho_R_protocol_exact,
     sigma_R_exact,
     verify_symmetrization,
@@ -23,13 +23,6 @@ def index_of(digits, base):
     return int(np.ravel_multi_index(digits, (base,) * len(digits)))
 
 
-def test_resource_spec_normalization_check():
-    with pytest.raises(ValueError):
-        ResourceSpec(((0.5, 0.5),))
-    s = ResourceSpec(((1, 0), (0, 1)))
-    assert s.k == 2
-
-
 def test_mixed_radix_roundtrip():
     digits = group_layout(3, 3).digits
     for idx in range(27):
@@ -39,16 +32,16 @@ def test_mixed_radix_roundtrip():
 
 def test_build_R_single_factor():
     psi = haar_state_amps(4, trial_rng(1, 0))
-    r = build_R(psi, ResourceSpec(((1, 0),)))
+    r = build_R(psi, ((1, 0),))
     assert np.max(np.abs(r - np.append(psi, 0))) < 1e-12
-    r = build_R(psi, ResourceSpec(((0, 1),)))
+    r = build_R(psi, ((0, 1),))
     assert np.max(np.abs(r - np.eye(5)[4])) < 1e-12
 
 
 def test_build_R_hand_tensor():
     psi = np.eye(2)[0]
     a = 1 / math.sqrt(2)
-    r = build_R(psi, ResourceSpec(((a, a), (a, a))))
+    r = build_R(psi, ((a, a), (a, a)))
     # nonzero entries 1/2 at digit strings (0,0), (0,2), (2,0), (2,2) in base 3
     want = np.zeros(9)
     for digits in ((0, 0), (0, 2), (2, 0), (2, 2)):
@@ -58,18 +51,18 @@ def test_build_R_hand_tensor():
 
 def test_sigma_single_factor_dephasing():
     psi = haar_state_amps(4, trial_rng(2, 0))
-    sig = sigma_R_exact(psi, ResourceSpec(((1, 0),)))
+    sig = sigma_R_exact(psi, ((1, 0),))
     want = np.zeros((5, 5), dtype=complex)
     want[:4, :4] = np.diag(np.abs(psi) ** 2)
     assert np.max(np.abs(sig.mat - want)) < 1e-12
-    sig = sigma_R_exact(psi, ResourceSpec(((0, 1),)))
+    sig = sigma_R_exact(psi, ((0, 1),))
     assert np.max(np.abs(sig.mat - np.outer(np.eye(5)[4], np.eye(5)[4]))) < 1e-12
 
 
 def test_sigma_zero_and_nonzero_pattern():
     rng = trial_rng(3, 0)
     psi = haar_state_amps(2, rng)
-    spec = ResourceSpec.random(2, rng)
+    spec = random_resource(2, rng)
     sig = sigma_R_exact(psi, spec)
     r = build_R(psi, spec)
     i01, i10 = index_of((0, 1), 3), index_of((1, 0), 3)
@@ -91,7 +84,7 @@ def test_sigma_zero_and_nonzero_pattern():
 
 def test_rho_hand_enumeration_block():
     psi = np.array([1, 1]) / math.sqrt(2)
-    rho = rho_R_protocol_exact(psi, ResourceSpec(((1, 0), (1, 0))))
+    rho = rho_R_protocol_exact(psi, ((1, 0), (1, 0)))
     i01, i10 = index_of((0, 1), 3), index_of((1, 0), 3)
     block = rho.mat[np.ix_([i01, i10], [i01, i10])]
     assert np.max(np.abs(block - np.full((2, 2), 0.25))) < 1e-12
@@ -100,7 +93,7 @@ def test_rho_hand_enumeration_block():
 def test_rho_all_bot_spec():
     # every factor is the flag, so every run outputs the all-flag string
     psi = haar_state_amps(2, trial_rng(4, 0))
-    rho = rho_R_protocol_exact(psi, ResourceSpec(((0, 1), (0, 1))))
+    rho = rho_R_protocol_exact(psi, ((0, 1), (0, 1)))
     want = np.zeros(9)
     want[index_of((2, 2), 3)] = 1.0
     assert np.max(np.abs(rho.mat - np.outer(want, want))) < 1e-12
@@ -112,7 +105,7 @@ def test_verify_symmetrization_randomized():
             for case in range(5):
                 rng = trial_rng(100 * n + 10 * k, case)
                 psi = haar_state_amps(2**n, rng)
-                spec = ResourceSpec.random(k, rng)
+                spec = random_resource(k, rng)
                 assert verify_symmetrization(psi, spec) <= 1e-10
 
 
@@ -124,7 +117,7 @@ def test_verify_symmetrization_equals_dense_references():
                 break
             rng = trial_rng(200 + n, k)
             psi = haar_state_amps(2**n, rng)
-            spec = ResourceSpec.random(k, rng)
+            spec = random_resource(k, rng)
             dense = np.max(np.abs(sigma_R_exact(psi, spec).mat - rho_R_protocol_exact(psi, spec).mat))
             assert verify_symmetrization(psi, spec) == dense
 
@@ -135,7 +128,7 @@ def test_slices_cover_every_group_once(monkeypatch):
 
     rng = trial_rng(8, 0)
     psi = haar_state_amps(4, rng)
-    spec = ResourceSpec.random(4, rng)
+    spec = random_resource(4, rng)
     want = verify_symmetrization(psi, spec)
     layout = group_layout(5, 4)
     for entries in (1, 50):
@@ -158,7 +151,7 @@ def test_verify_symmetrization_checks_the_protocol_trace(monkeypatch):
     rng = trial_rng(9, 0)
     psi = haar_state_amps(4, rng)
     with pytest.raises(ValueError, match="trace"):
-        verify_symmetrization(psi, ResourceSpec.random(2, rng))
+        verify_symmetrization(psi, random_resource(2, rng))
 
 
 def test_multiset_groups_partition_the_index_space():
@@ -201,17 +194,17 @@ def test_verify_builds_the_layout_once_per_size():
 def test_dimension_cap():
     psi = haar_state_amps(2**4, trial_rng(7, 0))
     with pytest.raises(DimensionError):
-        build_R(psi, ResourceSpec.random(6, trial_rng(7, 1)))
+        build_R(psi, random_resource(6, trial_rng(7, 1)))
     # the cap is on sum_G |G|^2, the block entries the verifier compares, not on index bits
-    assert len(build_R(psi, ResourceSpec.random(2, trial_rng(7, 2)))) == 17**2
+    assert len(build_R(psi, random_resource(2, trial_rng(7, 2)))) == 17**2
     assert block_entries(17, 4) <= BLOCK_CAP < block_entries(17, 5)  # 1.7e6 and 1.3e8
     with pytest.raises(DimensionError):
-        build_R(psi, ResourceSpec.random(5, trial_rng(7, 3)))
+        build_R(psi, random_resource(5, trial_rng(7, 3)))
     # the dense references stop at (N+1)^k = 729; 17^3 = 4913 is over it
     with pytest.raises(DimensionError):
-        sigma_R_exact(psi, ResourceSpec.random(3, trial_rng(7, 4)))
+        sigma_R_exact(psi, random_resource(3, trial_rng(7, 4)))
     with pytest.raises(DimensionError):
-        rho_R_protocol_exact(psi, ResourceSpec.random(3, trial_rng(7, 4)))
+        rho_R_protocol_exact(psi, random_resource(3, trial_rng(7, 4)))
     # a k at the cap's bit length is rejected without walking its partitions
     with pytest.raises(DimensionError):
         check_block_cap(2, 10**9)

@@ -8,7 +8,6 @@ import pytest
 from xhoglab import linalg, xhog
 from xhoglab.linalg import MAX_DIM, MAX_TRIALS, haar_state_amps, trial_rng
 from xhoglab.oracles import (
-    SignFunction,
     canonical_oracle,
     fourier_phase_oracle,
     random_prep_oracle,
@@ -80,6 +79,20 @@ def test_run_experiment_hands_strategies_only_the_queries(monkeypatch):
         run_experiment("naive", family, 2, 1, 5)
     public = {"apply", "apply_adjoint", "apply_controlled", "calls", "dim", "kind"}
     assert seen == [public] * len(xhog.FAMILIES)
+
+
+def test_run_experiment_counts_queries_on_the_handle(monkeypatch):
+    # a strategy that under-reports its queries cannot lower the total or the CSV column
+    real = xhog.strategy_naive_sample
+
+    def under_reporting(oracle, rng):
+        return xhog.StrategyOutcome(real(oracle, rng).z, 0)
+
+    monkeypatch.setattr(xhog, "strategy_naive_sample", under_reporting)
+    for family in xhog.FAMILIES:
+        est = run_experiment("naive", family, 3, 20, 6, keep_trials=True)
+        assert est.total_queries == 20
+        assert est.queries.tolist() == [1] * 20
 
 
 def test_k_copy_mode_tie_break_smallest():
@@ -160,9 +173,9 @@ def test_collision_amplify_random_prep_family():
 
 
 def test_collision_amplify_rejects_fourier():
-    f = SignFunction.random(2, trial_rng(13, 0))
+    table = 1 - 2 * trial_rng(13, 0).integers(0, 2, size=4)
     with pytest.raises(ValueError):
-        strategy_collision_amplify(fourier_phase_oracle(f), 3, trial_rng(13, 1))
+        strategy_collision_amplify(fourier_phase_oracle(table), 3, trial_rng(13, 1))
 
 
 def test_chernoff_mass_event_rate():
