@@ -138,20 +138,13 @@ def _verify_uprep(args, checks):
 
 
 def _verify_simplex(args, checks):
-    if not 1 <= args.N <= MAX_DIM:
+    # above N = 2^14 max_xeb_mc's 2048-row chunk would pass 256 MiB; below 100 trials the
+    # standard error is too noisy for the 3-SE gate, which then fails correct code; and
+    # max_xeb_mc keeps 16 bytes per trial, 512 MiB at 2^25
+    if not (1 <= args.N <= MAX_DIM and SIMPLEX_MIN_TRIALS <= args.trials <= MAX_TRIALS):
         raise ValueError(
-            f"simplex needs 1 <= -N <= {MAX_DIM}: above that, max_xeb_mc's 2048-row chunk"
-            " would pass 256 MiB"
-        )
-    if args.trials < SIMPLEX_MIN_TRIALS:
-        raise ValueError(
-            f"simplex needs --trials >= {SIMPLEX_MIN_TRIALS}: with fewer trials the standard"
-            " error is too noisy for the 3-SE gate, which then fails correct code"
-        )
-    if args.trials > MAX_TRIALS:
-        raise ValueError(
-            f"simplex needs --trials <= {MAX_TRIALS}: max_xeb_mc keeps 16 bytes per trial,"
-            " 512 MiB at 2^25"
+            f"simplex needs 1 <= -N <= {MAX_DIM} and"
+            f" {SIMPLEX_MIN_TRIALS} <= --trials <= {MAX_TRIALS}"
         )
     mean, se = xhog.max_xeb_mc(args.N, args.trials, args.seed)
     target = float(expected_max_simplex(args.N))

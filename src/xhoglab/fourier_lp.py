@@ -114,11 +114,8 @@ def primal_objective(n: int, cs) -> Fraction:
 
 
 def halfN_fourier_coefficient(n_dim: int, j: int) -> Fraction:
-    """Fourier weight of the balanced-table indicator at subsets of size 2j."""
-    if n_dim % 2 != 0:
-        raise ValueError("N must be even")
-    if not 0 <= 2 * j <= n_dim:
-        raise ValueError("need 0 <= 2j <= N")
+    """Fourier weight of the balanced-table indicator at subsets of size 2j, for even N
+    and 0 <= 2j <= N."""
     sign = -1 if j % 2 else 1
     return Fraction(
         sign * math.comb(n_dim // 2, j) * math.comb(n_dim, n_dim // 2),
@@ -155,28 +152,25 @@ def dual_certificate(n: int) -> DualCertificate:
     return DualCertificate(n, kappa, Fraction(3 * n_dim - 2, n_dim))
 
 
-def verify_dual_feasibility(cert: DualCertificate, mode=None) -> str:
+def verify_dual_feasibility(cert: DualCertificate) -> str:
     """Exact check of every dual constraint; returns the proof transcript.
 
     Verifies nonnegativity of the dual weights, the equality constraint fixing
     b, and the pair constraints 2^N psi-hat(S) = -2/N for every |S| = 2; any
     nonzero rational residual raises CertificateError naming the constraint.
-    The transcript is deterministic and identical across computation modes.
+    The Fourier weights come from enumerating the balanced tables for
+    n <= ENUM_CAP and from the closed form above it.
     """
     n = cert.n
     n_dim = 2**n
-    if mode is None:
-        mode = "enumeration" if n <= ENUM_CAP else "formula"
     if n > CERTIFY_CAP:
         raise ValueError(f"certificate verification capped at n = {CERTIFY_CAP}")
     pairs = list(itertools.combinations(range(n_dim), 2))
-    if mode == "enumeration":
+    if n <= ENUM_CAP:
         empty_hat, *vals = halfN_fourier_enumeration(n, [(), *pairs])
-    elif mode == "formula":
+    else:
         empty_hat = halfN_fourier_coefficient(n_dim, 0)
         vals = [halfN_fourier_coefficient(n_dim, 1)] * len(pairs)
-    else:
-        raise ValueError(f"unknown mode {mode!r}")
 
     violations = []
     lines = [f"dual certificate n={n} N={n_dim}"]

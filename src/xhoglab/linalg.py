@@ -227,10 +227,6 @@ class DensityMatrix:
         if np.min(np.linalg.eigvalsh(self.mat)) < -ATOL:
             raise ValueError("density matrix has a negative eigenvalue")
 
-    @property
-    def dim(self) -> int:
-        return self.mat.shape[0]
-
 
 def haar_state_amps(dim: int, rng) -> np.ndarray:
     """Amplitude vector of a Haar-random state, the form every hidden state takes.
@@ -359,8 +355,6 @@ def distance_to_eigenvalue_hull(eigs: np.ndarray) -> float:
 def unitary_channel_diamond_distance(v: UnitaryOp, w: UnitaryOp) -> float:
     """Diamond distance between the channels of two unitaries: that of VW^dagger from
     the identity channel."""
-    if v.dim != w.dim:
-        raise DimensionError("dimension mismatch")
     return block_diamond_distance(v.mat @ w.mat.conj().T, v.dim)
 
 
@@ -375,10 +369,10 @@ def block_diamond_distance(block, dim) -> float:
     return 2 * math.sqrt(max(0.0, 1.0 - d * d))
 
 
-def orth_basis(cols, tol=1e-12):
-    """Orthonormal basis of the column span, dropping directions below tol (relative)."""
+def orth_basis(cols):
+    """Orthonormal basis of the column span, dropping directions below 1e-12 (relative)."""
     u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, sv > tol * max(1.0, sv[0])]
+    return u[:, sv > 1e-12 * max(1.0, sv[0])]
 
 
 def rank2_update_distance(basis, block):
@@ -403,7 +397,5 @@ def harmonic_number(n: int) -> Fraction:
 
 
 def expected_max_simplex(n_bins: int) -> Fraction:
-    """Exact E[max coordinate] of the uniform simplex distribution: H_N / N."""
-    if n_bins < 1:
-        raise DimensionError("n_bins must be >= 1")
+    """Exact E[max coordinate] of the uniform simplex distribution: H_N / N, for N >= 1."""
     return harmonic_number(n_bins) / n_bins

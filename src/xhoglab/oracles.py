@@ -237,8 +237,6 @@ def preparation_input(oracle: OracleHandle) -> np.ndarray:
     """
     if oracle.kind == "fourier_phase":
         return np.ones(oracle.dim, dtype=complex)
-    if oracle.kind not in _START_INDEX:
-        raise ValueError(f"oracle kind {oracle.kind!r} cannot prepare the hidden state")
     start = np.zeros(oracle.dim, dtype=complex)
     start[_START_INDEX[oracle.kind]] = 1.0
     return start

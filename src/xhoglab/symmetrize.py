@@ -82,8 +82,8 @@ def check_block_cap(n_dim, k):
     # huge k walks no partitions
     if k >= BLOCK_CAP.bit_length() or block_entries(n_dim + 1, k) > BLOCK_CAP:
         raise DimensionError(
-            f"sum over the multiset groups of |G|^2 at (N+1, k) = ({n_dim + 1}, {k}) exceeds the"
-            f" block cap {BLOCK_CAP}"
+            "sum over the multiset groups of |G|^2 at (N+1, k) = (2^-n + 1, -k)"
+            f" = ({n_dim + 1}, {k}) exceeds the block cap {BLOCK_CAP}"
         )
 
 

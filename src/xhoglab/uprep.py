@@ -63,8 +63,6 @@ class RotationPlan:
 
 def decompose_phi(psi: np.ndarray, phi: np.ndarray) -> RotationPlan:
     """Split phi into its psi component and a normalized orthogonal remainder."""
-    if len(psi) != len(phi):
-        raise DimensionError("dimension mismatch")
     beta = complex(np.vdot(psi, phi))
     if abs(beta) >= 1.0 - DEGENERATE_TOL:
         raise DegenerateStateError(f"|<psi|phi>| = {abs(beta)} is degenerate")
@@ -169,8 +167,7 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
     """Per-draw diamond distances of the t-composed simulation, versus the bound.
 
     Averaging per-draw unitary distances upper-bounds the mixed-channel
-    distance by convexity; the report states the margin against
-    (10t+4)/2^(n/2).
+    distance by convexity; returns their mean and the bound (10t+4)/2^(n/2).
     """
     if not (1 <= n <= MAX_QUBITS and 0 <= t <= 4 and 1 <= trials <= MAX_TRIALS):
         raise DimensionError(f"uprep needs 1 <= -n <= {MAX_QUBITS}, 0 <= -T <= 4 and"
@@ -181,14 +178,4 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
         plan = draw_plan(haar_state_amps(dim, rng), rng)
         w = LazyHaarComplement(dim, rng) if t >= 2 else None
         dists[i] = t_composed_diamond(plan, w, t)
-    bound = (10 * t + 4) / 2 ** (n / 2)
-    mean = float(dists.mean())
-    return {
-        "n": n,
-        "T": t,
-        "trials": trials,
-        "mean_distance": mean,
-        "bound": bound,
-        "margin": bound - mean,
-        "seed": seed,
-    }
+    return {"mean_distance": float(dists.mean()), "bound": (10 * t + 4) / 2 ** (n / 2)}

@@ -22,6 +22,7 @@ from .linalg import (
     MAX_DIM,
     MAX_QUBITS,
     MAX_TRIALS,
+    _seed,
     born_sample,
     haar_state_amps,
     trial_rng,
@@ -85,8 +86,6 @@ class XebEstimate:
         return out
 
     def write_csv(self, path):
-        if self.z is None:
-            raise ValueError("per-trial rows were not kept")
         with open(path, "w", newline="") as fh:
             w = csv.writer(fh)
             w.writerow(["trial", "z", "score", "queries"])
@@ -106,8 +105,6 @@ def strategy_naive_sample(oracle: OracleHandle, rng) -> StrategyOutcome:
 
 def strategy_k_copy_mode(oracle: OracleHandle, k: int, rng) -> StrategyOutcome:
     """Measure k copies and output the most frequent string (ties: smallest index)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
     before = oracle.calls
     counts = np.bincount(sample_oracle_output(oracle, rng, k))
     z = int(np.argmax(counts))
@@ -125,12 +122,9 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
     Without a collision, a fresh copy of the state is rotated towards the span
     of the k measured strings by Grover iterations.  The reflection about the
     measured set is classical data (free); each reflection about the state
-    costs 2 oracle queries; every copy costs 1.
+    costs 2 oracle queries; every copy costs 1.  ``run_experiment`` admits only
+    k >= 2, a schedule in ``SCHEDULES`` and the two families with a state reflection.
     """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    if oracle.kind not in ("canonical", "random_prep"):
-        raise ValueError(f"oracle kind {oracle.kind!r} lacks a state reflection")
     before = oracle.calls
     seen = set()
     for z in sample_oracle_output(oracle, rng, k).tolist():
@@ -142,15 +136,13 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
     n = oracle.dim.bit_length() - 1  # the canonical flag's extra dimension stays below 2^(n+1)
     state = oracle.apply(preparation_input(oracle))
 
-    if schedule == "fixed":
-        t_iter = fixed_grover_iterations(n, k)
-    elif schedule == "adaptive":
+    if schedule == "adaptive":
         # idealized mode: reads the true good-subspace mass off the simulator
         a = float(np.sum(np.abs(state[good]) ** 2))
         theta = math.asin(min(1.0, math.sqrt(a)))
         t_iter = max(0, round(math.pi / (4 * theta) - 0.5)) if theta > 0 else 0
     else:
-        raise ValueError(f"unknown schedule {schedule!r}")
+        t_iter = fixed_grover_iterations(n, k)
 
     for _ in range(t_iter):
         state[good] *= -1.0
@@ -174,25 +166,19 @@ def _hidden_instance(family, n, rng):
     psi = haar_state_amps(2**n, rng)
     if family == "canonical":
         return canonical_oracle(psi), np.abs(psi) ** 2
-    if family == "random_prep":
-        return random_prep_oracle(psi, rng), np.abs(psi) ** 2
-    raise ValueError(f"unknown family {family!r}")
+    return random_prep_oracle(psi, rng), np.abs(psi) ** 2
 
 
-def _run_strategy(strategy, params, oracle, probs, n, rng):
+def _run_strategy(strategy, k, schedule, oracle, probs, n, rng):
     if strategy == "uniform":
         return strategy_uniform(n, rng)
     if strategy == "naive":
         return strategy_naive_sample(oracle, rng)
     if strategy == "k_copy_mode":
-        return strategy_k_copy_mode(oracle, params.get("k", 2), rng)
+        return strategy_k_copy_mode(oracle, k, rng)
     if strategy == "collision_amplify":
-        return strategy_collision_amplify(
-            oracle, params.get("k", 2), rng, params.get("schedule", "fixed")
-        )
-    if strategy == "argmax":
-        return strategy_argmax(probs)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        return strategy_collision_amplify(oracle, k, rng, schedule)
+    return strategy_argmax(probs)
 
 
 def run_experiment(
@@ -211,35 +197,35 @@ def run_experiment(
     block at a time by ``trial_streams``, so results are bit-identical
     regardless of execution order and any trial can be replayed alone.  In
     exact mode (fourier family, naive strategy) the score is the full average
-    over every sign function.
+    over every sign function.  Every rule on the inputs is checked here, before
+    anything is allocated; the strategies and dispatch below assume them.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
     if family not in FAMILIES:
         raise ValueError(f"unknown family {family!r}")
     if not 1 <= n <= MAX_QUBITS:
-        raise ValueError(f"qubit count {n} outside [1, {MAX_QUBITS}]")
+        raise ValueError(f"xhog needs 1 <= -n <= {MAX_QUBITS}, got -n {n}")
     params = strategy_params or {}
-    k = params.get("k", 2)
-    # the strategies check these too, but only inside the first trial, after the
-    # per-trial arrays are allocated
+    k, schedule = params.get("k", 2), params.get("schedule", "fixed")
     if strategy in ("k_copy_mode", "collision_amplify"):
         k_min = 1 if strategy == "k_copy_mode" else 2
         if not k_min <= k <= MAX_DIM:
-            raise ValueError(f"{strategy} needs {k_min} <= k <= {MAX_DIM} copies, got k = {k}")
-    if strategy == "collision_amplify" and params.get("schedule", "fixed") not in SCHEDULES:
-        raise ValueError(f"unknown schedule {params['schedule']!r}")
+            raise ValueError(f"{strategy} needs {k_min} <= -k <= {MAX_DIM} copies, got -k {k}")
+    if strategy == "collision_amplify" and schedule not in SCHEDULES:
+        raise ValueError(f"unknown --schedule {schedule!r}")
     if strategy == "collision_amplify" and family == "fourier":
-        raise ValueError("collision_amplify needs a state reflection, which the fourier oracle lacks")
+        raise ValueError("collision_amplify needs a state reflection, which --family fourier lacks")
     t0 = time.perf_counter()
 
     if exact:
         if family != "fourier" or strategy != "naive":
-            raise ValueError("exact mode is only defined for the naive fourier run")
+            raise ValueError("--exact is only defined for --strategy naive --family fourier")
         from .fourier_lp import ENUM_CAP, naive_fourier_value
 
         if n > ENUM_CAP:
             raise ValueError(f"--exact enumerates every sign table, so it needs -n <= {ENUM_CAP}")
+        _seed(master_seed)  # a negative seed is a usage error here too
 
         b = naive_fourier_value(n)
         n_funcs = 2 ** (2**n)
@@ -249,7 +235,8 @@ def run_experiment(
         )
 
     if not 1 <= trials <= MAX_TRIALS:
-        raise ValueError(f"trials = {trials} outside [1, {MAX_TRIALS}] (2^25, a 256 MiB score array)")
+        raise ValueError(f"xhog needs 1 <= --trials <= {MAX_TRIALS} (2^25, a 256 MiB score array),"
+                         f" got --trials {trials}")
     streams = trial_streams(master_seed, 0, trials)  # rejects a negative seed here
     scores = np.empty(trials)
     total_queries = 0
@@ -258,7 +245,7 @@ def run_experiment(
     n_dim = 2**n
     for i, rng in enumerate(streams):
         oracle, probs = _hidden_instance(family, n, rng)
-        outcome = _run_strategy(strategy, params, oracle, probs, n, rng)
+        outcome = _run_strategy(strategy, k, schedule, oracle, probs, n, rng)
         scores[i] = n_dim * probs[outcome.z]
         total_queries += oracle.calls  # the fresh handle's count, not the strategy's report
         if keep_trials:

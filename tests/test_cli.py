@@ -115,7 +115,8 @@ def test_xhog_qubit_count_out_of_range_is_usage_error(capsys):
         rc = main(["xhog", "--strategy", "naive", "--family", "canonical", "-n", n,
                    "--trials", "5", "--seed", "1"])
         assert rc == 2
-        assert "error:" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "-n" in err
 
 
 @pytest.mark.parametrize("extra", [
@@ -140,8 +141,23 @@ def test_xhog_oversized_run_is_usage_error(extra, capsys):
     assert peak < 2**20
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    # the message names the flag at fault
     if "--exact" in extra:
         assert "--exact" in err and "-n <=" in err
+    elif "fourier" in extra:
+        assert "--family" in err
+    else:
+        assert ("-k" if "-k" in extra else "--trials") in err
+
+
+@pytest.mark.parametrize("extra", [
+    ["--strategy", "naive", "--family", "canonical", "-n", "2", "--trials", "5"],
+    # the exact route enumerates and draws nothing, but checks the seed all the same
+    ["--strategy", "naive", "--family", "fourier", "-n", "2", "--exact"],
+])
+def test_xhog_negative_seed_names_the_seed(extra, capsys):
+    assert main(["xhog", *extra, "--seed", "-1"]) == 2
+    assert capsys.readouterr().err == "error: seed -1 is negative\n"
 
 
 def test_xhog_random_prep_at_the_qubit_cap_stays_small(capsys):
@@ -393,6 +409,7 @@ def test_verify_symmetrize_over_the_dense_cap_is_rejected_before_allocating(k_ar
     assert peak < 2**20
     err = capsys.readouterr().err
     assert err.startswith("error:") and "Traceback" not in err
+    assert "-n" in err and "-k" in err
 
 
 def _symmetrize_peak(*size):

@@ -33,7 +33,7 @@ def test_haar_state_range_check():
     from xhoglab.xhog import run_experiment
 
     for n in (0, 15):
-        with pytest.raises(ValueError, match="qubit count"):
+        with pytest.raises(ValueError, match=r"xhog needs 1 <= -n <= 14"):
             run_experiment("naive", "canonical", n, 1, 1)
 
 

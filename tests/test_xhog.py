@@ -7,11 +7,7 @@ import pytest
 
 from xhoglab import linalg, xhog
 from xhoglab.linalg import MAX_DIM, MAX_TRIALS, haar_state_amps, trial_rng
-from xhoglab.oracles import (
-    canonical_oracle,
-    fourier_phase_oracle,
-    random_prep_oracle,
-)
+from xhoglab.oracles import canonical_oracle, random_prep_oracle
 from xhoglab.xhog import (
     collision_rate_mc,
     fixed_grover_iterations,
@@ -173,9 +169,9 @@ def test_collision_amplify_random_prep_family():
 
 
 def test_collision_amplify_rejects_fourier():
-    table = 1 - 2 * trial_rng(13, 0).integers(0, 2, size=4)
-    with pytest.raises(ValueError):
-        strategy_collision_amplify(fourier_phase_oracle(table), 3, trial_rng(13, 1))
+    # the fourier oracle has no state reflection; the runner rejects the pair up front
+    with pytest.raises(ValueError, match="--family fourier"):
+        run_experiment("collision_amplify", "fourier", 2, 1, 13, {"k": 3})
 
 
 def test_chernoff_mass_event_rate():
@@ -301,7 +297,7 @@ def test_run_experiment_rejects_an_unknown_schedule_before_allocating():
     # per-trial arrays (256 MiB at MAX_TRIALS) are allocated
     tracemalloc.start()
     try:
-        with pytest.raises(ValueError, match="unknown schedule 'bogus'"):
+        with pytest.raises(ValueError, match="unknown --schedule 'bogus'"):
             run_experiment("collision_amplify", "canonical", 4, MAX_TRIALS, 1,
                            {"k": 2, "schedule": "bogus"})
         peak = tracemalloc.get_traced_memory()[1]
@@ -332,11 +328,12 @@ def test_run_experiment_reproducible_and_ledger_consistent():
 
 def _reference_loop(strategy, family, n, trials, seed, params):
     """The runner's trials, one trial_rng stream each."""
+    k, schedule = params.get("k", 2), params.get("schedule", "fixed")
     zs, scores, queries = [], [], []
     for i in range(trials):
         rng = trial_rng(seed, i)
         oracle, probs = xhog._hidden_instance(family, n, rng)
-        outcome = xhog._run_strategy(strategy, params, oracle, probs, n, rng)
+        outcome = xhog._run_strategy(strategy, k, schedule, oracle, probs, n, rng)
         zs.append(outcome.z)
         scores.append(2**n * probs[outcome.z])
         queries.append(outcome.queries_used)
@@ -354,13 +351,11 @@ def test_run_experiment_matches_a_trial_rng_loop(monkeypatch):
             for n in (1, 3, 5):
                 for params in params_of.get(strategy, ({},)):
                     try:
-                        want = _reference_loop(strategy, family, n, 16, 23, params)
+                        est = run_experiment(strategy, family, n, 16, 23, strategy_params=params,
+                                             keep_trials=True)
                     except ValueError:
-                        with pytest.raises(ValueError):
-                            run_experiment(strategy, family, n, 16, 23, strategy_params=params)
-                        continue
-                    est = run_experiment(strategy, family, n, 16, 23, strategy_params=params,
-                                         keep_trials=True)
+                        continue  # the runner's own rules; the count below pins which
+                    want = _reference_loop(strategy, family, n, 16, 23, params)
                     got = (est.z.tolist(), est.scores.tolist(), est.queries.tolist())
                     assert got == want, (strategy, family, n, params)
                     ran += 1
