@@ -33,6 +33,9 @@ SIMPLEX_MIN_TRIALS = 100
 # --cases of verify symmetrize and verify oracles: each case holds ~0.5-0.9 KB of checks in
 # memory until the report is written, so the cap keeps them under 1 MiB
 MAX_CASES = 2**10
+# verify uprep's 8 rotation cases take streams from max(ROTATION_STREAM, --trials) on, past
+# every stream of the distance sweep, which draws trial i from stream i
+ROTATION_STREAM = 10**6
 
 # exception -> (exit code, stderr prefix); main uses the entry nearest in the exception's
 # MRO, so a CertificateError, which is a ValueError, exits 1
@@ -126,7 +129,8 @@ def _verify_uprep(args, checks):
 
     rep = channel_distance_bound_report(args.n, args.T, args.trials, args.seed)
     _check(checks, f"mean_distance_T{args.T}", rep["mean_distance"], rep["bound"])
-    for i, rng in enumerate(trial_streams(args.seed, 10**6, 10**6 + 8)):
+    start = max(ROTATION_STREAM, args.trials)
+    for i, rng in enumerate(trial_streams(args.seed, start, start + 8)):
         plan = decompose_phi(haar_state_amps(2**args.n, rng), haar_state_amps(2**args.n, rng))
         # R is I + B (E - I) B^dagger; the residual certifies that E moves at most two
         # directions, and R phi = psi_perp tells R from R^dagger, whose eigenvalues agree

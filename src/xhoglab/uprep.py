@@ -13,6 +13,7 @@ average over phi.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,7 @@ from .linalg import (
     haar_state_amps,
     haar_unitary_mat,  # noqa: F401  unused here; xbench/test_xbench.py checks its tracer wraps this binding
     orth_basis,
+    trial_rng,
     trial_streams,
 )
 from .oracles import canonical_oracle, householder_matrix, householder_vector, prep_query
@@ -34,6 +36,11 @@ from .oracles import canonical_oracle, householder_matrix, householder_vector, p
 log = logging.getLogger(__name__)
 
 DEGENERATE_TOL = 1e-12
+# amplitude entries per block of the channel-distance sweep, which takes
+# SWEEP_BLOCK_ENTRIES // dim draws at a time: its arrays hold ~25 dim-vectors per draw at
+# T = 3, so 2^10 entries keep the tracemalloc peak of (n, T, trials) = (6, 3, 120) at
+# 0.55 MiB; 2^11 doubles the block's share of that peak for ~10 % less time
+SWEEP_BLOCK_ENTRIES = 2**10
 
 
 class DegenerateStateError(ValueError):
@@ -144,6 +151,8 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
     block is diagonalized.  The approximate query S V W is the swap after the
     random-prep query V W of ``oracles.prep_query`` for phi, applied matrix-free
     to the 2(t-1) vectors that block needs, so the sampler w draws W only there.
+    :func:`channel_distances` computes the same value for a block of draws at
+    once and falls back to this per-draw form.
     """
     if t == 0:
         return 0.0
@@ -172,10 +181,134 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
     if not (1 <= n <= MAX_QUBITS and 0 <= t <= 4 and 1 <= trials <= MAX_TRIALS):
         raise DimensionError(f"uprep needs 1 <= -n <= {MAX_QUBITS}, 0 <= -T <= 4 and"
                              f" 1 <= --trials <= {MAX_TRIALS}")
+    mean = float(channel_distances(n, t, trials, seed).mean()) if t else 0.0
+    return {"mean_distance": mean, "bound": (10 * t + 4) / 2 ** (n / 2)}
+
+
+def channel_distances(n, t, trials, seed) -> np.ndarray:
+    """``t_composed_diamond`` of draw i on stream (seed, i), for every i < trials (t >= 1).
+
+    One Python pass per draw only draws, in the stream order of the per-draw
+    code: psi, the plan, then the 2 dim m Gaussians that the lazy complement
+    draws for its m new directions, m = min(2(t-1), dim-1).  The math runs
+    once per block of draws in :func:`_block_distances`.  A draw the block
+    cannot take is recomputed by ``t_composed_diamond`` on its own stream.
+    """
     dim = 2**n
+    streams = trial_streams(seed, 0, trials)
+    if t == 1:  # W and the swap cancel: 2|beta| (t_composed_diamond's t = 1 case)
+        betas = (draw_plan(haar_state_amps(dim, rng), rng).beta for rng in streams)
+        return np.fromiter((2.0 * abs(b) for b in betas), float, count=trials)
+    m = min(2 * (t - 1), dim - 1)
+    size = max(1, SWEEP_BLOCK_ENTRIES // dim)
     dists = np.empty(trials)
-    for i, rng in enumerate(trial_streams(seed, 0, trials)):
-        plan = draw_plan(haar_state_amps(dim, rng), rng)
-        w = LazyHaarComplement(dim, rng) if t >= 2 else None
-        dists[i] = t_composed_diamond(plan, w, t)
-    return {"mean_distance": float(dists.mean()), "bound": (10 * t + 4) / 2 ** (n / 2)}
+    plans = []
+    gauss = np.empty((size, m, 2, dim))
+    for i, rng in enumerate(streams):
+        plans.append(draw_plan(haar_state_amps(dim, rng), rng))
+        rng.standard_normal(out=gauss[len(plans) - 1])
+        if len(plans) == size or i == trials - 1:
+            lo = i + 1 - len(plans)
+            got, redo = _block_distances(plans, gauss[: len(plans)], t)
+            dists[lo : i + 1] = got
+            for j in np.flatnonzero(redo) + lo:
+                rng_j = trial_rng(seed, j)
+                plan = draw_plan(haar_state_amps(dim, rng_j), rng_j)
+                dists[j] = t_composed_diamond(plan, LazyHaarComplement(dim, rng_j), t)
+            plans = []
+    return dists
+
+
+def _block_distances(plans, gauss, t):
+    """``t_composed_diamond`` for t >= 2 over a block of draws, the draw axis leading.
+
+    ``gauss[b]`` is draw b's (m, 2, dim) Gaussians: the real and imaginary
+    parts of the lazy complement's m new output directions.  Each of the
+    2(t-1) queries is ``LazyHaarComplement._map`` on one vector per draw.
+    Returns the distances and a mask of the draws to recompute one by one: a
+    query with no new direction while the frame is below dim - 1 puts a draw
+    out of step with its Gaussians, and a basis of other than the generic
+    rank min(2t, dim) has another shape.
+    """
+    nb, m, _, dim = gauss.shape
+    cs = np.empty((nb, 2 * t, dim), dtype=complex)  # t_composed_diamond's hstack(cs), as rows
+    cs[:, 0], cs[:, 1] = [p.psi for p in plans], [p.psi_perp for p in plans]
+    alpha = np.array([p.alpha for p in plans])
+    beta = np.array([p.beta for p in plans])
+    redo = np.zeros(nb, dtype=bool)
+    # output frame: each fresh direction off |0>, orthogonalized twice against the earlier ones
+    fout = np.empty((nb, m, dim), dtype=complex)
+    fout.real, fout.imag = gauss[:, :, 0], gauss[:, :, 1]
+    fout[:, :, 0] = 0.0
+    for k in range(m):
+        for _ in range(2):
+            fout[:, k] -= _combine(_overlaps(fout[:, :k], fout[:, k]), fout[:, :k])
+        fout[:, k] /= _norms(fout[:, k])[:, None]
+    fin = np.empty_like(fout)  # input frame, filled query by query
+    # householder_vector(phi): the prep query is phase (I - 2 u u^dagger) W
+    u = np.array([p.phi for p in plans])
+    lead = np.abs(u[:, 0])
+    phase = np.divide(u[:, 0], lead, out=np.ones(nb, dtype=complex), where=lead > 1e-14)
+    u /= phase[:, None]
+    u[:, 0] -= 1.0
+    nrm = _norms(u)[:, None]
+    u = np.divide(u, nrm, out=np.zeros_like(u), where=nrm > 1e-14)
+    d = cs[:, 0] - cs[:, 1]  # the swap is I - d d^dagger
+    for q in range(2 * (t - 1)):
+        x, k = cs[:, q], min(q, m)
+        res = x.copy()
+        res[:, 0] = 0.0
+        coef = np.zeros((nb, k), dtype=complex)
+        for _ in range(2):
+            c = _overlaps(fin[:, :k], res)
+            res -= _combine(c, fin[:, :k])
+            coef += c
+        col = _combine(coef, fout[:, :k])
+        col[:, 0] = x[:, 0]
+        if q < m:
+            nrm = _norms(res)
+            lost = nrm <= 1e-12 * _norms(x)
+            redo |= lost
+            nrm[lost] = 1.0
+            fin[:, q] = res / nrm[:, None]
+            col += nrm[:, None] * fout[:, q]
+        col = phase[:, None] * (col - u * (2.0 * _overlaps(u, col))[:, None])
+        cs[:, q + 2] = col - d * _overlaps(d, col)[:, None]
+    # cs = Q R with Q orthonormal on their span, so the recursion on y = Q Y runs on the
+    # rank x rank coordinates Y from Y = I; R's singular values are the ones orth_basis cuts
+    rank = min(2 * t, dim)
+    r = np.linalg.qr(cs.transpose(0, 2, 1), mode="r")
+    sv = np.linalg.svd(r, compute_uv=False)
+    redo |= np.count_nonzero(sv > 1e-12 * np.maximum(1.0, sv[:, :1]), axis=1) != rank
+    e = np.empty((nb, 2, 2), dtype=complex)  # plan.block - I
+    e[:, 0, 0] = e[:, 1, 1] = alpha - 1.0
+    e[:, 0, 1], e[:, 1, 0] = beta.conj(), -beta
+    y = np.broadcast_to(np.eye(rank), (nb, rank, rank))
+    for j in reversed(range(t)):
+        rj = r[:, :, 2 * j : 2 * j + 2]
+        y = y + rj @ (e @ (rj.conj().transpose(0, 2, 1) @ y))
+    eigs = np.linalg.eigvals(y)
+    if dim > rank:
+        eigs = np.concatenate([eigs, np.ones((nb, 1))], axis=1)
+    # distance_to_eigenvalue_hull and block_diamond_distance, per row
+    angles = np.sort(np.angle(eigs), axis=1)
+    gmax = np.max(np.diff(angles, axis=1, append=angles[:, :1] + 2 * math.pi), axis=1)
+    hull = np.where(gmax <= math.pi, 0.0, np.cos((2 * math.pi - gmax) / 2))
+    return 2 * np.sqrt(np.maximum(0.0, 1.0 - hull * hull)), redo
+
+
+def _overlaps(a, x):
+    """a^dagger x per draw: (nb, k, dim) frames, or (nb, dim) vectors, against (nb, dim)."""
+    if a.ndim == 2:
+        return (a.conj()[:, None] @ x[:, :, None])[:, 0, 0]
+    return (a.conj() @ x[:, :, None])[:, :, 0]
+
+
+def _combine(c, a):
+    """Coefficients (nb, k) times frames (nb, k, dim): one vector per draw."""
+    return (c[:, None] @ a)[:, 0]
+
+
+def _norms(x):
+    """The 2-norm of each draw's vector, sqrt(vdot(x, x).real)."""
+    return np.sqrt(_overlaps(x, x).real)

@@ -11,9 +11,9 @@ import numpy as np
 import pytest
 
 # loaded here, so no tracemalloc peak below counts an import
-from xhoglab import fourier_lp, uprep, xhog  # noqa: F401
+from xhoglab import cli, fourier_lp, uprep, xhog  # noqa: F401
 from xhoglab.cli import MAX_CASES, main
-from xhoglab.linalg import MAX_DIM, MAX_TRIALS, UnitaryOp
+from xhoglab.linalg import MAX_DIM, MAX_TRIALS, UnitaryOp, trial_streams
 
 jsonschema = pytest.importorskip("jsonschema")
 
@@ -231,6 +231,25 @@ def test_verify_uprep_at_the_qubit_cap_stays_small(capsys):
     assert peak < 32 * 2**20
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 9 and all(ln.endswith(" OK") for ln in lines)
+
+
+def test_verify_uprep_rotation_streams_follow_the_sweep(monkeypatch, capsys):
+    # with the first rotation stream moved below --trials, the rotation cases must still
+    # start after the sweep's last stream, so no sweep trial repeats a rotation case
+    monkeypatch.setattr(cli, "ROTATION_STREAM", 5)
+    ranges = []
+
+    def spy(seed, start, stop):
+        ranges.append((start, stop))
+        return trial_streams(seed, start, stop)
+
+    monkeypatch.setattr(cli, "trial_streams", spy)
+    monkeypatch.setattr(uprep, "trial_streams", spy)
+    assert main(["verify", "uprep", "-n", "3", "-T", "2", "--trials", "8", "--seed", "1"]) == 0
+    assert sorted(ranges) == [(0, 8), (8, 16)]
+    (lo0, hi0), (lo1, hi1) = ranges
+    assert hi0 <= lo1 or hi1 <= lo0
+    capsys.readouterr()
 
 
 def test_verify_uprep_report_and_rerun(tmp_path, capsys):

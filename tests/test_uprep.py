@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,9 +12,11 @@ from xhoglab.linalg import (
     trial_rng,
     unitary_channel_diamond_distance,
 )
+from xhoglab import uprep
 from xhoglab.uprep import (
     DegenerateStateError,
     channel_distance_bound_report,
+    channel_distances,
     decompose_phi,
     draw_plan,
     rotation_R,
@@ -250,3 +253,84 @@ def test_bound_report():
     assert rep["mean_distance"] <= rep["bound"]
     rep0 = channel_distance_bound_report(6, 0, 10, 31)
     assert rep0["mean_distance"] == 0.0
+
+
+def test_bound_report_at_T0_draws_nothing(monkeypatch):
+    def no_streams(*args):
+        raise AssertionError("T = 0 drew a trial")
+
+    monkeypatch.setattr(uprep, "trial_streams", no_streams)
+    assert channel_distance_bound_report(6, 0, 10, 31) == {"mean_distance": 0.0, "bound": 0.5}
+
+
+def _per_draw(n, t, trials, seed):
+    """t_composed_diamond of each draw on its own trial_rng stream, as the sweep draws it."""
+    out = []
+    for i in range(trials):
+        rng = trial_rng(seed, i)
+        plan = uprep.draw_plan(uprep.haar_state_amps(2**n, rng), rng)
+        out.append(t_composed_diamond(plan, LazyHaarComplement(2**n, rng), t))
+    return np.array(out)
+
+
+def _no_fallback(*args):
+    raise AssertionError("a draw fell back to t_composed_diamond")
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_block_kernel_matches_t_composed_diamond(n, monkeypatch):
+    # at n = 1 and 2 the lazy frame fills to dim - 1, so the last queries draw no direction
+    for t in range(1, 5):
+        seed = 900 + 10 * n + t
+        with monkeypatch.context() as m:
+            m.setattr(uprep, "t_composed_diamond", _no_fallback)
+            got = channel_distances(n, t, 24, seed)
+        assert np.max(np.abs(got - _per_draw(n, t, 24, seed))) <= 1e-12
+    assert channel_distance_bound_report(n, 0, 24, 900)["mean_distance"] == 0.0
+    assert t_composed_diamond(None, None, 0) == 0.0
+
+
+@pytest.mark.parametrize("n, t", [(1, 3), (3, 4), (6, 3), (8, 2)])
+def test_a_draws_distance_does_not_depend_on_its_block(n, t, monkeypatch):
+    want = channel_distances(n, t, 20, 77)
+    for draws in (1, 3):
+        monkeypatch.setattr(uprep, "SWEEP_BLOCK_ENTRIES", draws * 2**n)
+        assert np.array_equal(channel_distances(n, t, 20, 77), want)
+
+
+def test_a_draw_the_block_cannot_take_falls_back(monkeypatch):
+    # draw 5's psi becomes |0>: its first query has no part off |0>, so the lazy complement
+    # draws no direction for it and that draw's Gaussians no longer line up with its queries
+    n, t, seed, odd = 4, 3, 81, 5
+    target = haar_state_amps(2**n, trial_rng(seed, odd))
+
+    def amps(dim, rng):
+        z = haar_state_amps(dim, rng)
+        return np.eye(dim, dtype=complex)[0] if np.array_equal(z, target) else z
+
+    monkeypatch.setattr(uprep, "haar_state_amps", amps)
+    calls = []
+
+    def counted(plan, w, t):
+        calls.append(plan)
+        return t_composed_diamond(plan, w, t)
+
+    with monkeypatch.context() as m:
+        m.setattr(uprep, "t_composed_diamond", counted)
+        got = channel_distances(n, t, 12, seed)
+    assert len(calls) == 1 and calls[0].psi[0] == 1.0
+    want = _per_draw(n, t, 12, seed)
+    assert got[odd] == want[odd]
+    assert np.max(np.abs(got - want)) <= 1e-12
+
+
+@pytest.mark.parametrize("n, t, trials", [(6, 3, 120), (8, 2, 2000)])
+def test_distance_sweep_stays_under_a_mebibyte(n, t, trials):
+    channel_distance_bound_report(n, t, 2, 5)  # first-call allocations are not the sweep's
+    tracemalloc.start()
+    try:
+        channel_distance_bound_report(n, t, trials, 5)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2**20
