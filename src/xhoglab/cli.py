@@ -10,6 +10,7 @@ error; ``main`` maps each exception to its code through ``EXIT_CODES``.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -213,7 +214,9 @@ def cmd_lp(args):
     return report, summary, 0
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The command line, built once per process: parse_args leaves the parser unchanged."""
     p = argparse.ArgumentParser(prog="xhoglab")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)

@@ -336,20 +336,19 @@ def born_sample(probs: np.ndarray, rng, size=None):
     return cdf.searchsorted(rng.random(size), side="right")
 
 
-def distance_to_eigenvalue_hull(eigs: np.ndarray) -> float:
-    """Euclidean distance from the origin to the convex hull of unit-circle points.
+def distance_to_eigenvalue_hull(eigs: np.ndarray):
+    """Euclidean distance from the origin to the convex hull of unit-circle points,
+    for each row of points along the last axis.
 
     Eigenvalues of a unitary lie on the unit circle, so the hull geometry
     reduces to angular gaps: the origin lies inside the hull iff the largest
     gap between consecutive eigenphases is at most pi; otherwise the nearest
     hull point is on the chord closing that gap.
     """
-    angles = np.sort(np.angle(eigs))
-    gaps = np.diff(angles, append=angles[0] + 2 * math.pi)
-    gmax = float(np.max(gaps))
-    if gmax <= math.pi:
-        return 0.0
-    return math.cos((2 * math.pi - gmax) / 2)
+    angles = np.sort(np.angle(eigs), axis=-1)
+    gaps = np.diff(angles, axis=-1, append=angles[..., :1] + 2 * math.pi)
+    gmax = np.max(gaps, axis=-1)
+    return np.where(gmax <= math.pi, 0.0, np.cos((2 * math.pi - gmax) / 2))
 
 
 def unitary_channel_diamond_distance(v: UnitaryOp, w: UnitaryOp) -> float:
@@ -358,21 +357,16 @@ def unitary_channel_diamond_distance(v: UnitaryOp, w: UnitaryOp) -> float:
     return block_diamond_distance(v.mat @ w.mat.conj().T, v.dim)
 
 
-def block_diamond_distance(block, dim) -> float:
+def block_diamond_distance(block, dim):
     """Diamond distance from the identity channel of a unitary on C^dim that acts as the
     r x r ``block`` on an r-dimensional subspace and fixes its complement: 2 sqrt(1 - d^2),
-    d the distance from 0 to the hull of the block's eigenvalues and, if r < dim, of 1."""
+    d the distance from 0 to the hull of the block's eigenvalues and, if r < dim, of 1.
+    A stack of blocks (..., r, r) gives one distance per block."""
     eigs = np.linalg.eigvals(block)
-    if dim > len(block):
-        eigs = np.append(eigs, 1.0)
+    if dim > block.shape[-1]:
+        eigs = np.concatenate([eigs, np.ones(eigs.shape[:-1] + (1,))], axis=-1)
     d = distance_to_eigenvalue_hull(eigs)
-    return 2 * math.sqrt(max(0.0, 1.0 - d * d))
-
-
-def orth_basis(cols):
-    """Orthonormal basis of the column span, dropping directions below 1e-12 (relative)."""
-    u, sv, _ = np.linalg.svd(cols, full_matrices=False)
-    return u[:, sv > 1e-12 * max(1.0, sv[0])]
+    return 2 * np.sqrt(np.maximum(0.0, 1.0 - d * d))
 
 
 def rank2_update_distance(basis, block):

@@ -7,13 +7,14 @@ of psi_perp into a preparation of psi.  The rotation needs a corrected prep
 unitary V' = RV that is not available to the simulator, so the realizable
 version substitutes V; the resulting channel error per call site is exactly
 2|<psi|phi>|, and the T-query composition stays below (10T+4)/2^(n/2) on
-average over phi.
+average over phi.  The sweep that checks that bound computes every draw's
+distance in blocks of draws, on one path; the per-draw form shares its last
+step.
 """
 
 from __future__ import annotations
 
 import logging
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,8 +28,6 @@ from .linalg import (
     block_diamond_distance,
     haar_state_amps,
     haar_unitary_mat,  # noqa: F401  unused here; xbench/test_xbench.py checks its tracer wraps this binding
-    orth_basis,
-    trial_rng,
     trial_streams,
 )
 from .oracles import canonical_oracle, householder_matrix, householder_vector, prep_query
@@ -151,25 +150,19 @@ def t_composed_diamond(plan: RotationPlan, w: LazyHaarComplement, t: int) -> flo
     block is diagonalized.  The approximate query S V W is the swap after the
     random-prep query V W of ``oracles.prep_query`` for phi, applied matrix-free
     to the 2(t-1) vectors that block needs, so the sampler w draws W only there.
-    :func:`channel_distances` computes the same value for a block of draws at
-    once and falls back to this per-draw form.
+    Those 2t columns go to :func:`_columns_distances` as a block of one draw,
+    the step :func:`channel_distances` runs on a block of many.
     """
     if t == 0:
         return 0.0
-    e = plan.block - np.eye(2)
-    s_b = np.column_stack([plan.psi, plan.psi_perp])  # = swap @ (psi_perp, psi)
     if t == 1:
         # W and the swap cancel: the mismatch is the bare rotation, distance 2|beta|
         return 2.0 * abs(plan.beta)
     prep = prep_query(*householder_vector(plan.phi), w)  # V W
-    cs = [s_b]
-    for _ in range(t - 1):
-        cs.append(np.column_stack([_swap(plan, prep(c)) for c in cs[-1].T]))
-    q = orth_basis(np.hstack(cs))
-    y = q
-    for cj in reversed(cs):
-        y = y + cj @ (e @ (cj.conj().T @ y))
-    return block_diamond_distance(q.conj().T @ y, len(q))
+    cs = [plan.psi, plan.psi_perp]  # = swap @ (psi_perp, psi)
+    for q in range(2 * (t - 1)):
+        cs.append(_swap(plan, prep(cs[q])))
+    return float(_columns_distances(np.array(cs)[None], [plan])[0])
 
 
 def channel_distance_bound_report(n, t, trials, seed) -> dict:
@@ -189,10 +182,11 @@ def channel_distances(n, t, trials, seed) -> np.ndarray:
     """``t_composed_diamond`` of draw i on stream (seed, i), for every i < trials (t >= 1).
 
     One Python pass per draw only draws, in the stream order of the per-draw
-    code: psi, the plan, then the 2 dim m Gaussians that the lazy complement
-    draws for its m new directions, m = min(2(t-1), dim-1).  The math runs
-    once per block of draws in :func:`_block_distances`.  A draw the block
-    cannot take is recomputed by ``t_composed_diamond`` on its own stream.
+    code: psi, the plan, then the 2 dim m Gaussians for the lazy complement's
+    new directions, m = min(2(t-1), dim-1).  A draw whose queries find fewer
+    than m new directions leaves its last Gaussians unread, as the per-draw
+    code never draws them.  The math runs once per block of draws in
+    :func:`_block_distances`, which takes every draw.
     """
     dim = 2**n
     streams = trial_streams(seed, 0, trials)
@@ -208,13 +202,7 @@ def channel_distances(n, t, trials, seed) -> np.ndarray:
         plans.append(draw_plan(haar_state_amps(dim, rng), rng))
         rng.standard_normal(out=gauss[len(plans) - 1])
         if len(plans) == size or i == trials - 1:
-            lo = i + 1 - len(plans)
-            got, redo = _block_distances(plans, gauss[: len(plans)], t)
-            dists[lo : i + 1] = got
-            for j in np.flatnonzero(redo) + lo:
-                rng_j = trial_rng(seed, j)
-                plan = draw_plan(haar_state_amps(dim, rng_j), rng_j)
-                dists[j] = t_composed_diamond(plan, LazyHaarComplement(dim, rng_j), t)
+            dists[i + 1 - len(plans) : i + 1] = _block_distances(plans, gauss[: len(plans)], t)
             plans = []
     return dists
 
@@ -223,19 +211,16 @@ def _block_distances(plans, gauss, t):
     """``t_composed_diamond`` for t >= 2 over a block of draws, the draw axis leading.
 
     ``gauss[b]`` is draw b's (m, 2, dim) Gaussians: the real and imaginary
-    parts of the lazy complement's m new output directions.  Each of the
-    2(t-1) queries is ``LazyHaarComplement._map`` on one vector per draw.
-    Returns the distances and a mask of the draws to recompute one by one: a
-    query with no new direction while the frame is below dim - 1 puts a draw
-    out of step with its Gaussians, and a basis of other than the generic
-    rank min(2t, dim) has another shape.
+    parts of the lazy complement's output directions, in the order it draws
+    them.  Each of the 2(t-1) queries is ``LazyHaarComplement._map`` on one
+    vector per draw.  ``used[b]`` counts draw b's filled frame slots: a query
+    that finds a new direction while the frame is below dim - 1 fills slot
+    ``used[b]`` and takes that slot's Gaussians, so a draw with no new
+    direction at some query (a frame full early, or psi on |0>) stays in step.
     """
     nb, m, _, dim = gauss.shape
-    cs = np.empty((nb, 2 * t, dim), dtype=complex)  # t_composed_diamond's hstack(cs), as rows
+    cs = np.empty((nb, 2 * t, dim), dtype=complex)  # t_composed_diamond's columns, as rows
     cs[:, 0], cs[:, 1] = [p.psi for p in plans], [p.psi_perp for p in plans]
-    alpha = np.array([p.alpha for p in plans])
-    beta = np.array([p.beta for p in plans])
-    redo = np.zeros(nb, dtype=bool)
     # output frame: each fresh direction off |0>, orthogonalized twice against the earlier ones
     fout = np.empty((nb, m, dim), dtype=complex)
     fout.real, fout.imag = gauss[:, :, 0], gauss[:, :, 1]
@@ -244,7 +229,8 @@ def _block_distances(plans, gauss, t):
         for _ in range(2):
             fout[:, k] -= _combine(_overlaps(fout[:, :k], fout[:, k]), fout[:, :k])
         fout[:, k] /= _norms(fout[:, k])[:, None]
-    fin = np.empty_like(fout)  # input frame, filled query by query
+    fin = np.zeros_like(fout)  # input frame, filled query by query; unfilled slots are 0
+    used = np.zeros(nb, dtype=int)
     # householder_vector(phi): the prep query is phase (I - 2 u u^dagger) W
     u = np.array([p.phi for p in plans])
     lead = np.abs(u[:, 0])
@@ -265,36 +251,33 @@ def _block_distances(plans, gauss, t):
             coef += c
         col = _combine(coef, fout[:, :k])
         col[:, 0] = x[:, 0]
-        if q < m:
-            nrm = _norms(res)
-            lost = nrm <= 1e-12 * _norms(x)
-            redo |= lost
-            nrm[lost] = 1.0
-            fin[:, q] = res / nrm[:, None]
-            col += nrm[:, None] * fout[:, q]
+        nrm = _norms(res)
+        new = np.flatnonzero((used < dim - 1) & (nrm > 1e-12 * _norms(x)))
+        slot = used[new]
+        fin[new, slot] = res[new] / nrm[new, None]
+        col[new] += nrm[new, None] * fout[new, slot]
+        used[new] += 1
         col = phase[:, None] * (col - u * (2.0 * _overlaps(u, col))[:, None])
         cs[:, q + 2] = col - d * _overlaps(d, col)[:, None]
-    # cs = Q R with Q orthonormal on their span, so the recursion on y = Q Y runs on the
-    # rank x rank coordinates Y from Y = I; R's singular values are the ones orth_basis cuts
-    rank = min(2 * t, dim)
+    return _columns_distances(cs, plans)
+
+
+def _columns_distances(cs, plans):
+    """The diamond distances of a block of draws from their 2t columns (rows of ``cs``).
+
+    cs = Q R with Q orthonormal (a Householder QR), and (ideal)^t (approx)^(-t) - I
+    has its range in span(cs), inside span(Q).  So the recursion on y = Q Y runs on
+    the R coordinates Y from Y = I, exact at any rank of the columns, and the
+    distance is that of the block Y on span(Q), plus 1s outside it.
+    """
     r = np.linalg.qr(cs.transpose(0, 2, 1), mode="r")
-    sv = np.linalg.svd(r, compute_uv=False)
-    redo |= np.count_nonzero(sv > 1e-12 * np.maximum(1.0, sv[:, :1]), axis=1) != rank
-    e = np.empty((nb, 2, 2), dtype=complex)  # plan.block - I
-    e[:, 0, 0] = e[:, 1, 1] = alpha - 1.0
-    e[:, 0, 1], e[:, 1, 0] = beta.conj(), -beta
-    y = np.broadcast_to(np.eye(rank), (nb, rank, rank))
-    for j in reversed(range(t)):
-        rj = r[:, :, 2 * j : 2 * j + 2]
+    nb, s, cols = r.shape  # s = min(2t, dim)
+    e = np.array([p.block for p in plans]) - np.eye(2)
+    y = np.broadcast_to(np.eye(s), (nb, s, s))
+    for j in reversed(range(0, cols, 2)):
+        rj = r[:, :, j : j + 2]
         y = y + rj @ (e @ (rj.conj().transpose(0, 2, 1) @ y))
-    eigs = np.linalg.eigvals(y)
-    if dim > rank:
-        eigs = np.concatenate([eigs, np.ones((nb, 1))], axis=1)
-    # distance_to_eigenvalue_hull and block_diamond_distance, per row
-    angles = np.sort(np.angle(eigs), axis=1)
-    gmax = np.max(np.diff(angles, axis=1, append=angles[:, :1] + 2 * math.pi), axis=1)
-    hull = np.where(gmax <= math.pi, 0.0, np.cos((2 * math.pi - gmax) / 2))
-    return 2 * np.sqrt(np.maximum(0.0, 1.0 - hull * hull)), redo
+    return block_diamond_distance(y, cs.shape[2])
 
 
 def _overlaps(a, x):

@@ -1,3 +1,4 @@
+import argparse
 import csv
 import dataclasses
 import json
@@ -632,6 +633,25 @@ def test_lp_at_n_zero(action, capsys):
 def test_argparse_errors_map_to_usage(capsys):
     assert main(["lp", "frobnicate", "-n", "2"]) == 2
     assert main([]) == 2
+    capsys.readouterr()
+
+
+def test_main_builds_the_parser_once(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    cli.build_parser.cache_clear()
+    argvs = [["lp", "certify", "-n", "1"], ["--version"], ["xhog", "--strategy", "bogus"],
+             ["verify", "uprep", "-n", "1", "-T", "2", "--trials", "2", "--seed", "1"],
+             ["lp", "naive-value", "-n", "2"]]
+    assert [main(argv) for argv in argvs] == [0, 0, 2, 0, 0]
+    # the top-level parser and one per subcommand, each built by the first call only
+    assert len(built) == 4
     capsys.readouterr()
 
 

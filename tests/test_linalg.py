@@ -197,6 +197,29 @@ def test_diamond_distance_generic_phase_pair():
     assert abs(got - 2 * math.sin(math.pi / 4)) < 1e-12
 
 
+def test_stacked_distances_equal_the_per_block_calls():
+    # Haar blocks mostly hold the origin in their hull; blocks with eigenphases in
+    # [-1, 1] never do, so both branches of the hull distance run
+    rng = trial_rng(89, 0)
+    for r in range(1, 7):
+        blocks = []
+        for _ in range(6):
+            v = haar_unitary_mat(r, rng)
+            blocks.append(haar_unitary_mat(r, rng))
+            blocks.append((v * np.exp(1j * rng.uniform(-1.0, 1.0, r))) @ v.conj().T)
+        stack = np.array(blocks)
+        for dim in (r, r + 3):
+            got = linalg.block_diamond_distance(stack, dim)
+            assert got.shape == (len(blocks),) and np.any(got < 2.0)
+            assert np.array_equal(got, [linalg.block_diamond_distance(b, dim) for b in blocks])
+        eigs = np.linalg.eigvals(stack)
+        want = [linalg.distance_to_eigenvalue_hull(row) for row in eigs]
+        assert np.array_equal(linalg.distance_to_eigenvalue_hull(eigs), want)
+    # an empty block fixes all of C^dim: distance 0, alone or stacked
+    assert linalg.block_diamond_distance(np.zeros((0, 0)), 4) == 0.0
+    assert np.array_equal(linalg.block_diamond_distance(np.zeros((3, 0, 0)), 4), np.zeros(3))
+
+
 def _orthonormal(dim, r, rng):
     return np.linalg.qr(rng.standard_normal((dim, r)) + 1j * rng.standard_normal((dim, r)))[0]
 

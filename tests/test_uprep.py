@@ -274,7 +274,7 @@ def _per_draw(n, t, trials, seed):
 
 
 def _no_fallback(*args):
-    raise AssertionError("a draw fell back to t_composed_diamond")
+    raise AssertionError("the sweep took a per-draw path")
 
 
 @pytest.mark.parametrize("n", range(1, 9))
@@ -298,29 +298,24 @@ def test_a_draws_distance_does_not_depend_on_its_block(n, t, monkeypatch):
         assert np.array_equal(channel_distances(n, t, 20, 77), want)
 
 
-def test_a_draw_the_block_cannot_take_falls_back(monkeypatch):
-    # draw 5's psi becomes |0>: its first query has no part off |0>, so the lazy complement
-    # draws no direction for it and that draw's Gaussians no longer line up with its queries
-    n, t, seed, odd = 4, 3, 81, 5
-    target = haar_state_amps(2**n, trial_rng(seed, odd))
+@pytest.mark.parametrize("n, t", [(4, 3), (3, 2), (1, 4), (2, 4)])
+def test_a_draw_with_no_new_direction_stays_in_the_block(n, t, monkeypatch):
+    # draws 2 and 5 get psi = |0>: their first query has no part off |0>, so the lazy
+    # complement draws no direction there and their later queries take earlier Gaussians;
+    # at (4, 3) their columns are rank-deficient, and at n = 1, 2 the frame fills early
+    seed, trials, odd = 81, 12, (2, 5)
+    targets = [haar_state_amps(2**n, trial_rng(seed, j)) for j in odd]
 
     def amps(dim, rng):
         z = haar_state_amps(dim, rng)
-        return np.eye(dim, dtype=complex)[0] if np.array_equal(z, target) else z
+        return np.eye(dim, dtype=complex)[0] if any(np.array_equal(z, x) for x in targets) else z
 
     monkeypatch.setattr(uprep, "haar_state_amps", amps)
-    calls = []
-
-    def counted(plan, w, t):
-        calls.append(plan)
-        return t_composed_diamond(plan, w, t)
-
     with monkeypatch.context() as m:
-        m.setattr(uprep, "t_composed_diamond", counted)
-        got = channel_distances(n, t, 12, seed)
-    assert len(calls) == 1 and calls[0].psi[0] == 1.0
-    want = _per_draw(n, t, 12, seed)
-    assert got[odd] == want[odd]
+        m.setattr(uprep, "t_composed_diamond", _no_fallback)
+        m.setattr(uprep, "trial_rng", _no_fallback, raising=False)
+        got = channel_distances(n, t, trials, seed)
+    want = _per_draw(n, t, trials, seed)
     assert np.max(np.abs(got - want)) <= 1e-12
 
 
