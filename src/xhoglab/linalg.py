@@ -26,10 +26,6 @@ MAX_DIM = 2**MAX_QUBITS
 MAX_TRIALS = 2**25
 
 
-class DimensionError(ValueError):
-    """Raised when a dimension is out of range or two operands disagree."""
-
-
 def _seed(master_seed) -> int:
     """The master seed as an int; SeedSequence takes no negative entropy."""
     seed = int(master_seed)
@@ -163,7 +159,7 @@ class UnitaryOp:
         mat = np.asarray(mat, dtype=complex)
         d = mat.shape[0]
         if mat.shape != (d, d):
-            raise DimensionError("matrix is not square")
+            raise ValueError("matrix is not square")
         err = _unitarity_error(mat)
         if err > 1e-8:
             raise ValueError(f"matrix is not unitary (deviation {err:.3g})")
@@ -181,7 +177,7 @@ class UnitaryOp:
         b = np.asarray(basis, dtype=complex)
         e = np.asarray(block, dtype=complex)
         if b.ndim != 2 or e.shape != (b.shape[1], b.shape[1]):
-            raise DimensionError(f"basis {b.shape} and block {e.shape} do not match")
+            raise ValueError(f"basis {b.shape} and block {e.shape} do not match")
         for what, m in (("basis columns are not orthonormal", b), ("block is not unitary", e)):
             err = _unitarity_error(m)
             if err > 1e-8:
@@ -196,10 +192,6 @@ class UnitaryOp:
             b, e = self.basis, self.block
             self._mat = np.eye(len(b), dtype=complex) + b @ (e - np.eye(len(e))) @ b.conj().T
         return self._mat
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis) if self._mat is None else self._mat.shape[0]
 
     def apply(self, x) -> np.ndarray:
         """The operator applied to x (a vector or a dim x m block); O(dim r m) on the
@@ -354,7 +346,7 @@ def distance_to_eigenvalue_hull(eigs: np.ndarray):
 def unitary_channel_diamond_distance(v: UnitaryOp, w: UnitaryOp) -> float:
     """Diamond distance between the channels of two unitaries: that of VW^dagger from
     the identity channel."""
-    return block_diamond_distance(v.mat @ w.mat.conj().T, v.dim)
+    return block_diamond_distance(v.mat @ w.mat.conj().T, len(v.mat))
 
 
 def block_diamond_distance(block, dim):

@@ -23,12 +23,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DensityMatrix, DimensionError, check_unit_trace
+from .linalg import DensityMatrix, check_unit_trace
 
 # sum over the multiset groups of |G|^2, the block entries the verifier compares;
 # it also bounds (N+1)^k, the length of |R>
 BLOCK_CAP = 2**22
-# (N+1)^k cap of the dense references: one 729 x 729 complex matrix is 8.1 MiB
+# (N+1)^k cap of the dense references: one 729 x 729 complex matrix is 8.1 MiB; as
+# sum_G |G|^2 <= ((N+1)^k)^2 <= 729^2 < BLOCK_CAP, it implies the block cap
 DENSE_CAP_DIM = 729
 # block entries compared in one batch of array operations: 1 MiB per complex array
 SLICE_ENTRIES = 2**16
@@ -81,7 +82,7 @@ def check_block_cap(n_dim, k):
     # sum_G |G|^2 >= (N+1)^k >= 2^k passes the cap once k reaches its bit length, so a
     # huge k walks no partitions
     if k >= BLOCK_CAP.bit_length() or block_entries(n_dim + 1, k) > BLOCK_CAP:
-        raise DimensionError(
+        raise ValueError(
             "sum over the multiset groups of |G|^2 at (N+1, k) = (2^-n + 1, -k)"
             f" = ({n_dim + 1}, {k}) exceeds the block cap {BLOCK_CAP}"
         )
@@ -89,12 +90,11 @@ def check_block_cap(n_dim, k):
 
 def check_dense_cap(n_dim, k):
     if k >= DENSE_CAP_DIM.bit_length() or (n_dim + 1) ** k > DENSE_CAP_DIM:
-        raise DimensionError(f"(N+1)^k = {n_dim + 1}^{k} exceeds the dense cap {DENSE_CAP_DIM}")
+        raise ValueError(f"(N+1)^k = {n_dim + 1}^{k} exceeds the dense cap {DENSE_CAP_DIM}")
 
 
 def build_R(psi: np.ndarray, spec: tuple) -> np.ndarray:
     """Amplitudes of the tensor product of the k factors alpha_j |psi> + beta_j |bot>."""
-    check_block_cap(len(psi), len(spec))
     vec = np.array([1.0 + 0j])
     for a, b in spec:
         factor = np.append(a * psi, b)
@@ -203,7 +203,6 @@ def sigma_R_exact(psi: np.ndarray, spec: tuple) -> DensityMatrix:
     Entry (x, y) equals <x|R><R|y> when the digit strings of x and y are
     reorderings of each other, and is exactly zero otherwise.
     """
-    check_block_cap(len(psi), len(spec))
     check_dense_cap(len(psi), len(spec))
     r = build_R(psi, spec)
     return _dense(group_layout(len(psi) + 1, len(spec)), lambda ids, idx: _outer(r[idx]))
@@ -216,7 +215,6 @@ def rho_R_protocol_exact(psi: np.ndarray, spec: tuple) -> DensityMatrix:
     extended strings by multiset, and mixes the resulting superpositions with
     their outcome probabilities.
     """
-    check_block_cap(len(psi), len(spec))
     check_dense_cap(len(psi), len(spec))
     layout = group_layout(len(psi) + 1, len(spec))
     gamma, prob = _protocol_amplitudes(layout, np.abs(psi) ** 2, spec)
@@ -230,9 +228,8 @@ def verify_symmetrization(psi: np.ndarray, spec: tuple) -> float:
     Both are compared over the multiset groups, every group of one size in one
     batch, so no (N+1)^k-square matrix is built.  Each block is rank one with a
     nonnegative weight, hence Hermitian and PSD; only the unit trace of each
-    side is checked.
+    side is checked.  The caller checks the block cap first.
     """
-    check_block_cap(len(psi), len(spec))
     layout = group_layout(len(psi) + 1, len(spec))  # before |R>: its build's temporaries are freed
     gamma, prob = _protocol_amplitudes(layout, np.abs(psi) ** 2, spec)
     coef = _rho_weights(layout, gamma, prob)

@@ -22,7 +22,6 @@ import numpy as np
 from .linalg import (
     MAX_QUBITS,
     MAX_TRIALS,
-    DimensionError,
     LazyHaarComplement,
     UnitaryOp,
     block_diamond_distance,
@@ -172,8 +171,8 @@ def channel_distance_bound_report(n, t, trials, seed) -> dict:
     distance by convexity; returns their mean and the bound (10t+4)/2^(n/2).
     """
     if not (1 <= n <= MAX_QUBITS and 0 <= t <= 4 and 1 <= trials <= MAX_TRIALS):
-        raise DimensionError(f"uprep needs 1 <= -n <= {MAX_QUBITS}, 0 <= -T <= 4 and"
-                             f" 1 <= --trials <= {MAX_TRIALS}")
+        raise ValueError(f"uprep needs 1 <= -n <= {MAX_QUBITS}, 0 <= -T <= 4 and"
+                         f" 1 <= --trials <= {MAX_TRIALS}")
     mean = float(channel_distances(n, t, trials, seed).mean()) if t else 0.0
     return {"mean_distance": mean, "bound": (10 * t + 4) / 2 ** (n / 2)}
 

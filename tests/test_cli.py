@@ -1,12 +1,16 @@
 import argparse
+import ast
+import builtins
 import csv
 import dataclasses
+import importlib
 import json
 import math
 import tracemalloc
 from collections import Counter
 from importlib import resources
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -527,6 +531,42 @@ def test_each_mapped_exception_exits_with_its_code(argv, patch, exc, rc, prefix,
     cap = capsys.readouterr()
     assert cap.err.startswith(prefix) and "Traceback" not in cap.err
     assert cap.out == ""  # the summary is printed only after the report is written
+
+
+def test_lp_solve_solver_failure_is_exit_1_not_a_traceback(monkeypatch, capsys):
+    import scipy.optimize
+
+    failed = SimpleNamespace(success=False, message="forced failure")
+    monkeypatch.setattr(scipy.optimize, "linprog", lambda *args, **kwargs: failed)
+    assert main(["lp", "solve", "-n", "2"]) == 1
+    cap = capsys.readouterr()
+    assert cap.err == "error: internal cross-check failed: LP solver failed: forced failure\n"
+    assert "Traceback" not in cap.err and cap.out == ""
+
+
+def _raised_types(path):
+    """(line, exception class) for every ``raise X(...)`` in one src module."""
+    module = importlib.import_module(f"xhoglab.{path.stem}")
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call):
+            func, chain = node.exc.func, []
+            while isinstance(func, ast.Attribute):
+                chain.insert(0, func.attr)
+                func = func.value
+            obj = getattr(module, func.id, None) or getattr(builtins, func.id)
+            for attr in chain:
+                obj = getattr(obj, attr)
+            yield node.lineno, obj
+
+
+def test_every_raise_in_src_maps_to_an_exit_code():
+    # main catches only the EXIT_CODES types, so any other raise would end in a traceback
+    sites = [(path.name, line, exc) for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+             for line, exc in _raised_types(path)]
+    assert len(sites) > 30
+    unmapped = [(name, line, exc.__name__) for name, line, exc in sites
+                if not issubclass(exc, tuple(cli.EXIT_CODES))]
+    assert unmapped == []
 
 
 GOLDEN_CONFIGS = json.loads((Path(__file__).parent / "golden" / "cli_configs.json").read_text())

@@ -7,7 +7,6 @@ import pytest
 from xhoglab import linalg
 from xhoglab.linalg import (
     DensityMatrix,
-    DimensionError,
     LazyHaarComplement,
     UnitaryOp,
     expected_max_simplex,
@@ -254,9 +253,9 @@ def test_from_update_checks_basis_and_block():
         UnitaryOp.from_update(b, rot * 1.001)
     with pytest.raises(ValueError, match="block is not unitary"):
         UnitaryOp.from_update(b[:, :1], [[2.0]])
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="do not match"):
         UnitaryOp.from_update(b, [[-1.0]])
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="do not match"):
         UnitaryOp.from_update(b[:, 0], [[-1.0]])
 
 

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from xhoglab.linalg import DimensionError, haar_state_amps, trial_rng
+from xhoglab import symmetrize
+from xhoglab.linalg import haar_state_amps, trial_rng
 from xhoglab.symmetrize import (
     BLOCK_CAP,
     block_entries,
@@ -182,29 +183,36 @@ def test_block_entries_closed_form():
     assert block_entries(10, 1) == 10 and block_entries(4, 0) == 1
 
 
-def test_verify_builds_the_layout_once_per_size():
+def test_verify_builds_the_layout_once_per_size(monkeypatch):
     from xhoglab.cli import main
 
+    # the block cap is checked once, at the command's entry, not once per case
+    walks = []
+    real = symmetrize.block_entries
+    monkeypatch.setattr(symmetrize, "block_entries", lambda *a: walks.append(a) or real(*a))
     group_layout.cache_clear()
     assert main(["verify", "symmetrize", "-n", "1", "-k", "4", "--cases", "30", "--seed", "1"]) == 0
     info = group_layout.cache_info()
     assert (info.misses, info.hits) == (1, 29)
+    assert walks == [(3, 4)]
 
 
 def test_dimension_cap():
+    # the cap is on sum_G |G|^2, the block entries the verifier compares, not on index bits;
+    # the command checks it once at entry, so no |R> over it is ever built here
+    check_block_cap(16, 4)
+    for k in (5, 6):
+        with pytest.raises(ValueError, match="exceeds the block cap"):
+            check_block_cap(16, k)
     psi = haar_state_amps(2**4, trial_rng(7, 0))
-    with pytest.raises(DimensionError):
-        build_R(psi, random_resource(6, trial_rng(7, 1)))
-    # the cap is on sum_G |G|^2, the block entries the verifier compares, not on index bits
     assert len(build_R(psi, random_resource(2, trial_rng(7, 2)))) == 17**2
     assert block_entries(17, 4) <= BLOCK_CAP < block_entries(17, 5)  # 1.7e6 and 1.3e8
-    with pytest.raises(DimensionError):
-        build_R(psi, random_resource(5, trial_rng(7, 3)))
     # the dense references stop at (N+1)^k = 729; 17^3 = 4913 is over it
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="exceeds the dense cap"):
         sigma_R_exact(psi, random_resource(3, trial_rng(7, 4)))
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="exceeds the dense cap"):
         rho_R_protocol_exact(psi, random_resource(3, trial_rng(7, 4)))
     # a k at the cap's bit length is rejected without walking its partitions
-    with pytest.raises(DimensionError):
+    with pytest.raises(ValueError, match="exceeds the block cap"):
         check_block_cap(2, 10**9)
+
