@@ -10,8 +10,10 @@ error; ``main`` maps each exception to its code through ``EXIT_CODES``.
 from __future__ import annotations
 
 import argparse
+import errno
 import functools
 import json
+import os
 import sys
 import time
 
@@ -84,7 +86,7 @@ def _verify_symmetrize(args, checks):
         )
     check_block_cap(2**args.n, args.k)
     for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
-        psi = haar_state_amps(2**args.n, rng)
+        psi = haar_state_amps(rng.standard_normal(2 * 2**args.n))
         spec = random_resource(args.k, rng)
         dev = verify_symmetrization(psi, spec)
         _check(checks, f"case_{i}_max_entry_deviation", dev, 1e-10)
@@ -97,7 +99,7 @@ def _verify_oracles(args, checks):
     if not (1 <= args.n <= MAX_QUBITS and 1 <= args.cases <= MAX_CASES):
         raise ValueError(f"oracles needs 1 <= -n <= {MAX_QUBITS} and 1 <= --cases <= {MAX_CASES}")
     for i, rng in enumerate(trial_streams(args.seed, 0, args.cases)):
-        psi = haar_state_amps(2**args.n, rng)
+        psi = haar_state_amps(rng.standard_normal(2 * 2**args.n))
         o = canonical_oracle(psi)
         bot = preparation_input(o)  # the flag
         got = o.apply(bot)
@@ -105,8 +107,8 @@ def _verify_oracles(args, checks):
         _check(checks, f"case_{i}_involution", np.max(np.abs(o.apply(got) - bot)), 1e-10)
     # each simulation circuit runs against a fresh random prep oracle, which counts its calls
     rng = trial_rng(args.seed, args.cases)
-    psi = haar_state_amps(2**args.n, rng)
-    ext = np.column_stack([haar_state_amps(2**args.n + 1, rng) for _ in range(2)])  # probes
+    psi = haar_state_amps(rng.standard_normal(2 * 2**args.n))
+    ext = np.column_stack(haar_state_amps(rng.standard_normal((2, 2 * (2**args.n + 1)))))  # probes
     reflected, oracled = ext[:-1], ext
     o = canonical_oracle(psi)
     for t in (1, 2, 3):
@@ -132,7 +134,7 @@ def _verify_uprep(args, checks):
     _check(checks, f"mean_distance_T{args.T}", rep["mean_distance"], rep["bound"])
     start = max(ROTATION_STREAM, args.trials)
     for i, rng in enumerate(trial_streams(args.seed, start, start + 8)):
-        plan = decompose_phi(haar_state_amps(2**args.n, rng), haar_state_amps(2**args.n, rng))
+        plan = decompose_phi(*haar_state_amps(rng.standard_normal((2, 2 * 2**args.n))))
         # R is I + B (E - I) B^dagger; the residual certifies that E moves at most two
         # directions, and R phi = psi_perp tells R from R^dagger, whose eigenvalues agree
         r = rotation_R(plan)
@@ -259,6 +261,21 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _check_writable(path):
+    """Raise the OSError that opening ``path`` for writing would give for a directory at
+    ``path`` or a missing or unwritable directory above it, without creating the file."""
+    parent = os.path.dirname(path) or "."
+    if os.path.isdir(path):
+        code = errno.EISDIR
+    elif not os.path.isdir(parent):
+        code = errno.ENOTDIR if os.path.exists(parent) else errno.ENOENT
+    elif not os.access(path if os.path.exists(path) else parent, os.W_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), path)
+
+
 def main(argv=None) -> int:
     """Run one command: each cmd_* returns (report, summary, exit code) or raises, and
     only this function prints the config, writes the report and maps exceptions."""
@@ -273,6 +290,10 @@ def main(argv=None) -> int:
         if args.emit_config:
             print(json.dumps(config, sort_keys=True, indent=2))
             return 0
+        # a run can take minutes, so the files it ends by writing are checked first
+        for path in (args.out, getattr(args, "csv", None)):
+            if path:
+                _check_writable(path)
         report, summary, rc = args.func(args)
         report["config"] = config
         report["version"] = __version__

@@ -5,6 +5,9 @@ derived from a master seed and a trial counter (see :func:`trial_rng`), so that
 parallel experiment runs reproduce bit-for-bit regardless of scheduling.  Loops
 over many trials take the same ``SeedSequence((seed, i))`` -> PCG64 streams from
 :func:`trial_streams`, which computes the seeding a block of trials at a time.
+:func:`haar_state_amps` and :func:`born_sample` work on rows, so such a loop
+draws each trial's numbers from its stream into a row and then normalizes and
+samples a whole block of rows at once, with the values of one row at a time.
 """
 
 from __future__ import annotations
@@ -220,17 +223,22 @@ class DensityMatrix:
             raise ValueError("density matrix has a negative eigenvalue")
 
 
-def haar_state_amps(dim: int, rng) -> np.ndarray:
-    """Amplitude vector of a Haar-random state, the form every hidden state takes.
+def haar_state_amps(g: np.ndarray) -> np.ndarray:
+    """Amplitude rows of Haar-random states, the form every hidden state takes.
 
-    One ``standard_normal(2 dim)`` call, split into real and imaginary parts:
-    the same draws as two ``standard_normal(dim)`` calls.
+    Each row of ``g`` (the last axis) holds 2 dim standard normals, drawn by
+    one ``rng.standard_normal(2 dim)`` call or two of dim: the first dim are
+    the real parts, the rest the imaginary parts.  A single row gives a single
+    state.  A row's norm is sqrt(re.re + im.im), the value ``np.linalg.norm``
+    gives that row alone, so a block of rows comes out bit-for-bit as its rows
+    one at a time would.  The row is multiplied by 1/norm: numpy's complex
+    division by a real divisor computes exactly that, at several times the cost.
     """
-    g = rng.standard_normal(2 * dim)
-    z = np.empty(dim, dtype=complex)
-    z.real = g[:dim]
-    z.imag = g[dim:]
-    z /= np.linalg.norm(z)
+    dim = g.shape[-1] // 2
+    z = np.empty((*g.shape[:-1], dim), dtype=complex)
+    z.real = g[..., :dim]
+    z.imag = g[..., dim:]
+    z *= 1.0 / np.sqrt(np.vecdot(z.real, z.real) + np.vecdot(z.imag, z.imag))[..., None]
     return z
 
 
@@ -252,7 +260,9 @@ class LazyHaarComplement:
     space onto the rest of the output space, so every answer is distributed
     exactly as under a dense Haar draw (the path-recording view of Ma and
     Huang, "How to Construct Random Unitaries", 2024).  A query costs
-    O(dim * rank) instead of the O(dim^3) of a dense draw.
+    O(dim * rank) instead of the O(dim^3) of a dense draw.  ``rng`` may be
+    None when no query will leave span(|0>): a query that needs a fresh
+    direction then raises ValueError instead of drawing from some other stream.
     """
 
     def __init__(self, dim: int, rng):
@@ -260,6 +270,11 @@ class LazyHaarComplement:
         self.rng = rng
         self.rank = 0
         self._frames = np.zeros((2, min(4, dim), dim), dtype=complex)
+
+    def _generator(self):
+        if self.rng is None:
+            raise ValueError("this Haar complement has no generator to sample a new direction")
+        return self.rng
 
     def apply(self, x) -> np.ndarray:
         return self._map(x, 0, 1)
@@ -284,7 +299,8 @@ class LazyHaarComplement:
         if k == self.dim - 1 or nrm <= 1e-12 * math.sqrt(np.vdot(x, x).real):
             return out
         # r / nrm is a new direction on the src side; pair it with a fresh Haar one on the dst side
-        g = self.rng.standard_normal(self.dim) + 1j * self.rng.standard_normal(self.dim)
+        rng = self._generator()
+        g = rng.standard_normal(self.dim) + 1j * rng.standard_normal(self.dim)
         g[0] = 0.0
         for _ in range(2):
             g -= (b.conj() @ g) @ b
@@ -305,7 +321,7 @@ class LazyHaarComplement:
                 np.linalg.qr(np.hstack([e0, self._frames[f, :k].T]), mode="complete")[0][:, k + 1 :]
                 for f in (0, 1)
             ]
-            h = haar_unitary_mat(m, self.rng)
+            h = haar_unitary_mat(m, self._generator())
             self._frames = np.concatenate(
                 [self._frames[:, :k], np.stack([rest[0].T, (rest[1] @ h).T])], axis=1
             )
@@ -316,16 +332,21 @@ class LazyHaarComplement:
         return w
 
 
-def born_sample(probs: np.ndarray, rng, size=None):
-    """Sample basis indices from a probability vector (renormalized exactly).
+def born_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Basis indices drawn from the rows of a probability matrix (each renormalized
+    exactly), one per uniform in the same row of ``u``; returns an array shaped like u.
 
-    The inverse-CDF draw ``Generator.choice(len(p), size, p=p)`` makes, from
-    the same uniforms, without its argument validation.
+    A row's draws are the inverse-CDF draws ``Generator.choice(len(p), m, p=p)``
+    makes from the same m uniforms, without its argument validation.  Each row
+    is searched on its own, so a block holds O(rows (N + m)) entries.
     """
     p = np.asarray(probs, dtype=float)
-    cdf = np.cumsum(p / p.sum())
-    cdf /= cdf[-1]
-    return cdf.searchsorted(rng.random(size), side="right")
+    cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+    cdf /= cdf[:, -1:]
+    out = np.empty(u.shape, dtype=np.intp)
+    for row, c, x in zip(out, cdf, u):
+        row[:] = c.searchsorted(x, side="right")
+    return out
 
 
 def distance_to_eigenvalue_hull(eigs: np.ndarray):

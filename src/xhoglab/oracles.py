@@ -142,24 +142,28 @@ def _hadamard(m: int) -> np.ndarray:
 
 
 def fwht(vec: np.ndarray) -> np.ndarray:
-    """Unnormalized Walsh-Hadamard transform H_n v of a length-2^n vector.
+    """Unnormalized Walsh-Hadamard transform H_n v of each length-2^n row of ``vec``
+    (the last axis; a single vector is a single row).
 
-    H_n = H_a (x) H_b with a = ceil(n/2), so with v reshaped to a 2^a x 2^b
+    H_n = H_a (x) H_b with a = ceil(n/2), so with a row reshaped to a 2^a x 2^b
     matrix V the transform is H_a V H_b: two matrix products with cached
-    factors of order at most 2^7 (at n = 14).  Sums of +-1 entries are exact
-    in any order, so the transform of a sign table is exact.
+    factors of order at most 2^7 (at n = 14), over a stack of rows at once.
+    Sums of +-1 entries are exact in any order, so the transform of a sign
+    table is exact.
     """
     v = np.asarray(vec)
-    n = len(v).bit_length() - 1
-    if len(v) != 2**n:
-        raise ValueError(f"length {len(v)} is not a power of two")
+    size = v.shape[-1]
+    n = size.bit_length() - 1
+    if size != 2**n:
+        raise ValueError(f"length {size} is not a power of two")
     a = (n + 1) // 2
-    return (_hadamard(a) @ v.reshape(2**a, -1) @ _hadamard(n - a)).reshape(-1)
+    rows = v.reshape(*v.shape[:-1], 2**a, 2 ** (n - a))
+    return (_hadamard(a) @ rows @ _hadamard(n - a)).reshape(v.shape)
 
 
 def fourier_coefficients_float(table: np.ndarray) -> np.ndarray:
-    """The Fourier coefficients f-hat(z) of a sign table."""
-    return fwht(table.astype(float)) / len(table)
+    """The Fourier coefficients f-hat(z) of a sign table, or of each row of a block of them."""
+    return fwht(table.astype(float)) / table.shape[-1]
 
 
 def reflect_about_state(oracle: OracleHandle, amps) -> np.ndarray:
@@ -242,23 +246,29 @@ def preparation_input(oracle: OracleHandle) -> np.ndarray:
     return start
 
 
-def sample_oracle_output(oracle: OracleHandle, rng, copies=1) -> np.ndarray:
-    """Prepare copies of the hidden state, one query each, and measure them.
+def sample_oracle_output(oracles, u: np.ndarray) -> np.ndarray:
+    """Prepare copies of each handle's hidden state, one query each, and measure them.
 
-    For the Fourier family the query sits between Hadamard layers; its exact
-    transform over N gives the amplitudes f-hat(z).  The query maps the
-    all-ones input to the real sign table, so only the real part is
-    transformed.  Every copy is the same state, so one Born CDF serves all of
-    them.  Returns an array of ``copies`` indices, the same as from that many
-    one-copy calls on the same rng.
+    ``oracles`` are handles of one kind and dimension; row j of ``u`` holds the
+    uniforms of handle j's copies, and row j of the result their indices.  Every
+    copy of a handle is the same state, so one Born CDF serves all of a row's
+    copies, with the indices that many one-copy calls would give.  For the
+    Fourier family the query sits between Hadamard layers; its exact transform
+    over N gives the amplitudes f-hat(z).  The query maps the all-ones input to
+    the real sign table, so only the real parts are transformed, all rows at once.
     """
+    copies = u.shape[1]
     if copies < 1:
         raise ValueError("copies must be >= 1")
-    start = preparation_input(oracle)
-    for _ in range(copies):
-        out = oracle.apply(start)
-    if oracle.kind == "canonical":
-        out = out[:-1]
-    elif oracle.kind == "fourier_phase":
-        out = fwht(out.real) / oracle.dim
-    return born_sample(np.abs(out) ** 2, rng, copies)
+    kind, dim = oracles[0].kind, oracles[0].dim
+    start = preparation_input(oracles[0])
+    out = np.empty((len(oracles), dim), dtype=complex)
+    for row, oracle in zip(out, oracles):
+        for _ in range(copies):
+            amps = oracle.apply(start)
+        row[:] = amps
+    if kind == "canonical":
+        out = out[:, :-1]
+    elif kind == "fourier_phase":
+        out = fwht(out.real) / dim
+    return born_sample(np.abs(out) ** 2, u)

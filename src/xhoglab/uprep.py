@@ -107,7 +107,7 @@ def draw_plan(psi: np.ndarray, rng) -> RotationPlan:
     """Haar-random phi, resampling the measure-zero degenerate case with a log line."""
     while True:
         try:
-            return decompose_phi(psi, haar_state_amps(len(psi), rng))
+            return decompose_phi(psi, haar_state_amps(rng.standard_normal(2 * len(psi))))
         except DegenerateStateError:
             log.info("resampled a degenerate helper state at dim %d", len(psi))
 
@@ -190,7 +190,7 @@ def channel_distances(n, t, trials, seed) -> np.ndarray:
     dim = 2**n
     streams = trial_streams(seed, 0, trials)
     if t == 1:  # W and the swap cancel: 2|beta| (t_composed_diamond's t = 1 case)
-        betas = (draw_plan(haar_state_amps(dim, rng), rng).beta for rng in streams)
+        betas = (draw_plan(haar_state_amps(rng.standard_normal(2 * dim)), rng).beta for rng in streams)
         return np.fromiter((2.0 * abs(b) for b in betas), float, count=trials)
     m = min(2 * (t - 1), dim - 1)
     size = max(1, SWEEP_BLOCK_ENTRIES // dim)
@@ -198,7 +198,7 @@ def channel_distances(n, t, trials, seed) -> np.ndarray:
     plans = []
     gauss = np.empty((size, m, 2, dim))
     for i, rng in enumerate(streams):
-        plans.append(draw_plan(haar_state_amps(dim, rng), rng))
+        plans.append(draw_plan(haar_state_amps(rng.standard_normal(2 * dim)), rng))
         rng.standard_normal(out=gauss[len(plans) - 1])
         if len(plans) == size or i == trials - 1:
             dists[i + 1 - len(plans) : i + 1] = _block_distances(plans, gauss[: len(plans)], t)

@@ -42,6 +42,11 @@ from .oracles import (
 STRATEGIES = ("uniform", "naive", "k_copy_mode", "collision_amplify", "argmax")
 FAMILIES = ("canonical", "random_prep", "fourier")
 SCHEDULES = ("fixed", "adaptive")
+# amplitude entries per block of trials, which takes TRIAL_BLOCK_ENTRIES // max(N, k) trials
+# (at least one): a block holds a few arrays of that many entries (draws, states, query
+# outputs, CDFs, copy uniforms), 16 trials at n = 8; 2^15 entries raised the benchmark's
+# mc_trials peak RSS by ~8 % for no further gain
+TRIAL_BLOCK_ENTRIES = 2**12
 
 
 @dataclass(frozen=True)
@@ -92,23 +97,26 @@ class XebEstimate:
             w.writerows(zip(range(self.trials), self.z, self.scores, self.queries))
 
 
-def strategy_uniform(n: int, rng) -> StrategyOutcome:
-    return StrategyOutcome(int(rng.integers(2**n)), 0)
+def strategy_naive_sample(oracles, u) -> np.ndarray:
+    """Prepare one copy of each hidden state, measure, output the result.
+
+    It is ``strategy_k_copy_mode`` with one copy: ``u`` is one uniform per
+    handle, and the same uniform gives the same z.
+    """
+    return strategy_k_copy_mode(oracles, u)
 
 
-def strategy_naive_sample(oracle: OracleHandle, rng) -> StrategyOutcome:
-    """Prepare one copy of the hidden state, measure, output the result."""
-    before = oracle.calls
-    z = int(sample_oracle_output(oracle, rng)[0])
-    return StrategyOutcome(z, oracle.calls - before)
+def strategy_k_copy_mode(oracles, u) -> np.ndarray:
+    """Measure k copies of each hidden state and output the most frequent string
+    (ties: smallest index); row j of ``u`` holds handle j's k uniforms.
 
-
-def strategy_k_copy_mode(oracle: OracleHandle, k: int, rng) -> StrategyOutcome:
-    """Measure k copies and output the most frequent string (ties: smallest index)."""
-    before = oracle.calls
-    counts = np.bincount(sample_oracle_output(oracle, rng, k))
-    z = int(np.argmax(counts))
-    return StrategyOutcome(z, oracle.calls - before, {"counts_max": int(counts.max())})
+    Every row's counts come from one bincount of row-offset indices, so a block
+    holds O(rows (N + k)) entries whatever k is.
+    """
+    zs = sample_oracle_output(oracles, u)
+    rows, width = zs.shape[0], oracles[0].dim
+    counts = np.bincount((zs + width * np.arange(rows)[:, None]).ravel(), minlength=rows * width)
+    return counts.reshape(rows, width).argmax(axis=1)
 
 
 def fixed_grover_iterations(n: int, k: int) -> int:
@@ -127,7 +135,7 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
     """
     before = oracle.calls
     seen = set()
-    for z in sample_oracle_output(oracle, rng, k).tolist():
+    for z in sample_oracle_output([oracle], rng.random((1, k)))[0].tolist():
         if z in seen:
             return StrategyOutcome(z, oracle.calls - before, {"collision": True})
         seen.add(z)
@@ -147,38 +155,77 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
     for _ in range(t_iter):
         state[good] *= -1.0
         state = reflect_about_state(oracle, state)
-    z = int(born_sample(np.abs(state[: 2**n]) ** 2, rng))
+    z = int(born_sample(np.abs(state[None, : 2**n]) ** 2, rng.random((1, 1)))[0, 0])
     aux = {"collision": False, "grover_iterations": t_iter, "amplified_hit": z in seen}
     return StrategyOutcome(z, oracle.calls - before, aux)
 
 
-def strategy_argmax(probs: np.ndarray) -> StrategyOutcome:
-    """Reference (not query-legal): the most likely string, read off the probabilities."""
-    z = int(np.argmax(probs))
-    return StrategyOutcome(z, 0, {"query_model": False})
+def strategy_argmax(probs: np.ndarray) -> np.ndarray:
+    """Reference (not query-legal): each row's most likely string, read off its probabilities."""
+    return np.argmax(probs, axis=1)
 
 
-def _hidden_instance(family, n, rng):
-    """Fresh oracle over a hidden state, and its scoring probabilities, for one trial."""
+def _draw_instance(family, rng, out):
+    """A trial's hidden-instance draws into ``out``: sign bits, or 2N normals."""
     if family == "fourier":
-        table = 1 - 2 * rng.integers(0, 2, size=2**n)  # f(x) = table[x], a uniform sign table
-        return fourier_phase_oracle(table), fourier_coefficients_float(table) ** 2
-    psi = haar_state_amps(2**n, rng)
+        out[:] = rng.integers(0, 2, size=len(out))
+    else:
+        rng.standard_normal(out=out)
+
+
+def _hidden_instances(family, draws, rng=None):
+    """Fresh oracles over hidden states, and their scoring probabilities, for rows of draws.
+
+    A fourier row is the sign table 1 - 2 bits.  ``rng`` serves the random-prep
+    handles' lazy complements: a block's handles are built once its streams are
+    gone, so they get none, and a query needing a fresh direction raises.
+    """
+    if family == "fourier":
+        tables = 1 - 2 * draws  # f(x) = table[x], a uniform sign table
+        return [fourier_phase_oracle(t) for t in tables], fourier_coefficients_float(tables) ** 2
+    psi = haar_state_amps(draws)
     if family == "canonical":
-        return canonical_oracle(psi), np.abs(psi) ** 2
-    return random_prep_oracle(psi, rng), np.abs(psi) ** 2
+        return [canonical_oracle(p) for p in psi], np.abs(psi) ** 2
+    return [random_prep_oracle(p, rng) for p in psi], np.abs(psi) ** 2
 
 
-def _run_strategy(strategy, k, schedule, oracle, probs, n, rng):
-    if strategy == "uniform":
-        return strategy_uniform(n, rng)
-    if strategy == "naive":
-        return strategy_naive_sample(oracle, rng)
-    if strategy == "k_copy_mode":
-        return strategy_k_copy_mode(oracle, k, rng)
-    if strategy == "collision_amplify":
-        return strategy_collision_amplify(oracle, k, rng, schedule)
-    return strategy_argmax(probs)
+def _amplified_trials(family, k, schedule, streams, draws):
+    """collision_amplify, one trial per block: on random prep its lazy complement
+    draws from the trial's stream between the Born draws."""
+    for rng in streams:
+        _draw_instance(family, rng, draws[0])
+        oracles, probs = _hidden_instances(family, draws, rng)
+        yield [strategy_collision_amplify(oracles[0], k, rng, schedule).z], probs, oracles
+
+
+def _trial_blocks(strategy, family, n_dim, copies, trials, streams, draws):
+    """The other strategies, ``len(draws)`` trials per block.
+
+    A Python pass per trial only draws, in the stream order of a trial run
+    alone: the instance, then the copies' uniforms or uniform's string.  The
+    states, Born draws and strategy then run once per block, and every query
+    is still one ``apply`` on that instance's own handle.
+    """
+    u = np.empty((len(draws), copies))
+    picks = np.empty(len(draws), dtype=np.intp)
+    for lo in range(0, trials, len(draws)):
+        rows = min(len(draws), trials - lo)
+        for j, rng in zip(range(rows), streams):
+            _draw_instance(family, rng, draws[j])
+            if strategy == "uniform":
+                picks[j] = rng.integers(n_dim)
+            elif copies:
+                rng.random(out=u[j])
+        oracles, probs = _hidden_instances(family, draws[:rows])
+        if strategy == "uniform":
+            z = picks[:rows]
+        elif strategy == "argmax":
+            z = strategy_argmax(probs)
+        elif strategy == "naive":
+            z = strategy_naive_sample(oracles, u[:rows])
+        else:
+            z = strategy_k_copy_mode(oracles, u[:rows])
+        yield z, probs, oracles
 
 
 def run_experiment(
@@ -195,10 +242,16 @@ def run_experiment(
 
     Trial i draws from the stream ``trial_rng(master_seed, i)``, derived a
     block at a time by ``trial_streams``, so results are bit-identical
-    regardless of execution order and any trial can be replayed alone.  In
-    exact mode (fourier family, naive strategy) the score is the full average
-    over every sign function.  Every rule on the inputs is checked here, before
-    anything is allocated; the strategies and dispatch below assume them.
+    regardless of execution order and any trial can be replayed alone.
+    ``collision_amplify`` runs one trial at a time; the other strategies run
+    in blocks of ``TRIAL_BLOCK_ENTRIES // max(N, k)`` trials (at least one),
+    drawing each trial's numbers from its stream and then normalizing,
+    Born-sampling and scoring the block at once, with the values trial by
+    trial would give.  Every instance keeps its own handle, so each query is
+    one ``apply`` call.  In exact mode (fourier family, naive strategy) the
+    score is the full average over every sign function.  Every rule on the
+    inputs is checked here, before anything is allocated; the strategies and
+    dispatch below assume them.
     """
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}")
@@ -243,13 +296,24 @@ def run_experiment(
     zs = np.empty(trials, dtype=np.int32) if keep_trials else None
     queries = np.empty(trials, dtype=np.int32) if keep_trials else None
     n_dim = 2**n
-    for i, rng in enumerate(streams):
-        oracle, probs = _hidden_instance(family, n, rng)
-        outcome = _run_strategy(strategy, k, schedule, oracle, probs, n, rng)
-        scores[i] = n_dim * probs[outcome.z]
-        total_queries += oracle.calls  # the fresh handle's count, not the strategy's report
+    width, dtype = (n_dim, np.int64) if family == "fourier" else (2 * n_dim, float)
+    if strategy == "collision_amplify":
+        blocks = _amplified_trials(family, k, schedule, streams, np.empty((1, width), dtype))
+    else:
+        copies = {"naive": 1, "k_copy_mode": k}.get(strategy, 0)
+        rows = max(1, TRIAL_BLOCK_ENTRIES // max(n_dim, copies))
+        draws = np.empty((min(rows, trials), width), dtype)
+        blocks = _trial_blocks(strategy, family, n_dim, copies, trials, streams, draws)
+    lo = 0
+    for z, probs, oracles in blocks:
+        hi = lo + len(z)
+        scores[lo:hi] = n_dim * probs[np.arange(len(z)), z]
+        # the fresh handles' counts, not a strategy's report
+        calls = [oracle.calls for oracle in oracles]
+        total_queries += sum(calls)
         if keep_trials:
-            zs[i], queries[i] = outcome.z, oracle.calls
+            zs[lo:hi], queries[lo:hi] = z, calls
+        lo = hi
     std_err = float(scores.std(ddof=1) / math.sqrt(trials)) if trials > 1 else 0.0
     return XebEstimate(
         strategy, family, n, trials, master_seed, float(scores.mean()), std_err,

@@ -81,7 +81,7 @@ def test_criterion_04_symmetrization():
         for k in (1, 2, 3):
             for case in range(100):
                 rng = trial_rng(1000 * n + 100 * k, case)
-                psi = haar_state_amps(2**n, rng)
+                psi = haar_state_amps(rng.standard_normal(2 * 2**n))
                 spec = random_resource(k, rng)
                 worst = max(worst, verify_symmetrization(psi, spec))
     ok = worst <= 1e-10 and (time.perf_counter() - t0) <= 120.0
@@ -91,7 +91,7 @@ def test_criterion_04_symmetrization():
 def test_criterion_05_query_ledgers():
     # every count is an oracle handle's calls; the circuits are looked up on their
     # modules, so the one-query mutations below reach them
-    psi = haar_state_amps(8, trial_rng(5, 1))
+    psi = haar_state_amps(trial_rng(5, 1).standard_normal(2 * 8))
     probes = np.eye(9, 2, -3, dtype=complex)
     ok = True
     for t in (1, 2, 3):
@@ -149,8 +149,8 @@ def test_criterion_06_swap_and_channel_distance():
     # exact swap through the extended-space reflections
     for i in range(20):
         rng = trial_rng(6, i)
-        psi = haar_state_amps(16, rng)
-        phi = haar_state_amps(16, rng)
+        psi = haar_state_amps(rng.standard_normal(2 * 16))
+        phi = haar_state_amps(rng.standard_normal(2 * 16))
         plan = decompose_phi(psi, phi)
         s, _ = swap_via_canonical(psi, plan.psi_perp)
         dev = max(
@@ -161,8 +161,8 @@ def test_criterion_06_swap_and_channel_distance():
     # rotation channel distance equals 2|<psi|phi>| on 100 instances
     for i in range(100):
         rng = trial_rng(60, i)
-        psi = haar_state_amps(8, rng)
-        phi = haar_state_amps(8, rng)
+        psi = haar_state_amps(rng.standard_normal(2 * 8))
+        phi = haar_state_amps(rng.standard_normal(2 * 8))
         plan = decompose_phi(psi, phi)
         d = unitary_channel_diamond_distance(rotation_R(plan), UnitaryOp(np.eye(8)))
         ok = ok and abs(d - 2 * abs(np.vdot(psi, phi))) <= 1e-8

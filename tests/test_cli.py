@@ -108,11 +108,15 @@ def test_xhog_exact_with_csv_is_a_usage_error_before_any_work(tmp_path, capsys):
     assert not rows.exists() and not out.exists()
 
 
-def test_xhog_unwritable_out_is_io_error(tmp_path, capsys):
-    rc = main(["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2",
-               "--trials", "5", "--seed", "3", "--out", str(tmp_path / "no" / "dir.json")])
-    assert rc == 3
-    capsys.readouterr()
+def test_xhog_unwritable_out_is_io_error(tmp_path, capsys, monkeypatch):
+    # checked before the run, which at --trials 2^25 takes half an hour, and created by neither
+    monkeypatch.setattr(xhog, "run_experiment", _raising(AssertionError("the run started")))
+    for out in (tmp_path / "no" / "dir.json", tmp_path):
+        rc = main(["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2",
+                   "--trials", "5", "--seed", "3", "--out", str(out)])
+        assert rc == 3
+        assert capsys.readouterr().err.startswith("I/O error:")
+    assert not (tmp_path / "no").exists()
 
 
 def test_xhog_qubit_count_out_of_range_is_usage_error(capsys):
@@ -518,10 +522,12 @@ def _raising(exc):
      1, "error: internal cross-check failed: 1 != 2"),
     (["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2", "--seed", "1"],
      "run_experiment", ValueError("no such run"), 2, "error: no such run"),
-    (["verify", "oracles", "-n", "1", "--cases", "1", "--seed", "1", "--out", "{tmp}/no/v.json"],
-     None, None, 3, "I/O error:"),
+    # the unwritable path is reported before the command's work, which would raise here
+    (["verify", "simplex", "-N", "8", "--trials", "100", "--seed", "1", "--out", "{tmp}/no/v.json"],
+     "max_xeb_mc", AssertionError("the sweep ran"), 3, "I/O error:"),
     (["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2", "--trials", "5",
-      "--seed", "1", "--csv", "{tmp}/no/rows.csv"], None, None, 3, "I/O error:"),
+      "--seed", "1", "--csv", "{tmp}/no/rows.csv"],
+     "run_experiment", AssertionError("the run started"), 3, "I/O error:"),
 ], ids=["certificate", "cross-check", "value", "report-write", "csv-write"])
 def test_each_mapped_exception_exits_with_its_code(argv, patch, exc, rc, prefix, tmp_path,
                                                    monkeypatch, capsys):

@@ -20,11 +20,22 @@ from xhoglab.xhog import _exponential_chunks
 
 
 def test_haar_state_norm_and_determinism():
-    s1 = haar_state_amps(8, np.random.default_rng(42))
-    s2 = haar_state_amps(8, np.random.default_rng(42))
+    s1 = haar_state_amps(np.random.default_rng(42).standard_normal(2 * 8))
+    s2 = haar_state_amps(np.random.default_rng(42).standard_normal(2 * 8))
     assert abs(np.vdot(s1, s1).real - 1.0) < 1e-12
     assert np.array_equal(s1, s2)
-    assert not np.array_equal(s1, haar_state_amps(8, np.random.default_rng(43)))
+    assert not np.array_equal(s1, haar_state_amps(np.random.default_rng(43).standard_normal(2 * 8)))
+
+
+@pytest.mark.parametrize("n", [1, 3, 8, 14])
+def test_haar_state_rows_match_single_rows(n):
+    # a block is normalized bit-for-bit as its rows one at a time, and as np.linalg.norm does
+    g = trial_rng(41, n).standard_normal((5, 2 * 2**n))
+    block = haar_state_amps(g)
+    for row, want in zip(g, block):
+        assert np.array_equal(haar_state_amps(row), want)
+        z = row[: 2**n] + 1j * row[2**n :]
+        assert np.array_equal(z / np.linalg.norm(z), want)
 
 
 def test_haar_state_range_check():
@@ -41,7 +52,7 @@ def test_haar_state_first_moment():
     rng = trial_rng(7, 0)
     acc = 0.0
     for _ in range(trials):
-        acc += abs(linalg.haar_state_amps(4, rng)[0]) ** 2
+        acc += abs(linalg.haar_state_amps(rng.standard_normal(2 * 4))[0]) ** 2
     mean = acc / trials
     # |<0|psi>|^2 ~ Beta(1, 3): mean 1/4, var 3/80
     se = math.sqrt(3 / 80 / trials)
@@ -160,24 +171,30 @@ def test_trial_streams_match_trial_rng(capsys):
 
 
 def test_measure_computational_point_mass():
-    assert linalg.born_sample(np.eye(8)[5] ** 2, trial_rng(0, 0)) == 5
+    assert linalg.born_sample(np.eye(8)[[5]] ** 2, trial_rng(0, 0).random((1, 1))) == [[5]]
+    u = trial_rng(0, 1).random((2, 3))
+    assert linalg.born_sample(np.eye(8)[[5, 2]] ** 2, u).tolist() == [[5] * 3, [2] * 3]
 
 
 def test_born_sample_is_generator_choice():
-    # the same inverse-CDF draw from the same uniforms, so seeded runs match
+    # each row's draws are the inverse-CDF draws of choice from the same uniforms, so seeded
+    # runs match, and a block of rows gives each row's own draws
     for n in (1, 5, 256):
-        probs = np.abs(trial_rng(3, n).normal(size=n)) ** 2
-        for size in (None, 7):
-            mine, ref = trial_rng(4, n), trial_rng(4, n)
-            want = ref.choice(n, size=size, p=probs / probs.sum())
-            assert np.array_equal(linalg.born_sample(probs, mine, size=size), want)
-            assert mine.random() == ref.random()
+        probs = np.abs(trial_rng(3, n).normal(size=(4, n))) ** 2
+        for size in (1, 7):
+            u = np.stack([trial_rng(4, 10 * n + j).random(size) for j in range(4)])
+            want = [trial_rng(4, 10 * n + j).choice(n, size=size, p=p / p.sum())
+                    for j, p in enumerate(probs)]
+            assert np.array_equal(linalg.born_sample(probs, u), want)
+            for j in range(4):
+                assert np.array_equal(linalg.born_sample(probs[[j]], u[[j]])[0], want[j])
 
 
 def test_measure_computational_born_rule():
     state = np.array([math.sqrt(0.09), math.sqrt(0.91)])
     # one batched draw takes the same uniforms as 10^5 scalar draws
-    hits = int(np.sum(linalg.born_sample(np.abs(state) ** 2, trial_rng(13, 0), size=100_000) == 0))
+    u = trial_rng(13, 0).random((1, 100_000))
+    hits = int(np.sum(linalg.born_sample(np.abs(state[None]) ** 2, u) == 0))
     p = hits / 100000
     assert abs(p - 0.09) < 3 * math.sqrt(0.09 * 0.91 / 100000)
 
@@ -227,7 +244,7 @@ def test_from_update_matches_dense_formulas():
     rng = trial_rng(67, 0)
     for dim in (2, 5, 16):
         # a rank-one reflection, as built before from np.outer
-        v = linalg.haar_state_amps(dim, rng)
+        v = linalg.haar_state_amps(rng.standard_normal(2 * dim))
         op = UnitaryOp.from_update(v[:, None], [[-1.0]])
         assert np.max(np.abs(op.mat - (np.eye(dim) - 2.0 * np.outer(v, v.conj())))) < 1e-14
         # a rank-2 rotation block and a Haar block of rank 3, against I + B (E - I) B^dagger
@@ -304,6 +321,6 @@ def test_bot_state_layout():
     # the flag is the last basis index of the extended space, the canonical oracle's input
     from xhoglab.oracles import canonical_oracle, preparation_input
 
-    psi = haar_state_amps(4, trial_rng(5, 0))
+    psi = haar_state_amps(trial_rng(5, 0).standard_normal(2 * 4))
     b = preparation_input(canonical_oracle(psi))
     assert len(b) == 5 and np.array_equal(b, np.eye(5)[4])

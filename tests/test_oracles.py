@@ -18,7 +18,7 @@ from xhoglab.oracles import (
 
 
 def _haar_state(n, seed):
-    return haar_state_amps(2**n, np.random.default_rng(seed))
+    return haar_state_amps(np.random.default_rng(seed).standard_normal(2 * 2**n))
 
 
 def _sign_table(n, rng):
@@ -299,6 +299,16 @@ def test_fwht_matches_the_hadamard_matrix():
         oracles.fwht(np.ones(6))
 
 
+def test_fwht_transforms_each_row():
+    rng = trial_rng(63, 0)
+    for n in (0, 1, 5, 8):
+        signs = 1 - 2 * rng.integers(0, 2, size=(3, 2, 2**n))
+        block = oracles.fwht(signs.astype(float))
+        assert block.shape == signs.shape
+        for row, want in zip(signs.reshape(-1, 2**n), block.reshape(-1, 2**n)):
+            assert np.array_equal(oracles.fwht(row), want)  # exact on +-1 rows
+
+
 def test_fwht_squares_to_n_times_identity():
     n = 14
     rng = trial_rng(67, 0)
@@ -319,20 +329,34 @@ def test_sampled_copies_match_single_copies(k):
     for n in (1, 3, 6):
         batch_side, single_side = _sampling_oracles(n, trial_rng(71, n)), _sampling_oracles(n, trial_rng(71, n))
         for batch, single in zip(batch_side, single_side):
-            mine, twin = trial_rng(73, n), trial_rng(73, n)
-            zs = oracles.sample_oracle_output(batch, mine, k)
+            u = trial_rng(73, n).random((1, k))
+            zs = oracles.sample_oracle_output([batch], u)
             assert batch.calls == k  # one query per copy
-            singles = [oracles.sample_oracle_output(single, twin) for _ in range(k)]
-            assert zs.tolist() == np.concatenate(singles).tolist()
+            singles = [oracles.sample_oracle_output([single], u[:, [j]]) for j in range(k)]
+            assert zs.tolist() == np.concatenate(singles, axis=1).tolist()
             assert single.calls == k
-            assert mine.random() == twin.random()
     with pytest.raises(ValueError):
-        oracles.sample_oracle_output(canonical_oracle(_haar_state(1, 0)), trial_rng(73, 0), 0)
+        oracles.sample_oracle_output([canonical_oracle(_haar_state(1, 0))], np.empty((1, 0)))
+
+
+def test_a_block_of_handles_samples_as_each_handle_alone():
+    # one query per copy on each handle, and each row the draws of its handle on its own
+    for n in (1, 4):
+        rows = [_sampling_oracles(n, trial_rng(75, j)) for j in range(5)]
+        alone = [_sampling_oracles(n, trial_rng(75, j)) for j in range(5)]
+        u = trial_rng(77, n).random((5, 3))
+        for family in range(3):
+            block = [r[family] for r in rows]
+            zs = oracles.sample_oracle_output(block, u)
+            assert [h.calls for h in block] == [3] * 5
+            for j, handles in enumerate(alone):
+                assert zs[j].tolist() == oracles.sample_oracle_output([handles[family]], u[[j]])[0].tolist()
 
 
 def test_fourier_sampler_draws_from_the_squared_coefficients():
     for n in (3, 5, 9):
         f = _sign_table(n, trial_rng(79, n))
-        zs = oracles.sample_oracle_output(fourier_phase_oracle(f), trial_rng(83, n), 50)
-        want = born_sample(oracles.fourier_coefficients_float(f) ** 2, trial_rng(83, n), 50)
+        u = trial_rng(83, n).random((1, 50))
+        zs = oracles.sample_oracle_output([fourier_phase_oracle(f)], u)
+        want = born_sample(oracles.fourier_coefficients_float(f)[None] ** 2, u)
         assert np.array_equal(zs, want)

@@ -32,7 +32,7 @@ def test_mixed_radix_roundtrip():
 
 
 def test_build_R_single_factor():
-    psi = haar_state_amps(4, trial_rng(1, 0))
+    psi = haar_state_amps(trial_rng(1, 0).standard_normal(2 * 4))
     r = build_R(psi, ((1, 0),))
     assert np.max(np.abs(r - np.append(psi, 0))) < 1e-12
     r = build_R(psi, ((0, 1),))
@@ -51,7 +51,7 @@ def test_build_R_hand_tensor():
 
 
 def test_sigma_single_factor_dephasing():
-    psi = haar_state_amps(4, trial_rng(2, 0))
+    psi = haar_state_amps(trial_rng(2, 0).standard_normal(2 * 4))
     sig = sigma_R_exact(psi, ((1, 0),))
     want = np.zeros((5, 5), dtype=complex)
     want[:4, :4] = np.diag(np.abs(psi) ** 2)
@@ -62,7 +62,7 @@ def test_sigma_single_factor_dephasing():
 
 def test_sigma_zero_and_nonzero_pattern():
     rng = trial_rng(3, 0)
-    psi = haar_state_amps(2, rng)
+    psi = haar_state_amps(rng.standard_normal(2 * 2))
     spec = random_resource(2, rng)
     sig = sigma_R_exact(psi, spec)
     r = build_R(psi, spec)
@@ -93,7 +93,7 @@ def test_rho_hand_enumeration_block():
 
 def test_rho_all_bot_spec():
     # every factor is the flag, so every run outputs the all-flag string
-    psi = haar_state_amps(2, trial_rng(4, 0))
+    psi = haar_state_amps(trial_rng(4, 0).standard_normal(2 * 2))
     rho = rho_R_protocol_exact(psi, ((0, 1), (0, 1)))
     want = np.zeros(9)
     want[index_of((2, 2), 3)] = 1.0
@@ -105,7 +105,7 @@ def test_verify_symmetrization_randomized():
         for k in (1, 2, 3):
             for case in range(5):
                 rng = trial_rng(100 * n + 10 * k, case)
-                psi = haar_state_amps(2**n, rng)
+                psi = haar_state_amps(rng.standard_normal(2 * 2**n))
                 spec = random_resource(k, rng)
                 assert verify_symmetrization(psi, spec) <= 1e-10
 
@@ -117,7 +117,7 @@ def test_verify_symmetrization_equals_dense_references():
             if (2**n + 1) ** k > 729:
                 break
             rng = trial_rng(200 + n, k)
-            psi = haar_state_amps(2**n, rng)
+            psi = haar_state_amps(rng.standard_normal(2 * 2**n))
             spec = random_resource(k, rng)
             dense = np.max(np.abs(sigma_R_exact(psi, spec).mat - rho_R_protocol_exact(psi, spec).mat))
             assert verify_symmetrization(psi, spec) == dense
@@ -128,7 +128,7 @@ def test_slices_cover_every_group_once(monkeypatch):
     from xhoglab import symmetrize
 
     rng = trial_rng(8, 0)
-    psi = haar_state_amps(4, rng)
+    psi = haar_state_amps(rng.standard_normal(2 * 4))
     spec = random_resource(4, rng)
     want = verify_symmetrization(psi, spec)
     layout = group_layout(5, 4)
@@ -150,7 +150,7 @@ def test_verify_symmetrization_checks_the_protocol_trace(monkeypatch):
 
     monkeypatch.setattr(symmetrize, "_protocol_amplitudes", halved)
     rng = trial_rng(9, 0)
-    psi = haar_state_amps(4, rng)
+    psi = haar_state_amps(rng.standard_normal(2 * 4))
     with pytest.raises(ValueError, match="trace"):
         verify_symmetrization(psi, random_resource(2, rng))
 
@@ -204,7 +204,7 @@ def test_dimension_cap():
     for k in (5, 6):
         with pytest.raises(ValueError, match="exceeds the block cap"):
             check_block_cap(16, k)
-    psi = haar_state_amps(2**4, trial_rng(7, 0))
+    psi = haar_state_amps(trial_rng(7, 0).standard_normal(2 * 2**4))
     assert len(build_R(psi, random_resource(2, trial_rng(7, 2)))) == 17**2
     assert block_entries(17, 4) <= BLOCK_CAP < block_entries(17, 5)  # 1.7e6 and 1.3e8
     # the dense references stop at (N+1)^k = 729; 17^3 = 4913 is over it

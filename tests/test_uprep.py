@@ -31,8 +31,8 @@ from xhoglab.uprep import (
 def _pair(dim, seed):
     rng = trial_rng(seed, 0)
     return (
-        haar_state_amps(dim, rng),
-        haar_state_amps(dim, rng),
+        haar_state_amps(rng.standard_normal(2 * dim)),
+        haar_state_amps(rng.standard_normal(2 * dim)),
         rng,
     )
 
@@ -103,8 +103,8 @@ def test_rotation_identity_when_already_perp():
 def test_rotation_channel_distance_equality():
     for i in range(10):
         rng = trial_rng(11, i)
-        psi = haar_state_amps(4, rng)
-        phi = haar_state_amps(4, rng)
+        psi = haar_state_amps(rng.standard_normal(2 * 4))
+        phi = haar_state_amps(rng.standard_normal(2 * 4))
         plan = decompose_phi(psi, phi)
         d = unitary_channel_diamond_distance(rotation_R(plan), UnitaryOp(np.eye(4)))
         assert abs(d - 2 * abs(plan.beta)) < 1e-8
@@ -114,8 +114,8 @@ def test_rank2_rotation_distance_matches_dense():
     for n in range(1, 9):
         for i in range(3):
             rng = trial_rng(37, 100 * n + i)
-            plan = decompose_phi(haar_state_amps(2**n, rng),
-                                 haar_state_amps(2**n, rng))
+            plan = decompose_phi(haar_state_amps(rng.standard_normal(2 * 2**n)),
+                                 haar_state_amps(rng.standard_normal(2 * 2**n)))
             r = rotation_R(plan)
             d, residual = rank2_update_distance(r.basis, r.block)
             dense = unitary_channel_diamond_distance(r, UnitaryOp(np.eye(2**n)))
@@ -181,7 +181,7 @@ def test_closed_form_swap_matches_the_handle_route():
 
 
 def test_simulate_ideal_first_column_and_ledger():
-    psi = haar_state_amps(16, trial_rng(17, 0))
+    psi = haar_state_amps(trial_rng(17, 0).standard_normal(2 * 16))
     for t in (1, 2, 3):
         _, calls = simulate_U_psi(psi, trial_rng(17, 1), "ideal", t=t)
         assert calls == 2 * t
@@ -192,7 +192,7 @@ def test_simulate_ideal_first_column_and_ledger():
 
 
 def test_simulate_single_call_distance():
-    psi = haar_state_amps(16, trial_rng(19, 0))
+    psi = haar_state_amps(trial_rng(19, 0).standard_normal(2 * 16))
     ui, _ = simulate_U_psi(psi, trial_rng(19, 1), "ideal")
     ua, _ = simulate_U_psi(psi, trial_rng(19, 1), "approximate")
     plan = draw_plan(psi, trial_rng(19, 1))
@@ -202,7 +202,7 @@ def test_simulate_single_call_distance():
 
 def test_simulate_ideal_complement_first_moment():
     # entries off the fixed first column should average to ~0 over seeds
-    psi = haar_state_amps(4, trial_rng(23, 0))
+    psi = haar_state_amps(trial_rng(23, 0).standard_normal(2 * 4))
     trials = 4000
     acc = np.zeros((4, 3), dtype=complex)
     for i in range(trials):
@@ -216,7 +216,7 @@ def test_t_composed_fast_path_matches_dense():
     # the lazy path queries W first; the dense composition uses the same W, materialized
     for i in range(5):
         rng = trial_rng(29, i)
-        psi = haar_state_amps(16, rng)
+        psi = haar_state_amps(rng.standard_normal(2 * 16))
         plan = draw_plan(psi, rng)
         sampler = LazyHaarComplement(16, rng)
         lazy = {t: t_composed_diamond(plan, sampler, t) for t in (1, 2, 3)}
@@ -231,7 +231,7 @@ def _mean_t_composed(n, t, draws, seed, dense):
     dists = np.empty(draws)
     for i in range(draws):
         rng = trial_rng(seed, i)
-        psi = haar_state_amps(2**n, rng)
+        psi = haar_state_amps(rng.standard_normal(2 * 2**n))
         plan = draw_plan(psi, rng)
         w = LazyHaarComplement(2**n, rng)
         if dense:
@@ -268,7 +268,7 @@ def _per_draw(n, t, trials, seed):
     out = []
     for i in range(trials):
         rng = trial_rng(seed, i)
-        plan = uprep.draw_plan(uprep.haar_state_amps(2**n, rng), rng)
+        plan = uprep.draw_plan(uprep.haar_state_amps(rng.standard_normal(2 * 2**n)), rng)
         out.append(t_composed_diamond(plan, LazyHaarComplement(2**n, rng), t))
     return np.array(out)
 
@@ -304,11 +304,11 @@ def test_a_draw_with_no_new_direction_stays_in_the_block(n, t, monkeypatch):
     # complement draws no direction there and their later queries take earlier Gaussians;
     # at (4, 3) their columns are rank-deficient, and at n = 1, 2 the frame fills early
     seed, trials, odd = 81, 12, (2, 5)
-    targets = [haar_state_amps(2**n, trial_rng(seed, j)) for j in odd]
+    targets = [haar_state_amps(trial_rng(seed, j).standard_normal(2 * 2**n)) for j in odd]
 
-    def amps(dim, rng):
-        z = haar_state_amps(dim, rng)
-        return np.eye(dim, dtype=complex)[0] if any(np.array_equal(z, x) for x in targets) else z
+    def amps(g):
+        z = haar_state_amps(g)
+        return np.eye(len(z), dtype=complex)[0] if any(np.array_equal(z, x) for x in targets) else z
 
     monkeypatch.setattr(uprep, "haar_state_amps", amps)
     with monkeypatch.context() as m:

@@ -1,3 +1,4 @@
+import csv
 import math
 import tracemalloc
 from fractions import Fraction
@@ -7,7 +8,14 @@ import pytest
 
 from xhoglab import linalg, xhog
 from xhoglab.linalg import MAX_DIM, MAX_TRIALS, haar_state_amps, trial_rng
-from xhoglab.oracles import canonical_oracle, random_prep_oracle
+from xhoglab.oracles import (
+    OracleHandle,
+    canonical_oracle,
+    fourier_coefficients_float,
+    fourier_phase_oracle,
+    random_prep_oracle,
+    sample_oracle_output,
+)
 from xhoglab.xhog import (
     collision_rate_mc,
     fixed_grover_iterations,
@@ -17,13 +25,12 @@ from xhoglab.xhog import (
     strategy_collision_amplify,
     strategy_k_copy_mode,
     strategy_naive_sample,
-    strategy_uniform,
 )
 
 
 def test_xeb_score_uniform_is_one():
     # the runner scores output z as N * probs[z]; a uniform z averages to 1
-    probs = np.abs(haar_state_amps(8, trial_rng(1, 0))) ** 2
+    probs = np.abs(haar_state_amps(trial_rng(1, 0).standard_normal(2 * 8))) ** 2
     assert abs(np.mean(8 * probs[np.arange(8)]) - 1.0) < 1e-12
 
 
@@ -37,22 +44,27 @@ def test_xeb_score_born_average():
     trials = 20000
     vals = np.empty(trials)
     for i in range(trials):
-        probs = np.abs(haar_state_amps(8, trial_rng(2, i))) ** 2
+        probs = np.abs(haar_state_amps(trial_rng(2, i).standard_normal(2 * 8))) ** 2
         vals[i] = np.dot(probs, 8 * probs)
     se = vals.std(ddof=1) / math.sqrt(trials)
     assert abs(vals.mean() - 16 / 9) < 3 * se
 
 
 def test_strategy_uniform():
-    out = strategy_uniform(3, trial_rng(3, 0))
-    assert 0 <= out.z < 8 and out.queries_used == 0
-    assert strategy_uniform(3, trial_rng(3, 0)).z == out.z
+    # uniform's string is the trial's rng.integers(N), drawn after its instance; no query
+    est = run_experiment("uniform", "canonical", 3, 20, 3, keep_trials=True)
+    assert all(0 <= z < 8 for z in est.z) and est.total_queries == 0
+    for i in (0, 19):
+        rng = trial_rng(3, i)
+        rng.standard_normal(16)
+        assert est.z[i] == rng.integers(8)
+    assert np.array_equal(run_experiment("uniform", "canonical", 3, 20, 3, keep_trials=True).z, est.z)
 
 
 def test_strategy_naive_point_state():
-    oracle = canonical_oracle(np.eye(16)[0])
-    out = strategy_naive_sample(oracle, trial_rng(4, 0))
-    assert out.z == 0 and out.queries_used == 1
+    handles = [canonical_oracle(np.eye(16)[0]), canonical_oracle(np.eye(16)[5])]
+    z = strategy_naive_sample(handles, trial_rng(4, 0).random((2, 1)))
+    assert z.tolist() == [0, 5] and [h.calls for h in handles] == [1, 1]
 
 
 def test_strategy_naive_all_families():
@@ -62,49 +74,121 @@ def test_strategy_naive_all_families():
 
 
 def test_run_experiment_hands_strategies_only_the_queries(monkeypatch):
-    # no accessor reaches the hidden state: a strategy sees the handle's kind, dim, query
-    # count and the three query methods
+    # no accessor reaches the hidden state: a strategy sees each handle's kind, dim, query
+    # count and the three query methods; 3-trial blocks put block edges inside each run
     seen = []
 
-    def inspecting(oracle, rng):
-        seen.append({name for name in dir(oracle) if not name.startswith("_")})
-        return xhog.StrategyOutcome(0, 0)
+    def inspecting(oracles, u):
+        seen.extend({name for name in dir(oracle) if not name.startswith("_")} for oracle in oracles)
+        return np.zeros(len(oracles), dtype=np.intp)
 
     monkeypatch.setattr(xhog, "strategy_naive_sample", inspecting)
+    monkeypatch.setattr(xhog, "TRIAL_BLOCK_ENTRIES", 3 * 4)
     for family in xhog.FAMILIES:
-        run_experiment("naive", family, 2, 1, 5)
+        run_experiment("naive", family, 2, 7, 5)
     public = {"apply", "apply_adjoint", "apply_controlled", "calls", "dim", "kind"}
-    assert seen == [public] * len(xhog.FAMILIES)
+    assert seen == [public] * (7 * len(xhog.FAMILIES))
 
 
 def test_run_experiment_counts_queries_on_the_handle(monkeypatch):
-    # a strategy that under-reports its queries cannot lower the total or the CSV column
+    # a block strategy reports no query count: the total and the CSV column are the
+    # handles' own calls
     real = xhog.strategy_naive_sample
+    handles = []
 
-    def under_reporting(oracle, rng):
-        return xhog.StrategyOutcome(real(oracle, rng).z, 0)
+    def recording(oracles, u):
+        handles.extend(oracles)
+        return real(oracles, u)
 
-    monkeypatch.setattr(xhog, "strategy_naive_sample", under_reporting)
+    monkeypatch.setattr(xhog, "strategy_naive_sample", recording)
+    monkeypatch.setattr(xhog, "TRIAL_BLOCK_ENTRIES", 3 * 8)
     for family in xhog.FAMILIES:
+        handles.clear()
         est = run_experiment("naive", family, 3, 20, 6, keep_trials=True)
-        assert est.total_queries == 20
+        assert est.total_queries == 20 == sum(h.calls for h in handles)
         assert est.queries.tolist() == [1] * 20
 
 
+def test_every_query_is_one_handle_call(monkeypatch, tmp_path):
+    # the benchmark's tracer counts one query per OracleHandle.apply* call and checks the
+    # count against total_queries, so no handle may serve several trials or queries
+    counted = [0]
+
+    def counting(real):
+        def apply(self, amps):
+            counted[0] += 1
+            return real(self, amps)
+        return apply
+
+    for attr in ("apply", "apply_adjoint", "apply_controlled"):
+        monkeypatch.setattr(OracleHandle, attr, counting(getattr(OracleHandle, attr)))
+    monkeypatch.setattr(xhog, "TRIAL_BLOCK_ENTRIES", 20)
+    ran = 0
+    for strategy in xhog.STRATEGIES:
+        for family in xhog.FAMILIES:
+            for n in (1, 3):
+                if strategy == "collision_amplify" and family == "fourier":
+                    continue  # no state reflection; a usage error
+                counted[0] = 0
+                est = run_experiment(strategy, family, n, 11, 29, {"k": 3}, keep_trials=True)
+                est.write_csv(tmp_path / "rows.csv")
+                with open(tmp_path / "rows.csv") as fh:
+                    column = sum(int(row["queries"]) for row in csv.DictReader(fh))
+                assert counted[0] == est.total_queries == column, (strategy, family, n)
+                ran += 1
+    assert ran == 2 * (3 * 5 - 1)
+
+
+@pytest.mark.parametrize("n", [1, 12])
+def test_k_copy_block_memory_is_bounded_whatever_k(n):
+    # a block holds O(rows (N + k)) entries; (rows, k, N) comparisons and (rows, k, k) tie
+    # counts peaked at 513 MiB (n = 1) and 259 MiB (n = 14)
+    run_experiment("k_copy_mode", "canonical", n, 1, 1, {"k": 2})  # first-call allocations
+    tracemalloc.start()
+    try:
+        run_experiment("k_copy_mode", "canonical", n, 2, 1, {"k": MAX_DIM})
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+
+
 def test_k_copy_mode_tie_break_smallest():
-    # flat state: all outcomes equally likely, mode of distinct draws is smallest
+    # flat state: all outcomes equally likely; each row's mode, ties to the smallest string
     psi = np.full(4, 0.5)
-    rng = trial_rng(6, 0)
-    out = strategy_k_copy_mode(canonical_oracle(psi), 3, rng)
-    assert out.queries_used == 3
-    assert 0 <= out.z < 4
+    u = trial_rng(6, 0).random((6, 3))
+    handles = [canonical_oracle(psi) for _ in range(6)]
+    z = strategy_k_copy_mode(handles, u)
+    assert [h.calls for h in handles] == [3] * 6
+    samples = sample_oracle_output([canonical_oracle(psi) for _ in range(6)], u)
+    for got, row in zip(z, samples):
+        counts = [row.tolist().count(s) for s in range(4)]
+        assert got == counts.index(max(counts))
+    assert any(len(set(row)) == 3 for row in samples.tolist())  # a three-way tie is seen
 
 
 def test_k_copy_reduces_to_naive_at_k1():
-    psi = haar_state_amps(8, trial_rng(7, 0))
-    a = strategy_k_copy_mode(canonical_oracle(psi), 1, trial_rng(7, 1))
-    b = strategy_naive_sample(canonical_oracle(psi), trial_rng(7, 1))
-    assert a.z == b.z
+    psi = haar_state_amps(trial_rng(7, 0).standard_normal((5, 2 * 8)))
+    u = trial_rng(7, 1).random((5, 1))
+    a = strategy_k_copy_mode([canonical_oracle(p) for p in psi], u)
+    b = strategy_naive_sample([canonical_oracle(p) for p in psi], u)
+    assert a.tolist() == b.tolist()
+
+
+def test_block_random_prep_handles_cannot_draw(monkeypatch):
+    # a block's random-prep handles are built after its streams are gone, so a query that
+    # needs a fresh Haar direction raises, a usage-class error, instead of drawing
+    handles = []
+    real = xhog.strategy_naive_sample
+
+    def keeping(oracles, u):
+        handles.extend(oracles)
+        return real(oracles, u)
+
+    monkeypatch.setattr(xhog, "strategy_naive_sample", keeping)
+    run_experiment("naive", "random_prep", 3, 4, 2)
+    with pytest.raises(ValueError, match="no generator"):
+        handles[0].apply(np.eye(8)[1])
 
 
 def test_posterior_monte_carlo():
@@ -150,7 +234,7 @@ def test_collision_amplify_queries_and_validity():
     hits = 0
     for i in range(50):
         rng = trial_rng(11, i)
-        psi = haar_state_amps(64, rng)
+        psi = haar_state_amps(rng.standard_normal(2 * 64))
         out = strategy_collision_amplify(canonical_oracle(psi), 4, rng)
         t = fixed_grover_iterations(6, 4)
         if out.auxiliary.get("collision"):
@@ -163,7 +247,7 @@ def test_collision_amplify_queries_and_validity():
 
 def test_collision_amplify_random_prep_family():
     rng = trial_rng(12, 0)
-    psi = haar_state_amps(16, rng)
+    psi = haar_state_amps(rng.standard_normal(2 * 16))
     out = strategy_collision_amplify(random_prep_oracle(psi, rng), 3, rng)
     assert 0 <= out.z < 16
 
@@ -257,16 +341,15 @@ def test_mc_helpers_match_a_per_draw_loop(n):
 
 
 def test_strategy_argmax():
-    out = strategy_argmax(np.abs(np.eye(8)[3]) ** 2)
-    assert out.z == 3
-    assert out.auxiliary == {"query_model": False}
+    assert strategy_argmax(np.abs(np.eye(8)[[3, 6]]) ** 2).tolist() == [3, 6]
+    assert strategy_argmax(np.full((1, 4), 0.25)).tolist() == [0]  # ties: the smallest string
 
 
 def test_argmax_matches_simplex_statistics():
     trials = 20000
     vals = np.empty(trials)
     for i in range(trials):
-        psi = haar_state_amps(16, trial_rng(15, i))
+        psi = haar_state_amps(trial_rng(15, i).standard_normal(2 * 16))
         vals[i] = (np.abs(psi) ** 2).max()
     target = float(sum(Fraction(1, j) for j in range(1, 17)) / 16)
     se = vals.std(ddof=1) / math.sqrt(trials)
@@ -327,21 +410,36 @@ def test_run_experiment_reproducible_and_ledger_consistent():
 
 
 def _reference_loop(strategy, family, n, trials, seed, params):
-    """The runner's trials, one trial_rng stream each."""
+    """The runner's trials, one trial_rng stream and one instance at a time."""
     k, schedule = params.get("k", 2), params.get("schedule", "fixed")
+    n_dim = 2**n
     zs, scores, queries = [], [], []
     for i in range(trials):
         rng = trial_rng(seed, i)
-        oracle, probs = xhog._hidden_instance(family, n, rng)
-        outcome = xhog._run_strategy(strategy, k, schedule, oracle, probs, n, rng)
-        zs.append(outcome.z)
-        scores.append(2**n * probs[outcome.z])
-        queries.append(outcome.queries_used)
+        if family == "fourier":
+            table = 1 - 2 * rng.integers(0, 2, size=n_dim)
+            oracle, probs = fourier_phase_oracle(table), fourier_coefficients_float(table) ** 2
+        else:
+            psi = haar_state_amps(rng.standard_normal(2 * n_dim))
+            oracle = canonical_oracle(psi) if family == "canonical" else random_prep_oracle(psi, rng)
+            probs = np.abs(psi) ** 2
+        if strategy == "uniform":
+            z = int(rng.integers(n_dim))
+        elif strategy == "argmax":
+            z = int(np.argmax(probs))
+        elif strategy == "collision_amplify":
+            z = strategy_collision_amplify(oracle, k, rng, schedule).z
+        else:
+            copies = 1 if strategy == "naive" else k
+            z = int(np.argmax(np.bincount(sample_oracle_output([oracle], rng.random((1, copies)))[0])))
+        zs.append(z)
+        scores.append(n_dim * probs[z])
+        queries.append(oracle.calls)
     return zs, scores, queries
 
 
 def test_run_experiment_matches_a_trial_rng_loop(monkeypatch):
-    # a small block puts block edges inside every run
+    # small stream and trial blocks put block edges inside every run
     monkeypatch.setattr(linalg, "STREAM_BLOCK", 7)
     params_of = {"k_copy_mode": ({"k": 1}, {"k": 3}),
                  "collision_amplify": ({"k": 1}, {"k": 3}, {"k": 3, "schedule": "adaptive"})}
@@ -349,6 +447,7 @@ def test_run_experiment_matches_a_trial_rng_loop(monkeypatch):
     for strategy in xhog.STRATEGIES:
         for family in xhog.FAMILIES:
             for n in (1, 3, 5):
+                monkeypatch.setattr(xhog, "TRIAL_BLOCK_ENTRIES", 3 * 2**n)  # 2 or 3 trials
                 for params in params_of.get(strategy, ({},)):
                     try:
                         est = run_experiment(strategy, family, n, 16, 23, strategy_params=params,
