@@ -340,13 +340,9 @@ def born_sample(probs: np.ndarray, u: np.ndarray) -> np.ndarray:
     makes from the same m uniforms, without its argument validation.  Each row
     is searched on its own, so a block holds O(rows (N + m)) entries.
     """
-    p = np.asarray(probs, dtype=float)
-    cdf = np.cumsum(p / p.sum(axis=1, keepdims=True), axis=1)
+    cdf = (probs / probs.sum(axis=1, keepdims=True)).cumsum(axis=1)
     cdf /= cdf[:, -1:]
-    out = np.empty(u.shape, dtype=np.intp)
-    for row, c, x in zip(out, cdf, u):
-        row[:] = c.searchsorted(x, side="right")
-    return out
+    return np.array([c.searchsorted(x, side="right") for c, x in zip(cdf, u)])
 
 
 def distance_to_eigenvalue_hull(eigs: np.ndarray):
