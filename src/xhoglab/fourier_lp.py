@@ -37,11 +37,13 @@ class CrossCheckError(ArithmeticError):
 
 
 def _all_sign_tables(n):
-    """Matrix of all 2^N sign tables, one row per function, entries +-1; n <= ENUM_CAP."""
+    """int8 matrix of all 2^N sign tables, one row per function, entries +-1;
+    n <= ENUM_CAP, so 1 MiB at the cap."""
     n_dim = 2**n
-    masks = np.arange(2**n_dim, dtype=np.int64)
-    # entry x is bit n_dim - 1 - x of the row index
-    bits = (masks[:, None] >> np.arange(n_dim - 1, -1, -1)) & 1
+    # entry x is bit n_dim - 1 - x of the row index: the last n_dim of its 16
+    # big-endian bits
+    index = np.arange(2**n_dim, dtype=">u2").view(np.uint8).reshape(-1, 2)
+    bits = np.unpackbits(index, axis=1)[:, 16 - n_dim:].view(np.int8)
     return 1 - 2 * bits
 
 
@@ -54,11 +56,13 @@ def naive_fourier_value(n: int) -> Fraction:
     """
     n_dim = 2**n
     tables = _all_sign_tables(n)
-    # float64 takes the BLAS product and is exact here: every entry of s is an
-    # integer of size <= N <= 16, and every sum of s^4 stays below 2^53
+    # float64 takes the BLAS products and is exact here: every entry of s is an
+    # integer of size <= N <= 16, so s^2 <= 256, and every partial sum of s^4
+    # is an integer below 2^36
     s = tables.astype(np.float64) @ _hadamard(n)
     s *= s
-    total = int(np.sum(s * s))
+    s = s.ravel()
+    total = int(s @ s)
     by_enum = Fraction(total, 2**n_dim * n_dim**3)
     # E[(N - 2B)^4] = 16 * fourth central moment = 16 N p(1-p)(1 + (3N-6)p(1-p))
     fourth = 16 * Fraction(n_dim, 4) * (1 + Fraction(3 * n_dim - 6, 4))
@@ -73,7 +77,8 @@ def naive_fourier_value(n: int) -> Fraction:
 class LpInstance:
     n: int
     variables: list  # the pairs (x, y), x < y: column j of constraint_matrix is pair j
-    # one row per sign table with f(0) = +1, entries prod_(x in S) f(x); -f gives the same row
+    # int8, one row per sign table with f(0) = +1, entries prod_(x in S) f(x);
+    # -f gives the same row
     constraint_matrix: np.ndarray
     objective: list  # Fraction per variable
 
@@ -90,7 +95,7 @@ def build_primal(n: int) -> LpInstance:
     pairs = list(itertools.combinations(range(n_dim), 2))
     tables = _all_sign_tables(n)[: 2 ** (n_dim - 1)]
     cols = [tables[:, x] * tables[:, y] for x, y in pairs]
-    a = np.column_stack(cols) if cols else np.zeros((len(tables), 0), dtype=np.int64)
+    a = np.column_stack(cols) if cols else np.zeros((len(tables), 0), dtype=np.int8)
     objective = [Fraction(2, n_dim)] * len(pairs)
     return LpInstance(n, pairs, a, objective)
 

@@ -671,8 +671,11 @@ def test_lp_n_is_checked_before_any_work(action, n, cap, capsys):
 
 
 @pytest.mark.parametrize("action", ["certify", "naive-value"])
-def test_lp_at_n_zero(action, capsys):
-    assert main(["lp", action, "-n", "0"]) == 0
+def test_lp_at_n_zero(action, tmp_path, capsys):
+    # N = 1: the tables keep one column of the index bits, and no table is balanced
+    out = tmp_path / "r.json"
+    assert main(["lp", action, "-n", "0", "--out", str(out)]) == 0
+    assert json.loads(out.read_text())["b_exact"] == "1/1"
     capsys.readouterr()
 
 

@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -147,14 +148,33 @@ def test_objective_coefficients_closed_form_and_enum():
 
 
 def test_all_sign_tables_match_column_stack():
-    # reference: one column per x, bit N - 1 - x of the row index, stacked
+    # reference: one column per x, bit N - 1 - x of the row index, stacked; the tables
+    # are int8, one byte per entry
     for n in range(5):
         n_dim = 2**n
         masks = np.arange(2**n_dim, dtype=np.int64)
         cols = [(1 - 2 * ((masks >> (n_dim - 1 - x)) & 1)) for x in range(n_dim)]
-        want = np.column_stack(cols).astype(np.int64)
+        want = np.column_stack(cols)
         got = fourier_lp._all_sign_tables(n)
-        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert got.dtype == np.int8 and np.array_equal(got, want)
+
+
+def test_enumeration_memory_at_the_cap():
+    # the int8 tables take 1 MiB at n = ENUM_CAP; the int64 shift-and-mask build held
+    # 24.5, 24.5 and 68 MiB at the peak of these three calls
+    bounds = [
+        (lambda: naive_fourier_value(4), 20),
+        (lambda: verify_dual_feasibility(dual_certificate(4)), 6),
+        (lambda: build_primal(4), 12),
+    ]
+    for call, mib in bounds:
+        tracemalloc.start()
+        try:
+            call()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < mib * 2**20
 
 
 def test_cross_checks_raise_on_mismatch(monkeypatch):
