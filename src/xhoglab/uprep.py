@@ -282,7 +282,7 @@ def _columns_distances(cs, plans):
 def _overlaps(a, x):
     """a^dagger x per draw: (nb, k, dim) frames, or (nb, dim) vectors, against (nb, dim)."""
     if a.ndim == 2:
-        return (a.conj()[:, None] @ x[:, :, None])[:, 0, 0]
+        return np.vecdot(a, x)
     return (a.conj() @ x[:, :, None])[:, :, 0]
 
 
@@ -293,4 +293,4 @@ def _combine(c, a):
 
 def _norms(x):
     """The 2-norm of each draw's vector, sqrt(vdot(x, x).real)."""
-    return np.sqrt(_overlaps(x, x).real)
+    return np.sqrt(np.vecdot(x, x).real)

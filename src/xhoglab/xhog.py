@@ -165,20 +165,11 @@ def strategy_argmax(probs: np.ndarray) -> np.ndarray:
     return np.argmax(probs, axis=1)
 
 
-def _draw_instance(family, rng, out):
-    """A trial's hidden-instance draws into ``out``: sign bits, or 2N normals."""
-    if family == "fourier":
-        out[:] = rng.integers(0, 2, size=len(out))
-    else:
-        rng.standard_normal(out=out)
-
-
-def _hidden_instances(family, draws, rng=None):
+def _hidden_instances(family, draws, rng):
     """Fresh oracles over hidden states, and their scoring probabilities, for rows of draws.
 
     A fourier row is the sign table 1 - 2 bits.  ``rng`` serves the random-prep
-    handles' lazy complements: a block's handles are built once its streams are
-    gone, so they get none, and a query needing a fresh direction raises.
+    handles' lazy complements; with None, a query needing a fresh direction raises.
     """
     if family == "fourier":
         tables = 1 - 2 * draws  # f(x) = table[x], a uniform sign table
@@ -189,38 +180,42 @@ def _hidden_instances(family, draws, rng=None):
     return [random_prep_oracle(p, rng) for p in psi], np.abs(psi) ** 2
 
 
-def _amplified_trials(family, k, schedule, streams, draws):
-    """collision_amplify, one trial per block: on random prep its lazy complement
-    draws from the trial's stream between the Born draws."""
-    for rng in streams:
-        _draw_instance(family, rng, draws[0])
-        oracles, probs = _hidden_instances(family, draws, rng)
-        yield [strategy_collision_amplify(oracles[0], k, rng, schedule).z], probs, oracles
-
-
-def _trial_blocks(strategy, family, n_dim, copies, trials, streams, draws):
-    """The other strategies, ``len(draws)`` trials per block.
+def _trial_blocks(strategy, family, n_dim, k, schedule, trials, streams):
+    """Every strategy's trials, one per block for ``collision_amplify`` and
+    ``TRIAL_BLOCK_ENTRIES // max(N, copies)`` (at least one) for the others.
 
     A Python pass per trial only draws, in the stream order of a trial run
     alone: the instance, then the copies' uniforms or uniform's string.  The
     states, Born draws and strategy then run once per block, and every query
-    is still one ``apply`` on that instance's own handle.
+    is still one ``apply`` on that instance's own handle.  A block of one
+    trial keeps its stream, so its random-prep handles draw fresh directions
+    from it (``collision_amplify`` runs in such blocks and draws its own
+    uniforms); a longer block's handles get none, since its streams are gone.
     """
+    copies = {"naive": 1, "k_copy_mode": k}.get(strategy, 0)
+    size = 1 if strategy == "collision_amplify" else max(1, TRIAL_BLOCK_ENTRIES // max(n_dim, copies))
+    width, dtype = (n_dim, np.int64) if family == "fourier" else (2 * n_dim, float)
+    draws = np.empty((min(size, trials), width), dtype)
     u = np.empty((len(draws), copies))
     picks = np.empty(len(draws), dtype=np.intp)
     for lo in range(0, trials, len(draws)):
         rows = min(len(draws), trials - lo)
         for j, rng in zip(range(rows), streams):
-            _draw_instance(family, rng, draws[j])
+            if family == "fourier":
+                draws[j] = rng.integers(0, 2, size=n_dim)
+            else:
+                rng.standard_normal(out=draws[j])
             if strategy == "uniform":
                 picks[j] = rng.integers(n_dim)
             elif copies:
                 rng.random(out=u[j])
-        oracles, probs = _hidden_instances(family, draws[:rows])
+        oracles, probs = _hidden_instances(family, draws[:rows], rng if rows == 1 else None)
         if strategy == "uniform":
             z = picks[:rows]
         elif strategy == "argmax":
             z = strategy_argmax(probs)
+        elif strategy == "collision_amplify":
+            z = [strategy_collision_amplify(oracles[0], k, rng, schedule).z]
         elif strategy == "naive":
             z = strategy_naive_sample(oracles, u[:rows])
         else:
@@ -243,13 +238,13 @@ def run_experiment(
     Trial i draws from the stream ``trial_rng(master_seed, i)``, derived a
     block at a time by ``trial_streams``, so results are bit-identical
     regardless of execution order and any trial can be replayed alone.
-    ``collision_amplify`` runs one trial at a time; the other strategies run
-    in blocks of ``TRIAL_BLOCK_ENTRIES // max(N, k)`` trials (at least one),
-    drawing each trial's numbers from its stream and then normalizing,
-    Born-sampling and scoring the block at once, with the values trial by
-    trial would give.  Every instance keeps its own handle, so each query is
-    one ``apply`` call.  In exact mode (fourier family, naive strategy) the
-    score is the full average over every sign function.  Every rule on the
+    Every strategy runs in ``_trial_blocks``: ``collision_amplify`` one trial
+    per block, the others ``TRIAL_BLOCK_ENTRIES // max(N, k)`` trials per
+    block (at least one), drawing each trial's numbers from its stream and
+    then normalizing, Born-sampling and scoring the block at once, with the
+    values trial by trial would give.  Every instance keeps its own handle,
+    so each query is one ``apply`` call.  In exact mode (fourier family,
+    naive strategy) the score is the full average over every sign function.  Every rule on the
     inputs is checked here, before anything is allocated; the strategies and
     dispatch below assume them.
     """
@@ -296,16 +291,8 @@ def run_experiment(
     zs = np.empty(trials, dtype=np.int32) if keep_trials else None
     queries = np.empty(trials, dtype=np.int32) if keep_trials else None
     n_dim = 2**n
-    width, dtype = (n_dim, np.int64) if family == "fourier" else (2 * n_dim, float)
-    if strategy == "collision_amplify":
-        blocks = _amplified_trials(family, k, schedule, streams, np.empty((1, width), dtype))
-    else:
-        copies = {"naive": 1, "k_copy_mode": k}.get(strategy, 0)
-        rows = max(1, TRIAL_BLOCK_ENTRIES // max(n_dim, copies))
-        draws = np.empty((min(rows, trials), width), dtype)
-        blocks = _trial_blocks(strategy, family, n_dim, copies, trials, streams, draws)
     lo = 0
-    for z, probs, oracles in blocks:
+    for z, probs, oracles in _trial_blocks(strategy, family, n_dim, k, schedule, trials, streams):
         hi = lo + len(z)
         scores[lo:hi] = n_dim * probs[np.arange(len(z)), z]
         # the fresh handles' counts, not a strategy's report

@@ -191,6 +191,31 @@ def test_block_random_prep_handles_cannot_draw(monkeypatch):
         handles[0].apply(np.eye(8)[1])
 
 
+def test_one_trial_random_prep_handle_draws_from_its_trial_stream(monkeypatch):
+    # a block of one trial keeps its stream: its handle draws a fresh Haar direction
+    # exactly as a handle built on trial_rng(seed, i) does after the same draws; the
+    # probe runs inside the block, while the stream is still that trial's
+    probe = np.arange(8) + 1j * np.arange(8)[::-1]
+    answers = []
+    real = xhog.strategy_naive_sample
+
+    def probing(oracles, u):
+        z = real(oracles, u)
+        answers.extend(oracle.apply(probe) for oracle in oracles)
+        return z
+
+    monkeypatch.setattr(xhog, "strategy_naive_sample", probing)
+    monkeypatch.setattr(xhog, "TRIAL_BLOCK_ENTRIES", 1)
+    run_experiment("naive", "random_prep", 3, 4, 2)
+    assert len(answers) == 4
+    for i, answer in enumerate(answers):
+        rng = trial_rng(2, i)
+        psi = haar_state_amps(rng.standard_normal(16))
+        reference = random_prep_oracle(psi, rng)
+        sample_oracle_output([reference], rng.random((1, 1)))  # the copy's query of |0>
+        assert np.array_equal(answer, reference.apply(probe)), i
+
+
 def test_posterior_monte_carlo():
     mean, se, count = posterior_mc(2, 3, 2, 300000, 8)
     assert count > 1000
@@ -439,28 +464,31 @@ def _reference_loop(strategy, family, n, trials, seed, params):
 
 
 def test_run_experiment_matches_a_trial_rng_loop(monkeypatch):
-    # small stream and trial blocks put block edges inside every run
+    # small stream and trial blocks put block edges inside every run; the second pass runs
+    # every strategy in one-trial blocks, whose handles keep their trial's stream
     monkeypatch.setattr(linalg, "STREAM_BLOCK", 7)
     params_of = {"k_copy_mode": ({"k": 1}, {"k": 3}),
                  "collision_amplify": ({"k": 1}, {"k": 3}, {"k": 3, "schedule": "adaptive"})}
     ran = 0
-    for strategy in xhog.STRATEGIES:
-        for family in xhog.FAMILIES:
-            for n in (1, 3, 5):
-                monkeypatch.setattr(xhog, "TRIAL_BLOCK_ENTRIES", 3 * 2**n)  # 2 or 3 trials
-                for params in params_of.get(strategy, ({},)):
-                    try:
-                        est = run_experiment(strategy, family, n, 16, 23, strategy_params=params,
-                                             keep_trials=True)
-                    except ValueError:
-                        continue  # the runner's own rules; the count below pins which
-                    want = _reference_loop(strategy, family, n, 16, 23, params)
-                    got = (est.z.tolist(), est.scores.tolist(), est.queries.tolist())
-                    assert got == want, (strategy, family, n, params)
-                    ran += 1
+    for one_trial_blocks in (False, True):
+        for strategy in xhog.STRATEGIES:
+            for family in xhog.FAMILIES:
+                for n in (1, 3, 5):
+                    entries = 1 if one_trial_blocks else 3 * 2**n  # 1, or 2 or 3 trials
+                    monkeypatch.setattr(xhog, "TRIAL_BLOCK_ENTRIES", entries)
+                    for params in params_of.get(strategy, ({},)):
+                        try:
+                            est = run_experiment(strategy, family, n, 16, 23, strategy_params=params,
+                                                 keep_trials=True)
+                        except ValueError:
+                            continue  # the runner's own rules; the count below pins which
+                        want = _reference_loop(strategy, family, n, 16, 23, params)
+                        got = (est.z.tolist(), est.scores.tolist(), est.queries.tolist())
+                        assert got == want, (one_trial_blocks, strategy, family, n, params)
+                        ran += 1
     # per n: 3 families for uniform, naive and argmax, 2 k's for k_copy_mode; collision_amplify
     # needs k >= 2 and a state reflection, so it runs 2 params on 2 families
-    assert ran == 3 * (3 * 3 + 2 * 3 + 2 * 2)
+    assert ran == 2 * 3 * (3 * 3 + 2 * 3 + 2 * 2)
 
 
 def test_k_copy_upper_bound_chain():
