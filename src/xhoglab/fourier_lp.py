@@ -25,7 +25,7 @@ import numpy as np
 from .oracles import _hadamard
 
 ENUM_CAP = 4  # full enumeration of 2^(2^n) sign tables
-CERTIFY_CAP = 8  # the exact check walks all C(2^n, 2) pair constraints
+CERTIFY_CAP = 8  # the exact check covers all C(2^n, 2) pair constraints, one per distinct weight
 
 
 class CertificateError(ValueError):
@@ -111,8 +111,11 @@ def primal_objective(n: int, cs) -> Fraction:
     """1/N + (2/N) sum_S c_S over a sequence of pair coefficients, summed exactly over
     their common denominator."""
     n_dim = 2**n
-    den = math.lcm(*{c.denominator for c in cs})
-    num = sum(c.numerator * (den // c.denominator) for c in cs)
+    # each run of equal coefficients is read once, times its length; a run of
+    # one repeated object, like naive_primal_point's, compares by identity
+    runs = [(c, len(list(run))) for c, run in itertools.groupby(cs)]
+    den = math.lcm(*{c.denominator for c, _ in runs})
+    num = sum(c.numerator * (den // c.denominator) * k for c, k in runs)
     return Fraction(1, n_dim) + Fraction(2 * num, n_dim * den)
 
 
@@ -160,18 +163,24 @@ def verify_dual_feasibility(cert: DualCertificate) -> str:
 
     Verifies nonnegativity of the dual weights, the equality constraint fixing
     b, and the pair constraints 2^N psi-hat(S) = -2/N for every |S| = 2; any
-    nonzero rational residual raises CertificateError naming the constraint.
-    The Fourier weights come from enumerating the balanced tables for
-    n <= ENUM_CAP and from the closed form above it, up to n = CERTIFY_CAP.
+    nonzero rational residual raises CertificateError naming the constraint,
+    every failing pair in pair order.  The Fourier weights come from
+    enumerating the balanced tables for n <= ENUM_CAP and from the closed form
+    above it, up to n = CERTIFY_CAP.  A pair's residual depends only on kappa
+    and the pair's weight, so each distinct weight is checked once: one check
+    covers every pair on the closed form, and one per enumerated value below it.
     """
     n = cert.n
     n_dim = 2**n
-    pairs = list(itertools.combinations(range(n_dim), 2))
+    n_pairs = math.comb(n_dim, 2)  # pair j is the j-th of itertools.combinations(range(N), 2)
     if n <= ENUM_CAP:
-        empty_hat, *vals = halfN_fourier_enumeration(n, [(), *pairs])
+        subsets = [(), *itertools.combinations(range(n_dim), 2)]
+        empty_hat, *vals = halfN_fourier_enumeration(n, subsets)
+        weights = set(vals)
     else:
         empty_hat = halfN_fourier_coefficient(n_dim, 0)
-        vals = [halfN_fourier_coefficient(n_dim, 1)] * len(pairs)
+        vals = [halfN_fourier_coefficient(n_dim, 1)] * n_pairs
+        weights = {vals[0]}
 
     violations = []
     lines = [f"dual certificate n={n} N={n_dim}"]
@@ -189,15 +198,19 @@ def verify_dual_feasibility(cert: DualCertificate) -> str:
     # with 2^N kappa = a/b and v = p/q, the residual a p/(b q) + 2/N is zero
     # iff a p N + 2 b q = 0; a Fraction is built only for a nonzero residual
     a, b = scaled.numerator, scaled.denominator
-    for (x, y), v in zip(pairs, vals):
-        p, q = v.numerator, v.denominator
-        if a * p * n_dim + 2 * b * q != 0:
-            res = scaled * v + Fraction(2, n_dim)
-            violations.append(f"pair constraint S={{{x},{y}}} residual {res}")
+    residuals = {
+        v: scaled * v + Fraction(2, n_dim)
+        for v in weights
+        if a * v.numerator * n_dim + 2 * b * v.denominator != 0
+    }
+    if residuals:
+        for (x, y), v in zip(itertools.combinations(range(n_dim), 2), vals):
+            if v in residuals:
+                violations.append(f"pair constraint S={{{x},{y}}} residual {residuals[v]}")
     if violations:
         raise CertificateError("; ".join(violations))
     # any nonzero residual has raised above, so the transcript records 0
-    lines.append(f"constraint pairs |S|=2 count={len(pairs)}: max residual = 0")
+    lines.append(f"constraint pairs |S|=2 count={n_pairs}: max residual = 0")
 
     primal = primal_objective(n, naive_primal_point(n))
     lines.append(f"primal feasible objective = {primal}")

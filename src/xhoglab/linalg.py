@@ -288,12 +288,16 @@ class LazyHaarComplement:
         a, b = self._frames[src, :k], self._frames[dst, :k]
         r = x.copy()
         r[0] = 0.0
-        coef = np.zeros(k, dtype=complex)
-        for _ in range(2):
-            c = a.conj() @ r
-            r -= c @ a
-            coef += c
-        out = coef @ b
+        if k == 0:  # no frame yet: W keeps x[0]|0>, and all of r is a new direction
+            out = np.zeros(self.dim, dtype=complex)
+        else:
+            a_conj = a.conj()
+            coef = np.zeros(k, dtype=complex)
+            for _ in range(2):
+                c = a_conj @ r
+                r -= c @ a
+                coef += c
+            out = coef @ b
         out[0] = x[0]
         nrm = math.sqrt(np.vdot(r, r).real)
         if k == self.dim - 1 or nrm <= 1e-12 * math.sqrt(np.vdot(x, x).real):

@@ -325,8 +325,15 @@ def _row_cdf(probs):
 
 
 def _draw_rows(cdf, u):
-    """One categorical index per row of a CDF matrix: the entries below u."""
-    return (cdf < u[:, None]).sum(axis=1)
+    """One categorical index per row of a CDF matrix: the count of entries below u.
+
+    That count is the index of the first entry not below u, the ``argmin`` of
+    the comparison, which numpy finds faster than it sums the row: the pinned
+    last entry 1 is above every uniform, and the entries below u are a prefix
+    of the row, since the cumsum never decreases and an entry it rounds above
+    1 is not below u either.
+    """
+    return (cdf < u[:, None]).argmin(axis=1)
 
 
 def _exponential_chunks(n_dim, trials, rng, chunk):
@@ -379,11 +386,11 @@ def posterior_mc(n, k, m, trials, seed, chunk=100_000):
         raise ValueError("need 0 <= m <= k")
     rng = trial_rng(seed, 0)
     vals = []
-    for probs in _exponential_chunks(2**n, trials, rng, chunk):
-        probs /= probs.sum(axis=1, keepdims=True)
+    for e in _exponential_chunks(2**n, trials, rng, chunk):
         # a measurement gives string 0 exactly when its uniform is <= cdf[0] = p_0
-        # (for N = 1 the pinned cdf[0] = 1 = p_0 as well), so no CDF is built
-        p0 = probs[:, 0]
+        # (for N = 1 the pinned cdf[0] = 1 = p_0 as well), so no CDF is built, and
+        # only p_0 is normalized, by the same division as the whole row's
+        p0 = e[:, 0] / e.sum(axis=1)
         counts = (rng.random((k, len(p0))) <= p0).sum(axis=0)
         vals.append(p0[counts == m])
     vals = np.concatenate(vals)

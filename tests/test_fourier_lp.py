@@ -202,6 +202,10 @@ def test_naive_primal_point_feasible_and_value():
         slack = 1.0 / 2**n + lp.constraint_matrix.astype(float) @ x
         assert slack.min() >= -1e-12
         assert primal_objective(n, point) == Fraction(3 * 2**n - 2, 4**n)
+        # the point repeats one object; equal but distinct objects give the same value
+        copies = [Fraction(c.numerator, c.denominator) for c in point]
+        assert len({id(c) for c in point}) == 1 and len({id(c) for c in copies}) == len(copies)
+        assert primal_objective(n, copies) == Fraction(3 * 2**n - 2, 4**n)
     assert primal_objective(8, naive_primal_point(8)) == Fraction(3 * 256 - 2, 256**2)
 
 
@@ -209,6 +213,10 @@ def test_primal_objective_mixed_denominators():
     # the common-denominator sum against the plain Fraction sum
     n = 2
     values = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 12), Fraction(0), Fraction(7), Fraction(-3, 8)]
+    want = Fraction(1, 4) + sum(Fraction(2, 4) * c for c in values)
+    assert primal_objective(n, values) == want
+    # runs of equal values, interrupted and not, against one Fraction per entry
+    values = [Fraction(1, 3)] * 2 + [Fraction(-1, 6), Fraction(1, 3)] + [Fraction(-1, 6)] * 2
     want = Fraction(1, 4) + sum(Fraction(2, 4) * c for c in values)
     assert primal_objective(n, values) == want
 
@@ -247,13 +255,34 @@ def test_verify_dual_golden_transcripts():
 
 
 def test_verify_dual_rejects_perturbed_kappa():
-    # n = 6 checks the pairs on the closed-form weights
+    # n = 6 checks the pairs on the closed-form weight, once for all 2016 of them; a bad
+    # kappa fails every pair, and the error names each, in pair order
     for n in (2, 6):
         good = dual_certificate(n)
         bad = DualCertificate(n, good.kappa + Fraction(1, 1000), good.b)
         with pytest.raises(CertificateError) as err:
             verify_dual_feasibility(bad)
-        assert "pair constraint S={0,1} residual" in str(err.value)
+        empty, *pairs = str(err.value).split("; ")
+        assert empty.startswith("empty constraint residual ")
+        named = [part.split(" residual ")[0] for part in pairs]
+        assert named == [f"pair constraint S={{{x},{y}}}" for x, y in itertools.combinations(range(2**n), 2)]
+
+
+def test_verify_dual_names_exactly_the_pair_whose_weight_fails(monkeypatch):
+    # each distinct weight is checked once, but a failing weight names every pair
+    # that carries it; at n = 3 one enumerated weight is moved off the closed form
+    real = fourier_lp.halfN_fourier_enumeration
+
+    def perturbed(n, subsets):
+        vals = real(n, subsets)
+        vals[subsets.index((2, 5))] += Fraction(1, 256)
+        return vals
+
+    monkeypatch.setattr(fourier_lp, "halfN_fourier_enumeration", perturbed)
+    with pytest.raises(CertificateError) as err:
+        verify_dual_feasibility(dual_certificate(3))
+    # the residual moves by 2^N kappa / 256 = kappa = 1/40
+    assert str(err.value) == "pair constraint S={2,5} residual 1/40"
 
 
 def test_verify_dual_rejects_wrong_b():

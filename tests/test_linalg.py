@@ -132,6 +132,20 @@ def test_lazy_haar_single_qubit_and_full_frame():
     assert np.max(np.abs(w.apply(x) - dense @ x)) < 1e-10
 
 
+def test_lazy_haar_rank_zero_query_on_zero():
+    # with no frame, a query on span(|0>) is answered as x[0]|0> and draws nothing
+    for dim in (1, 2, 16):
+        rng = trial_rng(79, dim)
+        w = LazyHaarComplement(dim, rng)
+        state = rng.bit_generator.state
+        x = np.zeros(dim, dtype=complex)
+        x[0] = 0.6 - 0.8j
+        for query in (w.apply, w.apply_adjoint):
+            y = query(x)
+            assert np.array_equal(y, x) and y is not x
+        assert w.rank == 0 and rng.bit_generator.state == state
+
+
 def test_lazy_haar_entry_moments():
     # w = <1|W|1> for a Haar W on the 3-dim complement: |w|^2 is Beta(1, 2)
     # (mean 1/3, var 1/18, E|w|^4 = 1/6) and the phase of w is uniform, so E[w^2] = 0

@@ -311,6 +311,26 @@ def test_mc_helpers_pinned_outputs():
     assert _loop_chernoff(3, 1, 10_000, 5, 50_000) == 0.9767
 
 
+def test_draw_rows_is_the_count_of_entries_below_u():
+    # the first entry not below u, on rows that make a prefix rule slip: zero
+    # probabilities (runs of equal entries), u = 0, u equal to an entry, a cumsum
+    # that rounds above 1 before the pin, and N = 1
+    rows = [
+        [0.5, 0.0, 0.0, 0.5],
+        [0.0, 0.0, 0.25, 0.75],
+        [0.25, 0.25, 0.0, 0.5],
+        [0.5, 0.5 + 2**-52, 1e-17, 0.0],
+        [0.0, 0.0, 0.0, 1.0],
+    ]
+    cdf = xhog._row_cdf(np.array(rows))
+    assert cdf[3, 1] > 1.0 and cdf[3, -1] == 1.0  # the rounded entry stays above the pin
+    us = sorted({0.0, 0.25, 0.5, 0.75, np.nextafter(1.0, 0.0), *np.random.default_rng(3).random(20)})
+    for width, table in ((4, cdf), (1, xhog._row_cdf(np.array([[1.0]])))):
+        for u in us:
+            want = (table < u).sum(axis=1)
+            assert np.array_equal(xhog._draw_rows(table, np.full(len(table), u)), want), (width, u)
+
+
 def _loop_sample_rows(probs, rng):
     cum = np.cumsum(probs, axis=1)
     cum[:, -1] = 1.0
@@ -354,7 +374,7 @@ def _loop_chernoff(n, k, trials, seed, chunk):
     return hits / trials
 
 
-@pytest.mark.parametrize("n", [0, 1, 2, 4])
+@pytest.mark.parametrize("n", [0, 1, 2, 3, 4, 6])
 def test_mc_helpers_match_a_per_draw_loop(n):
     # the reference builds a fresh CDF and draws one uniform vector per sample;
     # 1100-row chunks end in a partial chunk of 800 rows
