@@ -291,7 +291,13 @@ def main(argv=None) -> int:
             print(json.dumps(config, sort_keys=True, indent=2))
             return 0
         # a run can take minutes, so the files it ends by writing are checked first
-        for path in (args.out, getattr(args, "csv", None)):
+        out, rows = args.out, getattr(args, "csv", None)
+        for flag, path in (("--out", out), ("--csv", rows)):
+            if path == "":
+                raise ValueError(f"{flag} needs a file name, not ''")
+        if out and rows and os.path.realpath(out) == os.path.realpath(rows):
+            raise ValueError(f"--csv {rows} and --out {out} name the same file")
+        for path in (out, rows):
             if path:
                 _check_writable(path)
         report, summary, rc = args.func(args)

@@ -9,13 +9,15 @@ nonzero XOR, and objective weight 2/N on each pair.  A dual solution supported
 on balanced sign tables certifies the optimum b = 3 - 2/N exactly, matching
 the naive strategy's value 3 - 2/2^n.
 
+One pair order, ``_pairs(N)``, keys the LP's columns, the enumerated pair weights and
+failing constraints' names; the naive primal point is one coefficient 2/N^2 on every pair.
+
 All certificate arithmetic is exact rational; floats appear only in the
 independent numeric LP cross-check.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -25,7 +27,7 @@ import numpy as np
 from .oracles import _hadamard
 
 ENUM_CAP = 4  # full enumeration of 2^(2^n) sign tables
-CERTIFY_CAP = 8  # the exact check covers all C(2^n, 2) pair constraints, one per distinct weight
+CERTIFY_CAP = 8  # the closed form's C(2^n, 2) pair constraints share one weight, checked once
 
 
 class CertificateError(ValueError):
@@ -73,10 +75,15 @@ def naive_fourier_value(n: int) -> Fraction:
     return by_enum
 
 
+def _pairs(n_dim):
+    """Index arrays (xs, ys) of the pairs x < y of range(N), in itertools.combinations order."""
+    return np.triu_indices(n_dim, 1)
+
+
 @dataclass
 class LpInstance:
     n: int
-    variables: list  # the pairs (x, y), x < y: column j of constraint_matrix is pair j
+    variables: list  # the pairs (x, y) in _pairs order: column j of constraint_matrix is pair j
     # int8, one row per sign table with f(0) = +1, entries prod_(x in S) f(x);
     # -f gives the same row
     constraint_matrix: np.ndarray
@@ -92,31 +99,24 @@ def build_primal(n: int) -> LpInstance:
     same pair products f(x)f(y), so the other half would repeat every row.
     """
     n_dim = 2**n
-    pairs = list(itertools.combinations(range(n_dim), 2))
+    xs, ys = _pairs(n_dim)
     tables = _all_sign_tables(n)[: 2 ** (n_dim - 1)]
-    cols = [tables[:, x] * tables[:, y] for x, y in pairs]
-    a = np.column_stack(cols) if cols else np.zeros((len(tables), 0), dtype=np.int8)
-    objective = [Fraction(2, n_dim)] * len(pairs)
-    return LpInstance(n, pairs, a, objective)
+    # in place, so the peak holds one int8 product beside its operand, not two
+    a = tables[:, xs]
+    a *= tables[:, ys]
+    objective = [Fraction(2, n_dim)] * len(xs)
+    return LpInstance(n, list(zip(xs.tolist(), ys.tolist())), a, objective)
 
 
-def naive_primal_point(n: int) -> list:
-    """The feasible point from the naive strategy: c_S = 2/N^2 on every pair, one entry
-    per ``LpInstance.variables`` pair, in that order."""
+def naive_primal_point(n: int) -> Fraction:
+    """The naive strategy's feasible point: one coefficient c_S = 2/N^2, on every pair."""
+    return Fraction(2, 4**n)
+
+
+def primal_objective(n: int, c: Fraction) -> Fraction:
+    """1/N + (2/N) sum_S c_S at a point with the same coefficient c on all C(N, 2) pairs."""
     n_dim = 2**n
-    return [Fraction(2, n_dim**2)] * math.comb(n_dim, 2)
-
-
-def primal_objective(n: int, cs) -> Fraction:
-    """1/N + (2/N) sum_S c_S over a sequence of pair coefficients, summed exactly over
-    their common denominator."""
-    n_dim = 2**n
-    # each run of equal coefficients is read once, times its length; a run of
-    # one repeated object, like naive_primal_point's, compares by identity
-    runs = [(c, len(list(run))) for c, run in itertools.groupby(cs)]
-    den = math.lcm(*{c.denominator for c, _ in runs})
-    num = sum(c.numerator * (den // c.denominator) * k for c, k in runs)
-    return Fraction(1, n_dim) + Fraction(2 * num, n_dim * den)
+    return Fraction(1, n_dim) + Fraction(2, n_dim) * math.comb(n_dim, 2) * c
 
 
 def halfN_fourier_coefficient(n_dim: int, j: int) -> Fraction:
@@ -129,19 +129,17 @@ def halfN_fourier_coefficient(n_dim: int, j: int) -> Fraction:
     )
 
 
-def halfN_fourier_enumeration(n: int, subsets) -> list:
-    """The same weights, one per subset S, by summing (-1)^|A cap S| over all
-    balanced tables A (the sign tables with N/2 entries -1)."""
+def halfN_fourier_enumeration(n: int) -> tuple:
+    """The weights at the empty set and at every pair, in _pairs order, by summing
+    (-1)^|A cap S| over all balanced tables A (the sign tables with N/2 entries -1)."""
     n_dim = 2**n
     tables = _all_sign_tables(n)
-    cols = np.ascontiguousarray(tables[tables.sum(axis=1) == 0].T)
-    out = []
-    for s in subsets:
-        prod = np.ones(cols.shape[1], dtype=np.int64)
-        for x in s:
-            prod *= cols[x]
-        out.append(Fraction(int(prod.sum()), 2**n_dim))
-    return out
+    balanced = tables[tables.sum(axis=1) == 0].astype(np.float64)
+    # the pair sums are the Gram matrix of the columns; float64 is exact, as no sum
+    # exceeds the C(16, 8) = 12870 balanced tables of n = ENUM_CAP in size
+    gram = balanced.T @ balanced
+    pair_sums = gram[_pairs(n_dim)].tolist()
+    return Fraction(len(balanced), 2**n_dim), [Fraction(int(v), 2**n_dim) for v in pair_sums]
 
 
 @dataclass(frozen=True)
@@ -164,23 +162,23 @@ def verify_dual_feasibility(cert: DualCertificate) -> str:
     Verifies nonnegativity of the dual weights, the equality constraint fixing
     b, and the pair constraints 2^N psi-hat(S) = -2/N for every |S| = 2; any
     nonzero rational residual raises CertificateError naming the constraint,
-    every failing pair in pair order.  The Fourier weights come from
-    enumerating the balanced tables for n <= ENUM_CAP and from the closed form
-    above it, up to n = CERTIFY_CAP.  A pair's residual depends only on kappa
-    and the pair's weight, so each distinct weight is checked once: one check
-    covers every pair on the closed form, and one per enumerated value below it.
+    every failing pair in _pairs order.  The Fourier weights come from the
+    Gram product of the balanced tables (halfN_fourier_enumeration) for
+    n <= ENUM_CAP and from the closed form above it, up to n = CERTIFY_CAP.  A
+    pair's residual depends only on kappa and the pair's weight, so each
+    distinct weight is checked once: one check covers every pair on the closed
+    form, and one per enumerated value below it.
     """
     n = cert.n
     n_dim = 2**n
-    n_pairs = math.comb(n_dim, 2)  # pair j is the j-th of itertools.combinations(range(N), 2)
+    n_pairs = math.comb(n_dim, 2)
     if n <= ENUM_CAP:
-        subsets = [(), *itertools.combinations(range(n_dim), 2)]
-        empty_hat, *vals = halfN_fourier_enumeration(n, subsets)
+        empty_hat, vals = halfN_fourier_enumeration(n)
         weights = set(vals)
     else:
-        empty_hat = halfN_fourier_coefficient(n_dim, 0)
-        vals = [halfN_fourier_coefficient(n_dim, 1)] * n_pairs
-        weights = {vals[0]}
+        # every pair carries the one closed-form weight: no per-pair list unless one fails
+        empty_hat, vals = halfN_fourier_coefficient(n_dim, 0), None
+        weights = {halfN_fourier_coefficient(n_dim, 1)}
 
     violations = []
     lines = [f"dual certificate n={n} N={n_dim}"]
@@ -204,7 +202,8 @@ def verify_dual_feasibility(cert: DualCertificate) -> str:
         if a * v.numerator * n_dim + 2 * b * v.denominator != 0
     }
     if residuals:
-        for (x, y), v in zip(itertools.combinations(range(n_dim), 2), vals):
+        xs, ys = _pairs(n_dim)
+        for x, y, v in zip(xs.tolist(), ys.tolist(), vals or [*weights] * n_pairs):
             if v in residuals:
                 violations.append(f"pair constraint S={{{x},{y}}} residual {residuals[v]}")
     if violations:

@@ -119,6 +119,29 @@ def test_xhog_unwritable_out_is_io_error(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "no").exists()
 
 
+_XHOG_RUN = ["xhog", "--strategy", "naive", "--family", "canonical", "-n", "2", "--trials", "5",
+             "--seed", "3"]
+
+
+@pytest.mark.parametrize("argv, flags", [
+    # the CSV used to be written and then overwritten by the JSON report, with exit 0
+    ([*_XHOG_RUN, "--csv", "P", "--out", "P"], ("--csv", "--out")),
+    ([*_XHOG_RUN, "--csv", "./P", "--out", "P"], ("--csv", "--out")),
+    # an empty name used to be skipped: exit 0 and nothing written
+    ([*_XHOG_RUN, "--out", ""], ("--out",)),
+    ([*_XHOG_RUN, "--csv", ""], ("--csv",)),
+    (["verify", "oracles", "--seed", "1", "--cases", "1", "--out", ""], ("--out",)),
+    (["lp", "certify", "-n", "1", "--out", ""], ("--out",)),
+])
+def test_empty_or_shared_output_path_is_usage_error(argv, flags, tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(xhog, "run_experiment", _raising(AssertionError("the run started")))
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and all(flag in err for flag in flags)
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_xhog_qubit_count_out_of_range_is_usage_error(capsys):
     for n in ("0", "15"):
         rc = main(["xhog", "--strategy", "naive", "--family", "canonical", "-n", n,

@@ -69,7 +69,7 @@ def test_naive_family_is_a_distribution():
         n_dim = 2**n
         tables = fourier_lp._all_sign_tables(n)
         lp = build_primal(n)
-        scaled = np.array([int(c * n_dim**2) for c in naive_primal_point(n)])
+        scaled = np.full(len(lp.variables), int(naive_primal_point(n) * n_dim**2))
         vals = np.column_stack([
             n_dim + _pair_products(tables * _hadamard(n)[z].astype(np.int64), lp.variables) @ scaled
             for z in range(n_dim)
@@ -86,7 +86,7 @@ def test_symmetrize_naive_family_fixed_point():
         lp = build_primal(n)
         c = naive_primal_point(n)
         tables = fourier_lp._all_sign_tables(n)[: len(lp.constraint_matrix)]
-        lhs = [n_dim**2 * (Fraction(1, n_dim) + sum(int(a) * cs for a, cs in zip(row, c)))
+        lhs = [n_dim**2 * (Fraction(1, n_dim) + sum(int(a) * c for a in row))
                for row in lp.constraint_matrix]
         assert lhs == [int(fwht(t)[0]) ** 2 for t in tables]
 
@@ -120,12 +120,16 @@ def test_symmetrized_objective_via_weights():
 
 def test_reduce_equality_constraints_naive():
     # after symmetrization the free variables are the pairs (the XOR of a pair is nonzero),
-    # in the constraint matrix's column order, and the naive point has one entry per pair
-    for n in (1, 2):
+    # in itertools.combinations order, and column j of the constraint matrix is pair j's
+    # products over the tables with f(0) = +1; the naive point is one coefficient 2/N^2
+    for n in (1, 2, 3, 4):
         want_free = list(itertools.combinations(range(2**n), 2))
         lp = build_primal(n)
-        assert lp.variables == want_free and lp.constraint_matrix.shape[1] == len(want_free)
-        assert len(naive_primal_point(n)) == len(want_free)
+        tables = fourier_lp._all_sign_tables(n)[: 2 ** (2**n - 1)]
+        assert lp.variables == want_free
+        assert lp.constraint_matrix.dtype == np.int8
+        assert np.array_equal(lp.constraint_matrix, _pair_products(tables, want_free))
+        assert naive_primal_point(n) == Fraction(2, 4**n)
 
 
 def test_objective_coefficients_closed_form_and_enum():
@@ -197,28 +201,12 @@ def test_build_primal_shapes():
 def test_naive_primal_point_feasible_and_value():
     for n in (1, 2, 3):
         lp = build_primal(n)
-        point = naive_primal_point(n)
-        x = np.array([float(c) for c in point])
+        c = naive_primal_point(n)
+        x = np.full(len(lp.variables), float(c))
         slack = 1.0 / 2**n + lp.constraint_matrix.astype(float) @ x
         assert slack.min() >= -1e-12
-        assert primal_objective(n, point) == Fraction(3 * 2**n - 2, 4**n)
-        # the point repeats one object; equal but distinct objects give the same value
-        copies = [Fraction(c.numerator, c.denominator) for c in point]
-        assert len({id(c) for c in point}) == 1 and len({id(c) for c in copies}) == len(copies)
-        assert primal_objective(n, copies) == Fraction(3 * 2**n - 2, 4**n)
+        assert primal_objective(n, c) == Fraction(3 * 2**n - 2, 4**n)
     assert primal_objective(8, naive_primal_point(8)) == Fraction(3 * 256 - 2, 256**2)
-
-
-def test_primal_objective_mixed_denominators():
-    # the common-denominator sum against the plain Fraction sum
-    n = 2
-    values = [Fraction(1, 2), Fraction(-1, 3), Fraction(5, 12), Fraction(0), Fraction(7), Fraction(-3, 8)]
-    want = Fraction(1, 4) + sum(Fraction(2, 4) * c for c in values)
-    assert primal_objective(n, values) == want
-    # runs of equal values, interrupted and not, against one Fraction per entry
-    values = [Fraction(1, 3)] * 2 + [Fraction(-1, 6), Fraction(1, 3)] + [Fraction(-1, 6)] * 2
-    want = Fraction(1, 4) + sum(Fraction(2, 4) * c for c in values)
-    assert primal_objective(n, values) == want
 
 
 def test_halfN_formula_matches_enumeration():
@@ -226,14 +214,17 @@ def test_halfN_formula_matches_enumeration():
     # ENUM_CAP, from the closed form above it
     for n in (1, 2, 3, 4):
         n_dim = 2**n
-        pairs = list(itertools.combinations(range(n_dim), 2))
-        want = [halfN_fourier_coefficient(n_dim, 0)] + [halfN_fourier_coefficient(n_dim, 1)] * len(pairs)
-        assert halfN_fourier_enumeration(n, [(), *pairs]) == want
+        want_pairs = [halfN_fourier_coefficient(n_dim, 1)] * (n_dim * (n_dim - 1) // 2)
+        assert halfN_fourier_enumeration(n) == (halfN_fourier_coefficient(n_dim, 0), want_pairs)
+    # every even size 2j, on the subset {0, ..., 2j - 1}: sum (-1)^|A cap S| over the
+    # balanced tables A, one product per table
     for n in (1, 2, 3):
         n_dim = 2**n
-        js = range(n_dim // 2 + 1)
-        want = [halfN_fourier_coefficient(n_dim, j) for j in js]
-        assert halfN_fourier_enumeration(n, [tuple(range(2 * j)) for j in js]) == want
+        tables = fourier_lp._all_sign_tables(n).astype(np.int64)
+        balanced = tables[tables.sum(axis=1) == 0]
+        for j in range(n_dim // 2 + 1):
+            total = int(np.prod(balanced[:, : 2 * j], axis=1).sum())
+            assert Fraction(total, 2**n_dim) == halfN_fourier_coefficient(n_dim, j)
     assert halfN_fourier_coefficient(4, 0) == Fraction(3, 8)
     assert halfN_fourier_coefficient(2, 1) == Fraction(-1, 2)
 
@@ -248,8 +239,9 @@ def test_dual_certificate_values():
 
 
 def test_verify_dual_golden_transcripts():
-    # n = 8 takes the closed-form weights over all 32640 pair constraints
-    for n in (1, 2, 3, 4, 8):
+    # n = 0 (N = 1) has no balanced table and no pair; n = 8 takes the closed-form weights
+    # over all 32640 pair constraints
+    for n in (0, 1, 2, 3, 4, 8):
         want = (GOLDEN / f"lp_certify_n{n}.txt").read_text()
         assert verify_dual_feasibility(dual_certificate(n)) == want
 
@@ -273,10 +265,10 @@ def test_verify_dual_names_exactly_the_pair_whose_weight_fails(monkeypatch):
     # that carries it; at n = 3 one enumerated weight is moved off the closed form
     real = fourier_lp.halfN_fourier_enumeration
 
-    def perturbed(n, subsets):
-        vals = real(n, subsets)
-        vals[subsets.index((2, 5))] += Fraction(1, 256)
-        return vals
+    def perturbed(n):
+        empty_hat, vals = real(n)
+        vals[list(itertools.combinations(range(2**n), 2)).index((2, 5))] += Fraction(1, 256)
+        return empty_hat, vals
 
     monkeypatch.setattr(fourier_lp, "halfN_fourier_enumeration", perturbed)
     with pytest.raises(CertificateError) as err:
@@ -307,5 +299,4 @@ def test_weak_duality_on_feasible_mixtures():
         naive = naive_primal_point(n)
         cap = Fraction(naive_fourier_value(n), 2**n)
         for lam in (Fraction(0), Fraction(1, 3), Fraction(1, 2), Fraction(1)):
-            point = [lam * c for c in naive]
-            assert primal_objective(n, point) <= cap
+            assert primal_objective(n, lam * naive) <= cap
