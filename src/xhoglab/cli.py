@@ -57,7 +57,7 @@ def cmd_xhog(args):
         args.n,
         args.trials,
         args.seed if args.seed is not None else 0,
-        strategy_params={"k": args.k, "schedule": args.schedule},
+        k=args.k,
         exact=args.exact,
         keep_trials=bool(args.csv),
     )
@@ -230,7 +230,6 @@ def build_parser() -> argparse.ArgumentParser:
     px.add_argument("--trials", type=int, default=1000)
     px.add_argument("--seed", type=int)
     px.add_argument("-k", type=int, default=2)
-    px.add_argument("--schedule", choices=xhog.SCHEDULES, default="fixed")
     # --exact keeps no per-trial rows for --csv to write
     rows = px.add_mutually_exclusive_group()
     rows.add_argument("--exact", action="store_true")

@@ -133,10 +133,11 @@ def halfN_fourier_enumeration(n: int) -> tuple:
     """The weights at the empty set and at every pair, in _pairs order, by summing
     (-1)^|A cap S| over all balanced tables A (the sign tables with N/2 entries -1)."""
     n_dim = 2**n
-    tables = _all_sign_tables(n)
-    balanced = tables[tables.sum(axis=1) == 0].astype(np.float64)
-    # the pair sums are the Gram matrix of the columns; float64 is exact, as no sum
-    # exceeds the C(16, 8) = 12870 balanced tables of n = ENUM_CAP in size
+    # a row index's popcount is its table's count of -1 entries
+    is_balanced = 2 * np.bitwise_count(np.arange(2**n_dim)) == n_dim
+    balanced = _all_sign_tables(n)[is_balanced].astype(np.float32)
+    # the pair sums are the Gram matrix of the columns; float32 is exact, as no sum
+    # exceeds the C(16, 8) = 12870 < 2^24 balanced tables of n = ENUM_CAP in size
     gram = balanced.T @ balanced
     pair_sums = gram[_pairs(n_dim)].tolist()
     return Fraction(len(balanced), 2**n_dim), [Fraction(int(v), 2**n_dim) for v in pair_sums]

@@ -39,9 +39,8 @@ from .oracles import (
     sample_oracle_output,
 )
 
-STRATEGIES = ("uniform", "naive", "k_copy_mode", "collision_amplify", "argmax")
+STRATEGIES = ("uniform", "naive", "k_copy_mode", "collision_amplify")
 FAMILIES = ("canonical", "random_prep", "fourier")
-SCHEDULES = ("fixed", "adaptive")
 # amplitude entries per block of trials, which takes TRIAL_BLOCK_ENTRIES // max(N, k) trials
 # (at least one): a block holds a few arrays of that many entries (draws, states, query
 # outputs, CDFs, copy uniforms), 16 trials at n = 8; 2^15 entries raised the benchmark's
@@ -124,14 +123,14 @@ def fixed_grover_iterations(n: int, k: int) -> int:
     return math.ceil((math.pi / 4) * math.sqrt(2 ** (n + 2) / k))
 
 
-def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixed") -> StrategyOutcome:
+def strategy_collision_amplify(oracle: OracleHandle, k: int, rng) -> StrategyOutcome:
     """Measure k copies; output a collision, or amplify onto the measured set.
 
     Without a collision, a fresh copy of the state is rotated towards the span
     of the k measured strings by Grover iterations.  The reflection about the
     measured set is classical data (free); each reflection about the state
     costs 2 oracle queries; every copy costs 1.  ``run_experiment`` admits only
-    k >= 2, a schedule in ``SCHEDULES`` and the two families with a state reflection.
+    k >= 2 and the two families with a state reflection.
     """
     before = oracle.calls
     seen = set()
@@ -143,26 +142,13 @@ def strategy_collision_amplify(oracle: OracleHandle, k: int, rng, schedule="fixe
     good = np.fromiter(sorted(seen), dtype=np.intp)
     n = oracle.dim.bit_length() - 1  # the canonical flag's extra dimension stays below 2^(n+1)
     state = oracle.apply(preparation_input(oracle))
-
-    if schedule == "adaptive":
-        # idealized mode: reads the true good-subspace mass off the simulator
-        a = float(np.sum(np.abs(state[good]) ** 2))
-        theta = math.asin(min(1.0, math.sqrt(a)))
-        t_iter = max(0, round(math.pi / (4 * theta) - 0.5)) if theta > 0 else 0
-    else:
-        t_iter = fixed_grover_iterations(n, k)
-
+    t_iter = fixed_grover_iterations(n, k)
     for _ in range(t_iter):
         state[good] *= -1.0
         state = reflect_about_state(oracle, state)
     z = int(born_sample(np.abs(state[None, : 2**n]) ** 2, rng.random((1, 1)))[0, 0])
     aux = {"collision": False, "grover_iterations": t_iter, "amplified_hit": z in seen}
     return StrategyOutcome(z, oracle.calls - before, aux)
-
-
-def strategy_argmax(probs: np.ndarray) -> np.ndarray:
-    """Reference (not query-legal): each row's most likely string, read off its probabilities."""
-    return np.argmax(probs, axis=1)
 
 
 def _hidden_instances(family, draws, rng):
@@ -180,7 +166,7 @@ def _hidden_instances(family, draws, rng):
     return [random_prep_oracle(p, rng) for p in psi], np.abs(psi) ** 2
 
 
-def _trial_blocks(strategy, family, n_dim, k, schedule, trials, streams):
+def _trial_blocks(strategy, family, n_dim, k, trials, streams):
     """Every strategy's trials, one per block for ``collision_amplify`` and
     ``TRIAL_BLOCK_ENTRIES // max(N, copies)`` (at least one) for the others.
 
@@ -212,10 +198,8 @@ def _trial_blocks(strategy, family, n_dim, k, schedule, trials, streams):
         oracles, probs = _hidden_instances(family, draws[:rows], rng if rows == 1 else None)
         if strategy == "uniform":
             z = picks[:rows]
-        elif strategy == "argmax":
-            z = strategy_argmax(probs)
         elif strategy == "collision_amplify":
-            z = [strategy_collision_amplify(oracles[0], k, rng, schedule).z]
+            z = [strategy_collision_amplify(oracles[0], k, rng).z]
         elif strategy == "naive":
             z = strategy_naive_sample(oracles, u[:rows])
         else:
@@ -229,15 +213,17 @@ def run_experiment(
     n,
     trials,
     master_seed,
-    strategy_params=None,
+    k=2,
     exact=False,
     keep_trials=False,
 ) -> XebEstimate:
     """Per-trial fresh hidden instance, strategy run, exact scoring, aggregation.
 
-    Trial i draws from the stream ``trial_rng(master_seed, i)``, derived a
-    block at a time by ``trial_streams``, so results are bit-identical
-    regardless of execution order and any trial can be replayed alone.
+    ``k`` is the copy count of ``k_copy_mode`` and ``collision_amplify``; the
+    other strategies ignore it.  Trial i draws from the stream
+    ``trial_rng(master_seed, i)``, derived a block at a time by
+    ``trial_streams``, so results are bit-identical regardless of execution
+    order and any trial can be replayed alone.
     Every strategy runs in ``_trial_blocks``: ``collision_amplify`` one trial
     per block, the others ``TRIAL_BLOCK_ENTRIES // max(N, k)`` trials per
     block (at least one), drawing each trial's numbers from its stream and
@@ -254,14 +240,10 @@ def run_experiment(
         raise ValueError(f"unknown family {family!r}")
     if not 1 <= n <= MAX_QUBITS:
         raise ValueError(f"xhog needs 1 <= -n <= {MAX_QUBITS}, got -n {n}")
-    params = strategy_params or {}
-    k, schedule = params.get("k", 2), params.get("schedule", "fixed")
     if strategy in ("k_copy_mode", "collision_amplify"):
         k_min = 1 if strategy == "k_copy_mode" else 2
         if not k_min <= k <= MAX_DIM:
             raise ValueError(f"{strategy} needs {k_min} <= -k <= {MAX_DIM} copies, got -k {k}")
-    if strategy == "collision_amplify" and schedule not in SCHEDULES:
-        raise ValueError(f"unknown --schedule {schedule!r}")
     if strategy == "collision_amplify" and family == "fourier":
         raise ValueError("collision_amplify needs a state reflection, which --family fourier lacks")
     t0 = time.perf_counter()
@@ -292,7 +274,7 @@ def run_experiment(
     queries = np.empty(trials, dtype=np.int32) if keep_trials else None
     n_dim = 2**n
     lo = 0
-    for z, probs, oracles in _trial_blocks(strategy, family, n_dim, k, schedule, trials, streams):
+    for z, probs, oracles in _trial_blocks(strategy, family, n_dim, k, trials, streams):
         hi = lo + len(z)
         scores[lo:hi] = n_dim * probs[np.arange(len(z)), z]
         # the fresh handles' counts, not a strategy's report

@@ -197,9 +197,7 @@ def test_criterion_08_collision_rate_and_posterior():
 
 def test_criterion_09_collision_amplify():
     n, k, trials = 9, 8, 10_000
-    est = run_experiment(
-        "collision_amplify", "canonical", n, trials, 2026, strategy_params={"k": k}
-    )
+    est = run_experiment("collision_amplify", "canonical", n, trials, 2026, k=k)
     ok = est.b_mean >= 2.05
     # recorded query constant: c = 4.5 (worst observed trial uses 35 = 4.375 * 2^3)
     ok = ok and est.total_queries <= 4.5 * 2 ** (n / 3) * trials

@@ -703,9 +703,14 @@ def test_lp_at_n_zero(action, tmp_path, capsys):
 
 
 def test_argparse_errors_map_to_usage(capsys):
-    assert main(["lp", "frobnicate", "-n", "2"]) == 2
-    assert main([]) == 2
-    capsys.readouterr()
+    xhog_argv = ["xhog", "--family", "canonical", "-n", "3", "--seed", "1"]
+    argvs = [["lp", "frobnicate", "-n", "2"], [],
+             # no strategy or option reads the hidden state the oracle handles wrap
+             [*xhog_argv, "--strategy", "argmax"],
+             [*xhog_argv, "--strategy", "collision_amplify", "--schedule", "fixed"]]
+    for argv in argvs:
+        assert main(argv) == 2, argv
+        assert "Traceback" not in capsys.readouterr().err, argv
 
 
 def test_main_builds_the_parser_once(monkeypatch, capsys):

@@ -51,7 +51,6 @@ XHOG_WINDOWS = {
     "-n": (-1, 0, 1, 2, MAX_QUBITS, MAX_QUBITS + 1),
     "-k": (-1, 0, 1, 2, 3, MAX_DIM + 1),  # k_copy_mode needs k >= 1, collision_amplify k >= 2
     "--trials": (-1, 0, 1, 2, xhog.MAX_TRIALS + 1),
-    "--schedule": ("fixed", "adaptive"),
 }
 
 LP_WINDOWS = {

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from xhoglab import linalg, xhog
-from xhoglab.linalg import MAX_DIM, MAX_TRIALS, haar_state_amps, trial_rng
+from xhoglab.linalg import MAX_DIM, haar_state_amps, trial_rng, trial_streams
 from xhoglab.oracles import (
     OracleHandle,
     canonical_oracle,
@@ -21,7 +21,6 @@ from xhoglab.xhog import (
     fixed_grover_iterations,
     posterior_mc,
     run_experiment,
-    strategy_argmax,
     strategy_collision_amplify,
     strategy_k_copy_mode,
     strategy_naive_sample,
@@ -130,23 +129,23 @@ def test_every_query_is_one_handle_call(monkeypatch, tmp_path):
                 if strategy == "collision_amplify" and family == "fourier":
                     continue  # no state reflection; a usage error
                 counted[0] = 0
-                est = run_experiment(strategy, family, n, 11, 29, {"k": 3}, keep_trials=True)
+                est = run_experiment(strategy, family, n, 11, 29, k=3, keep_trials=True)
                 est.write_csv(tmp_path / "rows.csv")
                 with open(tmp_path / "rows.csv") as fh:
                     column = sum(int(row["queries"]) for row in csv.DictReader(fh))
                 assert counted[0] == est.total_queries == column, (strategy, family, n)
                 ran += 1
-    assert ran == 2 * (3 * 5 - 1)
+    assert ran == 2 * (3 * 4 - 1)
 
 
 @pytest.mark.parametrize("n", [1, 12])
 def test_k_copy_block_memory_is_bounded_whatever_k(n):
     # a block holds O(rows (N + k)) entries; (rows, k, N) comparisons and (rows, k, k) tie
     # counts peaked at 513 MiB (n = 1) and 259 MiB (n = 14)
-    run_experiment("k_copy_mode", "canonical", n, 1, 1, {"k": 2})  # first-call allocations
+    run_experiment("k_copy_mode", "canonical", n, 1, 1, k=2)  # first-call allocations
     tracemalloc.start()
     try:
-        run_experiment("k_copy_mode", "canonical", n, 2, 1, {"k": MAX_DIM})
+        run_experiment("k_copy_mode", "canonical", n, 2, 1, k=MAX_DIM)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -247,14 +246,6 @@ def test_fixed_grover_schedule():
     assert fixed_grover_iterations(9, 8) == math.ceil(math.pi / 4 * 16)
 
 
-def test_collision_amplify_flat_state_adaptive():
-    n = 4
-    psi = np.full(16, 0.25)
-    out = strategy_collision_amplify(canonical_oracle(psi), 4, trial_rng(10, 0), "adaptive")
-    assert 0 <= out.z < 16
-    assert out.queries_used <= 4 + 1 + 2 * 64
-
-
 def test_collision_amplify_queries_and_validity():
     hits = 0
     for i in range(50):
@@ -280,7 +271,7 @@ def test_collision_amplify_random_prep_family():
 def test_collision_amplify_rejects_fourier():
     # the fourier oracle has no state reflection; the runner rejects the pair up front
     with pytest.raises(ValueError, match="--family fourier"):
-        run_experiment("collision_amplify", "fourier", 2, 1, 13, {"k": 3})
+        run_experiment("collision_amplify", "fourier", 2, 1, 13, k=3)
 
 
 def test_chernoff_mass_event_rate():
@@ -385,27 +376,15 @@ def test_mc_helpers_match_a_per_draw_loop(n):
         assert posterior_mc(n, 4, m, trials, seed, chunk) == _loop_posterior(n, 4, m, trials, seed, chunk)
 
 
-def test_strategy_argmax():
-    assert strategy_argmax(np.abs(np.eye(8)[[3, 6]]) ** 2).tolist() == [3, 6]
-    assert strategy_argmax(np.full((1, 4), 0.25)).tolist() == [0]  # ties: the smallest string
-
-
-def test_argmax_matches_simplex_statistics():
+def test_haar_state_max_probability_matches_simplex_statistics():
     trials = 20000
     vals = np.empty(trials)
-    for i in range(trials):
-        psi = haar_state_amps(trial_rng(15, i).standard_normal(2 * 16))
+    for i, rng in enumerate(trial_streams(15, 0, trials)):
+        psi = haar_state_amps(rng.standard_normal(2 * 16))
         vals[i] = (np.abs(psi) ** 2).max()
     target = float(sum(Fraction(1, j) for j in range(1, 17)) / 16)
     se = vals.std(ddof=1) / math.sqrt(trials)
     assert abs(vals.mean() - target) < 3 * se
-
-
-def test_argmax_b_tracks_harmonic_number():
-    for n in (4, 6):
-        est = run_experiment("argmax", "canonical", n, 2000, 16)
-        h = float(sum(Fraction(1, j) for j in range(1, 2**n + 1)))
-        assert 0.9 < est.b_mean / h < 1.1
 
 
 def test_run_experiment_uniform_b_one():
@@ -418,20 +397,6 @@ def test_run_experiment_exact_fourier():
     est = run_experiment("naive", "fourier", 3, 1, 0, exact=True)
     assert est.exact_value == Fraction(11, 4)
     assert est.to_json_dict()["b_exact"] == "11/4"
-
-
-def test_run_experiment_rejects_an_unknown_schedule_before_allocating():
-    # collision_amplify reads the schedule only after its first k samples, once the
-    # per-trial arrays (256 MiB at MAX_TRIALS) are allocated
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match="unknown --schedule 'bogus'"):
-            run_experiment("collision_amplify", "canonical", 4, MAX_TRIALS, 1,
-                           {"k": 2, "schedule": "bogus"})
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2**20
 
 
 def test_run_experiment_rejects_bad_input():
@@ -454,9 +419,8 @@ def test_run_experiment_reproducible_and_ledger_consistent():
     assert np.all(np.abs(a.scores) >= 0)
 
 
-def _reference_loop(strategy, family, n, trials, seed, params):
+def _reference_loop(strategy, family, n, trials, seed, k):
     """The runner's trials, one trial_rng stream and one instance at a time."""
-    k, schedule = params.get("k", 2), params.get("schedule", "fixed")
     n_dim = 2**n
     zs, scores, queries = [], [], []
     for i in range(trials):
@@ -470,10 +434,8 @@ def _reference_loop(strategy, family, n, trials, seed, params):
             probs = np.abs(psi) ** 2
         if strategy == "uniform":
             z = int(rng.integers(n_dim))
-        elif strategy == "argmax":
-            z = int(np.argmax(probs))
         elif strategy == "collision_amplify":
-            z = strategy_collision_amplify(oracle, k, rng, schedule).z
+            z = strategy_collision_amplify(oracle, k, rng).z
         else:
             copies = 1 if strategy == "naive" else k
             z = int(np.argmax(np.bincount(sample_oracle_output([oracle], rng.random((1, copies)))[0])))
@@ -487,8 +449,7 @@ def test_run_experiment_matches_a_trial_rng_loop(monkeypatch):
     # small stream and trial blocks put block edges inside every run; the second pass runs
     # every strategy in one-trial blocks, whose handles keep their trial's stream
     monkeypatch.setattr(linalg, "STREAM_BLOCK", 7)
-    params_of = {"k_copy_mode": ({"k": 1}, {"k": 3}),
-                 "collision_amplify": ({"k": 1}, {"k": 3}, {"k": 3, "schedule": "adaptive"})}
+    ks_of = {"k_copy_mode": (1, 3), "collision_amplify": (1, 3)}
     ran = 0
     for one_trial_blocks in (False, True):
         for strategy in xhog.STRATEGIES:
@@ -496,25 +457,51 @@ def test_run_experiment_matches_a_trial_rng_loop(monkeypatch):
                 for n in (1, 3, 5):
                     entries = 1 if one_trial_blocks else 3 * 2**n  # 1, or 2 or 3 trials
                     monkeypatch.setattr(xhog, "TRIAL_BLOCK_ENTRIES", entries)
-                    for params in params_of.get(strategy, ({},)):
+                    for k in ks_of.get(strategy, (2,)):
                         try:
-                            est = run_experiment(strategy, family, n, 16, 23, strategy_params=params,
-                                                 keep_trials=True)
+                            est = run_experiment(strategy, family, n, 16, 23, k=k, keep_trials=True)
                         except ValueError:
                             continue  # the runner's own rules; the count below pins which
-                        want = _reference_loop(strategy, family, n, 16, 23, params)
+                        want = _reference_loop(strategy, family, n, 16, 23, k)
                         got = (est.z.tolist(), est.scores.tolist(), est.queries.tolist())
-                        assert got == want, (one_trial_blocks, strategy, family, n, params)
+                        assert got == want, (one_trial_blocks, strategy, family, n, k)
                         ran += 1
-    # per n: 3 families for uniform, naive and argmax, 2 k's for k_copy_mode; collision_amplify
-    # needs k >= 2 and a state reflection, so it runs 2 params on 2 families
-    assert ran == 2 * 3 * (3 * 3 + 2 * 3 + 2 * 2)
+    # per n: 3 families for uniform and naive, 2 k's for k_copy_mode; collision_amplify
+    # needs k >= 2 and a state reflection, so it runs 1 k on 2 families
+    assert ran == 2 * 3 * (2 * 3 + 2 * 3 + 1 * 2)
+
+
+def test_every_strategy_outputs_without_the_scoring_probabilities(monkeypatch):
+    # a strategy sees the hidden state only through its oracle handles: with the scoring
+    # probabilities replaced by NaN, every trial outputs the same string
+    def outputs(strategy, family, n):
+        blocks = xhog._trial_blocks(strategy, family, 2**n, 3, 12, trial_streams(31, 0, 12))
+        return np.concatenate([np.asarray(z) for z, _, _ in blocks]).tolist()
+
+    hidden = xhog._hidden_instances
+
+    def blind(family, draws, rng):
+        oracles, probs = hidden(family, draws, rng)
+        return oracles, np.full_like(probs, np.nan)
+
+    ran = 0
+    for strategy in xhog.STRATEGIES:
+        for family in xhog.FAMILIES:
+            for n in (1, 3, 5):
+                if strategy == "collision_amplify" and family == "fourier":
+                    continue  # no state reflection; a usage error
+                want = outputs(strategy, family, n)
+                with monkeypatch.context() as m:
+                    m.setattr(xhog, "_hidden_instances", blind)
+                    assert outputs(strategy, family, n) == want, (strategy, family, n)
+                ran += 1
+    assert ran == 33
 
 
 def test_k_copy_upper_bound_chain():
     # b <= 2 + 2 C(k,2) * N * 2/(N(N+1)) + slack, per the posterior chain
     n, k, trials = 6, 8, 20000
-    est = run_experiment("k_copy_mode", "canonical", n, trials, 19, strategy_params={"k": k})
+    est = run_experiment("k_copy_mode", "canonical", n, trials, 19, k=k)
     n_dim = 2**n
     bound = 2 + 2 * math.comb(k, 2) * 2 / (n_dim + 1)
     assert est.b_mean <= bound + 5 * est.std_err
@@ -524,21 +511,21 @@ def test_run_experiment_pinned_outputs():
     # seeded (b_mean, std_err, total_queries) recorded when every copy drew its own
     # Born CDF and fwht was a butterfly; the first four are the benchmark's kinds
     pinned = [
-        ("naive", "canonical", 8, 40, {}, (1.689618308926773, 0.22001799686527498, 40)),
-        ("naive", "fourier", 8, 40, {}, (2.6171875, 0.36700588798397205, 40)),
-        ("k_copy_mode", "canonical", 6, 40, {"k": 4}, (1.930025566990676, 0.14020167213959756, 160)),
-        ("collision_amplify", "canonical", 9, 20, {"k": 8}, (1.7694850191808746, 0.20909919802661103, 700)),
-        ("k_copy_mode", "random_prep", 5, 40, {"k": 3}, (1.9497285528986232, 0.1952062647144959, 120)),
-        ("collision_amplify", "random_prep", 5, 40, {"k": 3}, (1.7415014818187, 0.1461262515354837, 562)),
-        ("naive", "fourier", 3, 200, {}, (3.0675, 0.15746410215454404, 200)),
-        ("naive", "fourier", 5, 200, {}, (3.4375, 0.193675520617429, 200)),
+        ("naive", "canonical", 8, 40, 2, (1.689618308926773, 0.22001799686527498, 40)),
+        ("naive", "fourier", 8, 40, 2, (2.6171875, 0.36700588798397205, 40)),
+        ("k_copy_mode", "canonical", 6, 40, 4, (1.930025566990676, 0.14020167213959756, 160)),
+        ("collision_amplify", "canonical", 9, 20, 8, (1.7694850191808746, 0.20909919802661103, 700)),
+        ("k_copy_mode", "random_prep", 5, 40, 3, (1.9497285528986232, 0.1952062647144959, 120)),
+        ("collision_amplify", "random_prep", 5, 40, 3, (1.7415014818187, 0.1461262515354837, 562)),
+        ("naive", "fourier", 3, 200, 2, (3.0675, 0.15746410215454404, 200)),
+        ("naive", "fourier", 5, 200, 2, (3.4375, 0.193675520617429, 200)),
     ]
-    for strategy, family, n, trials, params, want in pinned:
-        est = run_experiment(strategy, family, n, trials, 1, strategy_params=params)
+    for strategy, family, n, trials, k, want in pinned:
+        est = run_experiment(strategy, family, n, trials, 1, k=k)
         assert (est.b_mean, est.std_err, est.total_queries) == want, (strategy, family, n)
 
 
 def test_run_experiment_accepts_k_at_the_cap():
     # the caps above it are exit-2 cases in test_cli.py
-    est = run_experiment("k_copy_mode", "canonical", 1, 2, 1, strategy_params={"k": MAX_DIM})
+    est = run_experiment("k_copy_mode", "canonical", 1, 2, 1, k=MAX_DIM)
     assert est.total_queries == 2 * MAX_DIM
