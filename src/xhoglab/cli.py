@@ -158,18 +158,20 @@ def _verify_simplex(args, checks):
     _check(checks, f"expected_max_N{args.N}", abs(mean - target), 3 * se)
 
 
+# each suite's function and the flags it reads, with their defaults; a suite's parser
+# declares only these, so a flag the suite does not read is a usage error
 SUITES = {
-    "symmetrize": _verify_symmetrize,
-    "oracles": _verify_oracles,
-    "uprep": _verify_uprep,
-    "simplex": _verify_simplex,
+    "symmetrize": (_verify_symmetrize, {"-n": 2, "-k": 2, "--cases": 20}),
+    "oracles": (_verify_oracles, {"-n": 2, "--cases": 20}),
+    "uprep": (_verify_uprep, {"-n": 2, "-T": 1, "--trials": 1000}),
+    "simplex": (_verify_simplex, {"-N": 8, "--trials": 1000}),
 }
 
 
 def cmd_verify(args):
     t0 = time.perf_counter()
     checks = []
-    SUITES[args.suite](args, checks)
+    SUITES[args.suite][0](args, checks)
     ok = all(c["ok"] for c in checks)
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -222,8 +224,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="xhoglab")
     p.add_argument("--version", action="version", version=__version__)
     sub = p.add_subparsers(dest="command", required=True)
+    # the report options every command shares
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--out")
+    common.add_argument("--emit-config", action="store_true")
 
-    px = sub.add_parser("xhog", help="run a scored heavy-output experiment")
+    px = sub.add_parser("xhog", parents=[common], help="run a scored heavy-output experiment")
     px.add_argument("--strategy", required=True, choices=xhog.STRATEGIES)
     px.add_argument("--family", required=True, choices=xhog.FAMILIES)
     px.add_argument("-n", type=int, required=True)
@@ -234,28 +240,20 @@ def build_parser() -> argparse.ArgumentParser:
     rows = px.add_mutually_exclusive_group()
     rows.add_argument("--exact", action="store_true")
     rows.add_argument("--csv")
-    px.add_argument("--out")
-    px.add_argument("--emit-config", action="store_true")
     px.set_defaults(func=cmd_xhog)
 
     pv = sub.add_parser("verify", help="run a randomized verification sweep")
-    pv.add_argument("suite", choices=SUITES)
-    pv.add_argument("-n", type=int, default=2)
-    pv.add_argument("-k", type=int, default=2)
-    pv.add_argument("-T", type=int, default=1)
-    pv.add_argument("--cases", type=int, default=20)
-    pv.add_argument("--trials", type=int, default=1000)
-    pv.add_argument("-N", type=int, default=8)
-    pv.add_argument("--seed", type=int, required=True)
-    pv.add_argument("--out")
-    pv.add_argument("--emit-config", action="store_true")
+    suites = pv.add_subparsers(dest="suite", required=True)
+    for name, (_, flags) in SUITES.items():
+        ps = suites.add_parser(name, parents=[common])
+        for flag, default in flags.items():
+            ps.add_argument(flag, type=int, default=default)
+        ps.add_argument("--seed", type=int, required=True)
     pv.set_defaults(func=cmd_verify)
 
-    pl = sub.add_parser("lp", help="exact/numeric linear program certification")
+    pl = sub.add_parser("lp", parents=[common], help="exact/numeric linear program certification")
     pl.add_argument("action", choices=["certify", "solve", "naive-value"])
     pl.add_argument("-n", type=int, required=True)
-    pl.add_argument("--out")
-    pl.add_argument("--emit-config", action="store_true")
     pl.set_defaults(func=cmd_lp)
     return p
 

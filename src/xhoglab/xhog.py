@@ -166,6 +166,23 @@ def _hidden_instances(family, draws, rng):
     return [random_prep_oracle(p, rng) for p in psi], np.abs(psi) ** 2
 
 
+class _BlockStream:
+    """A one-trial block's stream, lent to its random-prep handles until the block ends.
+
+    ``trial_streams`` reseeds one shared Generator for each trial, so a handle
+    queried after its block would draw from a later trial's stream; once
+    ``rng`` is None, such a query raises instead.
+    """
+
+    def __init__(self, rng):
+        self.rng = rng
+
+    def standard_normal(self, size):
+        if self.rng is None:
+            raise ValueError("a random-prep handle was queried after its trial block ended")
+        return self.rng.standard_normal(size)
+
+
 def _trial_blocks(strategy, family, n_dim, k, trials, streams):
     """Every strategy's trials, one per block for ``collision_amplify`` and
     ``TRIAL_BLOCK_ENTRIES // max(N, copies)`` (at least one) for the others.
@@ -175,8 +192,9 @@ def _trial_blocks(strategy, family, n_dim, k, trials, streams):
     states, Born draws and strategy then run once per block, and every query
     is still one ``apply`` on that instance's own handle.  A block of one
     trial keeps its stream, so its random-prep handles draw fresh directions
-    from it (``collision_amplify`` runs in such blocks and draws its own
-    uniforms); a longer block's handles get none, since its streams are gone.
+    from it until the block ends (``collision_amplify`` runs in such blocks
+    and draws its own uniforms); a longer block's handles get none, since its
+    streams are gone.
     """
     copies = {"naive": 1, "k_copy_mode": k}.get(strategy, 0)
     size = 1 if strategy == "collision_amplify" else max(1, TRIAL_BLOCK_ENTRIES // max(n_dim, copies))
@@ -195,7 +213,8 @@ def _trial_blocks(strategy, family, n_dim, k, trials, streams):
                 picks[j] = rng.integers(n_dim)
             elif copies:
                 rng.random(out=u[j])
-        oracles, probs = _hidden_instances(family, draws[:rows], rng if rows == 1 else None)
+        lent = _BlockStream(rng) if rows == 1 else None
+        oracles, probs = _hidden_instances(family, draws[:rows], lent)
         if strategy == "uniform":
             z = picks[:rows]
         elif strategy == "collision_amplify":
@@ -204,7 +223,11 @@ def _trial_blocks(strategy, family, n_dim, k, trials, streams):
             z = strategy_naive_sample(oracles, u[:rows])
         else:
             z = strategy_k_copy_mode(oracles, u[:rows])
-        yield z, probs, oracles
+        try:
+            yield z, probs, oracles
+        finally:
+            if lent:
+                lent.rng = None
 
 
 def run_experiment(

@@ -380,6 +380,36 @@ def test_verify_unknown_suite(capsys):
     capsys.readouterr()
 
 
+_SIZE_FLAGS = ("-n", "-k", "-T", "--cases", "--trials", "-N")
+_UNREAD = [(suite, flag) for suite, (_, flags) in cli.SUITES.items()
+           for flag in _SIZE_FLAGS if flag not in flags]
+
+
+@pytest.mark.parametrize("suite, flag", _UNREAD)
+def test_verify_flag_the_suite_does_not_read_is_usage_error(suite, flag, tmp_path, monkeypatch,
+                                                            capsys):
+    # each suite parses only its own flags, so an ignored size cannot pass as a checked one
+    flags = cli.SUITES[suite][1]  # kept, so a parser built here is the one later tests parse with
+    monkeypatch.setitem(cli.SUITES, suite, (_raising(AssertionError("the suite ran")), flags))
+    out = tmp_path / "v.json"
+    assert main(["verify", suite, "--seed", "1", flag, "2", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert f"unrecognized arguments: {flag} 2" in err and "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("suite, defaults", [
+    ("symmetrize", {"n": 2, "k": 2, "cases": 20}),
+    ("oracles", {"n": 2, "cases": 20}),
+    ("uprep", {"n": 2, "T": 1, "trials": 1000}),
+    ("simplex", {"N": 8, "trials": 1000}),
+])
+def test_verify_config_holds_only_what_the_suite_reads(suite, defaults, capsys):
+    assert main(["verify", suite, "--seed", "1", "--emit-config"]) == 0
+    config = json.loads(capsys.readouterr().out)
+    assert config == {"command": "verify", "suite": suite, "seed": 1, "out": None, **defaults}
+
+
 @pytest.mark.parametrize("argv", [
     ["uprep", "-n", "15"],  # over linalg.MAX_QUBITS
     ["uprep", "-n", "0"],  # a 1-dim helper state is always degenerate: draw_plan never returns
@@ -727,8 +757,9 @@ def test_main_builds_the_parser_once(monkeypatch, capsys):
              ["verify", "uprep", "-n", "1", "-T", "2", "--trials", "2", "--seed", "1"],
              ["lp", "naive-value", "-n", "2"]]
     assert [main(argv) for argv in argvs] == [0, 0, 2, 0, 0]
-    # the top-level parser and one per subcommand, each built by the first call only
-    assert len(built) == 4
+    # the top-level parser, the shared report options, one per subcommand and one per verify
+    # suite, each built by the first call only
+    assert len(built) == 5 + len(cli.SUITES)
     capsys.readouterr()
 
 

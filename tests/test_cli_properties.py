@@ -12,6 +12,7 @@ the fault, so a check that comes after the per-trial arrays are allocated
 shows as a tracemalloc peak.
 """
 
+import argparse
 import tracemalloc
 
 import pytest
@@ -23,7 +24,7 @@ from hypothesis import strategies as st  # noqa: E402
 
 # loaded here, so no tracemalloc peak below counts an import
 from xhoglab import fourier_lp, xhog  # noqa: E402,F401
-from xhoglab.cli import MAX_CASES, main  # noqa: E402
+from xhoglab.cli import MAX_CASES, build_parser, main  # noqa: E402
 from xhoglab.linalg import MAX_DIM, MAX_QUBITS, MAX_TRIALS  # noqa: E402
 
 REJECTED_PEAK = 2**20
@@ -68,6 +69,20 @@ def _traced(argv):
         return rc, tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+
+
+def _subcommands(parser):
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_every_flag_a_suite_declares_is_drawn():
+    # a flag added to a suite's parser without a window would never be drawn below
+    shared = {"-h", "--help", "--seed", "--out", "--emit-config"}
+    suites = _subcommands(_subcommands(build_parser())["verify"])
+    assert sorted(suites) == sorted(WINDOWS)
+    for suite, parser in suites.items():
+        declared = {s for action in parser._actions for s in action.option_strings}
+        assert set(WINDOWS[suite]) == declared - shared, suite
 
 
 @st.composite

@@ -498,6 +498,16 @@ def test_every_strategy_outputs_without_the_scoring_probabilities(monkeypatch):
     assert ran == 33
 
 
+def test_a_random_prep_handle_kept_past_its_block_raises():
+    # trial_streams yields one shared Generator, so a one-trial block's handle queried after
+    # its block would draw its fresh Haar direction from a later trial's stream
+    blocks = xhog._trial_blocks("collision_amplify", "random_prep", 8, 2, 3, trial_streams(5, 0, 3))
+    kept = [oracles[0] for _, _, oracles in blocks]
+    for oracle in kept:
+        with pytest.raises(ValueError, match="block"):
+            oracle.apply(np.eye(8)[3])
+
+
 def test_k_copy_upper_bound_chain():
     # b <= 2 + 2 C(k,2) * N * 2/(N(N+1)) + slack, per the posterior chain
     n, k, trials = 6, 8, 20000
